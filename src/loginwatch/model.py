@@ -9,16 +9,28 @@ squashed) input embedding and its reconstruction, with gradients derived by
 hand and applied by plain mini-batch SGD to the network weights and the
 embedding rows alike.
 
+Every parameter lives in one float64 vector, ``Autoencoder.theta``, laid out
+as ``w1 b1 w2 b2 w3 b3 head head_bias`` followed by one embedding table per
+feature in ``FEATURE_ORDER``. The per-feature heads are row blocks of the
+single ``(input_dim, hidden_dim)`` head matrix, and the named arrays are
+views into ``theta``. The gradient has the same layout, so an SGD step is one
+vector update, and a batch step has no Python loop over features: the input
+is one gather from ``theta``, the per-feature dice sums are products with a
+fixed 0/1 ``(input_dim, features)`` segment matrix, and the embedding
+gradient is one ``np.bincount`` over the gather positions.
+
 The loss of an event doubles as its anomaly score: events built from
 patterns the model never learned reconstruct poorly and score high.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -90,12 +102,10 @@ def dice_coefficient(p: np.ndarray, g: np.ndarray) -> float:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument only, so neither branch overflows
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class Autoencoder:
@@ -111,6 +121,11 @@ class Autoencoder:
 
     The event loss compares sigmoid(r_f) against sigmoid(e_f) per feature
     with the dice dissimilarity and combines features per ``loss_mode``.
+
+    ``theta`` holds every parameter; ``w1`` to ``b3``, ``head`` (the H_f
+    stacked in feature order), ``head_bias`` (the c_f) and each
+    ``embeddings[name].weights`` are views into it. Write parameters in
+    place (``view[...] = values``); rebinding an attribute detaches it.
     """
 
     def __init__(
@@ -124,6 +139,41 @@ class Autoencoder:
         loss_mode: LossMode = LossMode.SUM,
         feature_weights: Mapping[str, float] | None = None,
     ):
+        self._allocate(
+            actor_id, feature_sizes, hidden_dim, code_dim, loss_mode, feature_weights
+        )
+
+        # Initial values: one seed per embedding table, then one generator
+        # for w1, w2, w3 and the heads in feature order. Trained models and
+        # the acceptance figures depend on this order; keep it.
+        seeds = np.random.SeedSequence(seed).generate_state(len(FEATURE_ORDER) + 1)
+        for name, child_seed in zip(FEATURE_ORDER, seeds):
+            table = self.embeddings[name]
+            initial = init_embedding(table.m, table.dim, int(child_seed), name)
+            table.weights[...] = initial.weights
+
+        rng = np.random.default_rng(int(seeds[-1]))
+
+        def glorot(fan_out: int, fan_in: int) -> np.ndarray:
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+        self.w1[...] = glorot(hidden_dim, self.input_dim)
+        self.w2[...] = glorot(code_dim, hidden_dim)
+        self.w3[...] = glorot(hidden_dim, code_dim)
+        for _, cols in self._feature_columns():
+            self.head[cols] = glorot(cols.stop - cols.start, hidden_dim)
+
+    def _allocate(
+        self,
+        actor_id: str,
+        feature_sizes: Mapping[str, int],
+        hidden_dim: int,
+        code_dim: int,
+        loss_mode: LossMode,
+        feature_weights: Mapping[str, float] | None,
+    ) -> None:
+        """Validate the configuration and lay out a zero ``theta``."""
         missing = [name for name in FEATURE_ORDER if name not in feature_sizes]
         if missing:
             raise ValueError(f"feature_sizes missing {missing}")
@@ -141,17 +191,15 @@ class Autoencoder:
             [self.feature_weights[name] for name in FEATURE_ORDER], dtype=float
         )
 
-        seeds = np.random.SeedSequence(seed).generate_state(len(FEATURE_ORDER) + 1)
-        self.embeddings: dict[str, EmbeddingMatrix] = {}
-        self._slices: dict[str, slice] = {}
-        offset = 0
-        for name, child_seed in zip(FEATURE_ORDER, seeds):
-            m = self.feature_sizes[name]
-            dim = embedding_dim(max(m, 1))
-            self.embeddings[name] = init_embedding(m, dim, int(child_seed), name)
-            self._slices[name] = slice(offset, offset + dim)
-            offset += dim
-        self.input_dim = offset
+        sizes = [self.feature_sizes[name] for name in FEATURE_ORDER]
+        small = [name for name, m in zip(FEATURE_ORDER, sizes) if m < 1]
+        if small:
+            name = small[0]
+            raise ValueError(
+                f"feature_sizes[{name!r}] must be >= 1, got {self.feature_sizes[name]}"
+            )
+        dims = [embedding_dim(m) for m in sizes]
+        self.input_dim = sum(dims)
         if not code_dim < self.input_dim:
             raise ValueError(
                 f"code_dim {code_dim} must be < input_dim {self.input_dim}"
@@ -159,77 +207,99 @@ class Autoencoder:
         self.hidden_dim = hidden_dim
         self.code_dim = code_dim
 
-        rng = np.random.default_rng(int(seeds[-1]))
+        shapes = [
+            ("w1", (hidden_dim, self.input_dim)),
+            ("b1", (hidden_dim,)),
+            ("w2", (code_dim, hidden_dim)),
+            ("b2", (code_dim,)),
+            ("w3", (hidden_dim, code_dim)),
+            ("b3", (hidden_dim,)),
+            ("head", (self.input_dim, hidden_dim)),
+            ("head_bias", (self.input_dim,)),
+        ]
+        shapes += [(name, (m + 1, dim)) for name, m, dim in zip(FEATURE_ORDER, sizes, dims)]
+        self._layout: list[tuple[str, slice, tuple[int, ...]]] = []
+        offset = 0
+        for key, shape in shapes:
+            self._layout.append((key, slice(offset, offset + math.prod(shape)), shape))
+            offset += math.prod(shape)
+        self.theta = np.zeros(offset)
+        views = self._views(self.theta)
+        self.w1, self.b1 = views["w1"], views["b1"]
+        self.w2, self.b2 = views["w2"], views["b2"]
+        self.w3, self.b3 = views["w3"], views["b3"]
+        self.head, self.head_bias = views["head"], views["head_bias"]
+        self.embeddings = {
+            name: EmbeddingMatrix(name, m, dim, views[name])
+            for name, m, dim in zip(FEATURE_ORDER, sizes, dims)
+        }
 
-        def glorot(fan_out: int, fan_in: int) -> np.ndarray:
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
-        self.w1 = glorot(hidden_dim, self.input_dim)
-        self.b1 = np.zeros(hidden_dim)
-        self.w2 = glorot(code_dim, hidden_dim)
-        self.b2 = np.zeros(code_dim)
-        self.w3 = glorot(hidden_dim, code_dim)
-        self.b3 = np.zeros(hidden_dim)
-        self.heads: dict[str, np.ndarray] = {}
-        self.head_biases: dict[str, np.ndarray] = {}
-        for name in FEATURE_ORDER:
-            dim = self.embeddings[name].dim
-            self.heads[name] = glorot(dim, hidden_dim)
-            self.head_biases[name] = np.zeros(dim)
+        # Column maps: column j of x is feature _col_feature[j]; an event with
+        # index row idx reads it from theta[idx[f] * _col_dim[j] + _col_base[j]].
+        self._col_start = [0, *itertools.accumulate(dims)]
+        self._col_feature = np.repeat(np.arange(len(FEATURE_ORDER)), dims)
+        self._col_dim = np.repeat(dims, dims)
+        table_start = np.array([span.start for _, span, _ in self._layout[-len(dims):]])
+        self._col_base = (
+            table_start[self._col_feature]
+            + np.arange(self.input_dim)
+            - np.array(self._col_start)[self._col_feature]
+        )
+        self._segments = np.zeros((self.input_dim, len(FEATURE_ORDER)))
+        self._segments[np.arange(self.input_dim), self._col_feature] = 1.0
+        self._max_index = np.array(sizes, dtype=np.int64)
 
         self.train_mu: float | None = None
         self.train_sigma: float | None = None
         self.chosen_n: float | None = None
         self.epoch_losses: list[float] = []
 
+    def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a parameter-layout vector (``theta`` or a gradient).
+
+        Keys are ``w1`` to ``b3``, ``head``, ``head_bias`` and each feature
+        name for its embedding table.
+        """
+        return {key: vector[span].reshape(shape) for key, span, shape in self._layout}
+
+    def _feature_columns(self) -> Iterator[tuple[str, slice]]:
+        """Each feature's columns in x, in the reconstruction and in ``head``."""
+        for f, name in enumerate(FEATURE_ORDER):
+            yield name, slice(self._col_start[f], self._col_start[f + 1])
+
     # ------------------------------------------------------------------
     # forward
     # ------------------------------------------------------------------
 
     def _indices(self, events: Sequence[EncodedEvent]) -> np.ndarray:
-        rows = np.empty((len(events), len(FEATURE_ORDER)), dtype=np.int64)
-        for i, event in enumerate(events):
-            rows[i] = event.feature_indices()
-        for f, name in enumerate(FEATURE_ORDER):
-            bad = (rows[:, f] < 0) | (rows[:, f] > self.feature_sizes[name])
-            if bad.any():
-                raise ValueError(
-                    f"{name}: index {rows[bad][0][f]} outside "
-                    f"[0, {self.feature_sizes[name]}]"
-                )
+        rows = np.array(
+            [event.feature_indices() for event in events], dtype=np.int64
+        ).reshape(len(events), len(FEATURE_ORDER))
+        bad = (rows < 0) | (rows > self._max_index)
+        if bad.any():
+            f, row = np.argwhere(bad.T)[0]  # first feature with a bad index
+            name = FEATURE_ORDER[f]
+            raise ValueError(
+                f"{name}: index {rows[row, f]} outside "
+                f"[0, {self.feature_sizes[name]}]"
+            )
         return rows
 
     def _forward(self, idx: np.ndarray) -> dict:
         """Run a batch of index rows through the network, keeping the cache."""
-        batch = idx.shape[0]
-        x = np.empty((batch, self.input_dim))
-        emb_in: dict[str, np.ndarray] = {}
-        for f, name in enumerate(FEATURE_ORDER):
-            rows = self.embeddings[name].weights[idx[:, f]]
-            emb_in[name] = rows
-            x[:, self._slices[name]] = rows
+        pos = idx[:, self._col_feature] * self._col_dim + self._col_base
+        x = self.theta[pos]
 
         a1 = np.tanh(x @ self.w1.T + self.b1)
         h = np.tanh(a1 @ self.w2.T + self.b2)
         a3 = np.tanh(h @ self.w3.T + self.b3)
+        rec = a3 @ self.head.T + self.head_bias
 
-        rec: dict[str, np.ndarray] = {}
-        p: dict[str, np.ndarray] = {}
-        g: dict[str, np.ndarray] = {}
-        dissim = np.empty((batch, len(FEATURE_ORDER)))
-        dice_parts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for f, name in enumerate(FEATURE_ORDER):
-            r = a3 @ self.heads[name].T + self.head_biases[name]
-            rec[name] = r
-            pf = _sigmoid(r)
-            gf = _sigmoid(emb_in[name])
-            p[name] = pf
-            g[name] = gf
-            overlap = np.sum(pf * gf, axis=1)
-            denom = np.sum(pf * pf, axis=1) + np.sum(gf * gf, axis=1)
-            dissim[:, f] = 1.0 - 2.0 * overlap / denom
-            dice_parts[name] = (overlap, denom)
+        p = _sigmoid(rec)
+        g = _sigmoid(x)
+        overlap = (p * g) @ self._segments
+        denom = (p * p + g * g) @ self._segments
+        dissim = 1.0 - 2.0 * overlap / denom
 
         if self.loss_mode is LossMode.SUM:
             losses = dissim @ self._w_vec
@@ -238,17 +308,17 @@ class Autoencoder:
             losses = np.exp((np.log(safe) * self._w_vec).sum(axis=1))
 
         return {
-            "idx": idx,
+            "pos": pos,
             "x": x,
-            "emb_in": emb_in,
             "a1": a1,
             "h": h,
             "a3": a3,
             "rec": rec,
             "p": p,
             "g": g,
+            "overlap": overlap,
+            "denom": denom,
             "dissim": dissim,
-            "dice_parts": dice_parts,
             "losses": losses,
         }
 
@@ -263,8 +333,8 @@ class Autoencoder:
             with matching widths.
         """
         cache = self._forward(self._indices([event]))
-        rec = {name: cache["rec"][name][0].copy() for name in FEATURE_ORDER}
-        emb = {name: cache["emb_in"][name][0].copy() for name in FEATURE_ORDER}
+        rec = {name: cache["rec"][0, cols].copy() for name, cols in self._feature_columns()}
+        emb = {name: cache["x"][0, cols].copy() for name, cols in self._feature_columns()}
         return rec, emb
 
     def losses(self, events: Sequence[EncodedEvent]) -> np.ndarray:
@@ -281,78 +351,67 @@ class Autoencoder:
     # backward
     # ------------------------------------------------------------------
 
-    def _backward(self, cache: dict) -> dict:
-        """Gradients of the mean batch loss w.r.t. every parameter."""
-        idx = cache["idx"]
-        batch = idx.shape[0]
+    def _backward(self, cache: dict) -> np.ndarray:
+        """Gradient of the mean batch loss, in the layout of ``theta``."""
+        x = cache["x"]
+        batch = x.shape[0]
         dissim = cache["dissim"]
 
         # d(mean loss)/d(dissim_f) per event
         if self.loss_mode is LossMode.SUM:
-            coef = np.broadcast_to(self._w_vec, dissim.shape).copy()
+            coef = self._w_vec / batch
         else:
+            # the PRODUCT loss is prod(safe ** w), so d/d(safe_f) = w_f * loss / safe_f
             safe = np.maximum(dissim, _EPS)
-            total = np.exp((np.log(safe) * self._w_vec).sum(axis=1))
-            coef = self._w_vec * total[:, None] / safe
-        coef /= batch
+            coef = self._w_vec * cache["losses"][:, None] / safe / batch
 
-        a3 = cache["a3"]
-        d_a3 = np.zeros_like(a3)
-        grads: dict = {"heads": {}, "head_biases": {}, "emb": {}}
-        d_emb_target: dict[str, np.ndarray] = {}
-        for f, name in enumerate(FEATURE_ORDER):
-            pf, gf = cache["p"][name], cache["g"][name]
-            overlap, denom = cache["dice_parts"][name]
-            # d(1 - dice)/dp and /dg for dice = 2*overlap/denom
-            scale = coef[:, f] / (denom * denom)
-            d_p = (4.0 * overlap[:, None] * pf - 2.0 * gf * denom[:, None]) * scale[:, None]
-            d_g = (4.0 * overlap[:, None] * gf - 2.0 * pf * denom[:, None]) * scale[:, None]
-            d_r = d_p * pf * (1.0 - pf)
-            d_emb_target[name] = d_g * gf * (1.0 - gf)
-            grads["heads"][name] = d_r.T @ a3
-            grads["head_biases"][name] = d_r.sum(axis=0)
-            d_a3 += d_r @ self.heads[name]
+        # d(1 - dice)/dp = a*p - b*g and d(1 - dice)/dg = a*g - b*p for
+        # dice = 2*overlap/denom, with a and b per feature, spread to columns
+        overlap, denom = cache["overlap"], cache["denom"]
+        scale = coef / (denom * denom)
+        a = (4.0 * overlap * scale)[:, self._col_feature]
+        b = (2.0 * denom * scale)[:, self._col_feature]
+        p, g = cache["p"], cache["g"]
+        d_r = (a * p - b * g) * p * (1.0 - p)
+        d_emb_target = (a * g - b * p) * g * (1.0 - g)
 
-        d_z3 = d_a3 * (1.0 - a3 * a3)
-        grads["w3"] = d_z3.T @ cache["h"]
-        grads["b3"] = d_z3.sum(axis=0)
-        d_h = d_z3 @ self.w3
-
-        d_z2 = d_h * (1.0 - cache["h"] * cache["h"])
-        grads["w2"] = d_z2.T @ cache["a1"]
-        grads["b2"] = d_z2.sum(axis=0)
-        d_a1 = d_z2 @ self.w2
-
-        d_z1 = d_a1 * (1.0 - cache["a1"] * cache["a1"])
-        grads["w1"] = d_z1.T @ cache["x"]
-        grads["b1"] = d_z1.sum(axis=0)
+        a3, h, a1 = cache["a3"], cache["h"], cache["a1"]
+        d_z3 = (d_r @ self.head) * (1.0 - a3 * a3)
+        d_z2 = (d_z3 @ self.w3) * (1.0 - h * h)
+        d_z1 = (d_z2 @ self.w2) * (1.0 - a1 * a1)
         d_x = d_z1 @ self.w1
 
-        for f, name in enumerate(FEATURE_ORDER):
-            d_rows = d_x[:, self._slices[name]] + d_emb_target[name]
-            table = np.zeros_like(self.embeddings[name].weights)
-            np.add.at(table, idx[:, f], d_rows)
-            grads["emb"][name] = table
-        return grads
+        # Both embedding routes (input and reconstruction target) land on the
+        # rows the batch gathered; bincount sums repeated rows.
+        grad = np.bincount(
+            cache["pos"].ravel(),
+            weights=(d_x + d_emb_target).ravel(),
+            minlength=self.theta.size,
+        )
+        dense = (  # w1 b1 w2 b2 w3 b3 head head_bias, in layout order
+            d_z1.T @ x, d_z1.sum(axis=0),
+            d_z2.T @ a1, d_z2.sum(axis=0),
+            d_z3.T @ h, d_z3.sum(axis=0),
+            d_r.T @ a3, d_r.sum(axis=0),
+        )
+        for (_, span, _), part in zip(self._layout, dense):
+            grad[span] = part.ravel()
+        return grad
 
-    def _apply(self, grads: dict, learning_rate: float) -> None:
-        self.w1 -= learning_rate * grads["w1"]
-        self.b1 -= learning_rate * grads["b1"]
-        self.w2 -= learning_rate * grads["w2"]
-        self.b2 -= learning_rate * grads["b2"]
-        self.w3 -= learning_rate * grads["w3"]
-        self.b3 -= learning_rate * grads["b3"]
-        for name in FEATURE_ORDER:
-            self.heads[name] -= learning_rate * grads["heads"][name]
-            self.head_biases[name] -= learning_rate * grads["head_biases"][name]
-            self.embeddings[name].weights -= learning_rate * grads["emb"][name]
+    def _apply(self, grad: np.ndarray, learning_rate: float) -> None:
+        self.theta -= learning_rate * grad
 
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-type snapshot of every parameter and training statistic."""
+        """Plain-type snapshot of every parameter and training statistic.
+
+        The document keeps one array per feature (embedding table, head,
+        head bias), independent of the in-memory layout.
+        """
+        columns = list(self._feature_columns())
         return {
             "actor_id": self.actor_id,
             "feature_sizes": dict(self.feature_sizes),
@@ -369,10 +428,8 @@ class Autoencoder:
             "b2": self.b2.tolist(),
             "w3": self.w3.tolist(),
             "b3": self.b3.tolist(),
-            "heads": {name: self.heads[name].tolist() for name in FEATURE_ORDER},
-            "head_biases": {
-                name: self.head_biases[name].tolist() for name in FEATURE_ORDER
-            },
+            "heads": {name: self.head[cols].tolist() for name, cols in columns},
+            "head_biases": {name: self.head_bias[cols].tolist() for name, cols in columns},
             "train_mu": self.train_mu,
             "train_sigma": self.train_sigma,
             "chosen_n": self.chosen_n,
@@ -381,28 +438,41 @@ class Autoencoder:
 
     @classmethod
     def from_state(cls, state: dict) -> "Autoencoder":
-        model = cls(
+        """Rebuild a model from ``to_state`` output.
+
+        Raises:
+            ValueError: a parameter's shape differs from the one that
+                ``feature_sizes``, ``hidden_dim`` and ``code_dim`` imply.
+        """
+        model = cls.__new__(cls)
+        model._allocate(
             state["actor_id"],
             state["feature_sizes"],
-            hidden_dim=state["hidden_dim"],
-            code_dim=state["code_dim"],
-            loss_mode=LossMode(state["loss_mode"]),
-            feature_weights=state["feature_weights"],
+            state["hidden_dim"],
+            state["code_dim"],
+            LossMode(state["loss_mode"]),
+            state["feature_weights"],
         )
-        for name in FEATURE_ORDER:
-            weights = np.array(state["embeddings"][name], dtype=float)
-            if weights.shape != model.embeddings[name].weights.shape:
-                raise ValueError(f"embedding shape mismatch for {name}")
-            model.embeddings[name].weights = weights
-        model.w1 = np.array(state["w1"], dtype=float)
-        model.b1 = np.array(state["b1"], dtype=float)
-        model.w2 = np.array(state["w2"], dtype=float)
-        model.b2 = np.array(state["b2"], dtype=float)
-        model.w3 = np.array(state["w3"], dtype=float)
-        model.b3 = np.array(state["b3"], dtype=float)
-        for name in FEATURE_ORDER:
-            model.heads[name] = np.array(state["heads"][name], dtype=float)
-            model.head_biases[name] = np.array(state["head_biases"][name], dtype=float)
+
+        def put(target: np.ndarray, values, what: str) -> None:
+            array = np.asarray(values, dtype=float)
+            if array.shape != target.shape:
+                raise ValueError(
+                    f"{what} shape mismatch: stored {array.shape}, "
+                    f"expected {target.shape}"
+                )
+            target[...] = array
+
+        for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
+            put(getattr(model, key), state[key], key)
+        for name, cols in model._feature_columns():
+            targets = {
+                "embeddings": model.embeddings[name].weights,
+                "heads": model.head[cols],
+                "head_biases": model.head_bias[cols],
+            }
+            for part, target in targets.items():
+                put(target, state[part][name], f"{part}.{name}")
         model.train_mu = state.get("train_mu")
         model.train_sigma = state.get("train_sigma")
         model.chosen_n = state.get("chosen_n")
@@ -491,44 +561,29 @@ def gradient_check(
 ) -> float:
     """Compare analytic gradients against central finite differences.
 
-    Every parameter entry is perturbed by +/- epsilon, including every
-    embedding row (used or not). Returns the maximum relative error
+    Every entry of ``model.theta`` is perturbed by +/- epsilon, including
+    every embedding row (used or not). Returns the maximum relative error
     |analytic - numeric| / max(|analytic| + |numeric|, 1e-6); the floor
     keeps float64 roundoff in the difference quotient (about 1e-11 at
     the default epsilon) from dominating near-zero gradient entries.
     """
     idx = model._indices([event])
-    grads = model._backward(model._forward(idx))
+    grad = model._backward(model._forward(idx))
+    theta = model.theta
 
     def loss() -> float:
         return float(model._forward(idx)["losses"][0])
 
-    arrays: list[tuple[np.ndarray, np.ndarray]] = [
-        (model.w1, grads["w1"]),
-        (model.b1, grads["b1"]),
-        (model.w2, grads["w2"]),
-        (model.b2, grads["b2"]),
-        (model.w3, grads["w3"]),
-        (model.b3, grads["b3"]),
-    ]
-    for name in FEATURE_ORDER:
-        arrays.append((model.heads[name], grads["heads"][name]))
-        arrays.append((model.head_biases[name], grads["head_biases"][name]))
-        arrays.append((model.embeddings[name].weights, grads["emb"][name]))
-
     worst = 0.0
-    for params, analytic in arrays:
-        flat = params.reshape(-1)
-        flat_grad = analytic.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + epsilon
-            up = loss()
-            flat[i] = original - epsilon
-            down = loss()
-            flat[i] = original
-            numeric = (up - down) / (2.0 * epsilon)
-            a = float(flat_grad[i])
-            err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
-            worst = max(worst, err)
+    for i in range(theta.size):
+        original = theta[i]
+        theta[i] = original + epsilon
+        up = loss()
+        theta[i] = original - epsilon
+        down = loss()
+        theta[i] = original
+        numeric = (up - down) / (2.0 * epsilon)
+        a = float(grad[i])
+        err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
+        worst = max(worst, err)
     return worst

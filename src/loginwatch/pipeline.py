@@ -56,6 +56,8 @@ from loginwatch.registry import (
     ModelRegistry,
     RegistryEntry,
     RegistryNotFoundError,
+    UnsafeActorIdError,
+    check_actor_id,
 )
 
 logger = logging.getLogger(__name__)
@@ -301,6 +303,10 @@ def _train_single_actor(
     config: PipelineConfig,
 ) -> tuple[RegistryEntry | None, str | None]:
     """Run the whole per-actor pipeline; returns (entry, skip_reason)."""
+    try:
+        check_actor_id(actor_id)
+    except UnsafeActorIdError as exc:
+        return None, str(exc)
     count = len(actor_events)
     if count < config.min_events:
         return None, f"only {count} events, need {config.min_events}"
@@ -460,7 +466,8 @@ def run_score_workflow(
 ) -> ScoreWorkflowResult:
     """Score a live stream against stored per-actor models.
 
-    Actors without a stored model are reported as unscorable. A stored model
+    Actors without a stored model, or whose id cannot name a registry
+    directory, are reported as unscorable. A stored model
     flagged NEEDS_RETRAIN is retrained on the actor's new events first,
     provided enough of them arrived; otherwise the stale model still scores.
     """
@@ -476,7 +483,7 @@ def run_score_workflow(
         actor_events = groups[actor_id]
         try:
             entry = registry.load(actor_id)
-        except RegistryNotFoundError:
+        except (RegistryNotFoundError, UnsafeActorIdError):
             unscorable.append(actor_id)
             continue
 

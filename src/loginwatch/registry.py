@@ -42,6 +42,28 @@ class RegistryIntegrityError(RuntimeError):
     """A stored document failed its checksum or version check."""
 
 
+class UnsafeActorIdError(ValueError):
+    """An actor id cannot serve as a directory or file name."""
+
+
+def check_actor_id(actor_id: str) -> str:
+    """Return ``actor_id`` if it is one plain path component.
+
+    Registry directories and report file names are built from actor ids,
+    which come from the logs. An id that is empty, ``.`` or ``..``, or that
+    contains ``/``, ``\\`` or NUL would name a path outside the directory it
+    is joined onto (or no path at all).
+
+    Raises:
+        UnsafeActorIdError: the id is not one plain path component.
+    """
+    if actor_id in ("", ".", "..") or any(c in actor_id for c in "/\\\0"):
+        raise UnsafeActorIdError(
+            f"actor id {actor_id!r} is not usable as a directory name"
+        )
+    return actor_id
+
+
 @dataclass
 class EncoderState:
     """Everything needed to encode live events exactly as during training."""
@@ -145,7 +167,7 @@ class ModelRegistry:
         self.root = Path(root)
 
     def _actor_dir(self, actor_id: str) -> Path:
-        return self.root / actor_id
+        return self.root / check_actor_id(actor_id)
 
     def save(self, entry: RegistryEntry) -> Path:
         """Persist an entry atomically; returns the written model path."""

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from loginwatch.encoding import FEATURE_ORDER, EncodedEvent
+from loginwatch.encoding import FEATURE_ORDER, EncodedEvent, embedding_dim
 from loginwatch.model import (
     Autoencoder,
     LossMode,
@@ -220,9 +221,9 @@ class TestGradients:
     def test_untouched_embedding_rows_get_zero_gradient(self):
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=6)
         event = random_events(1, seed=60)[0]
-        grads = model._backward(model._forward(model._indices([event])))
+        grads = model._views(model._backward(model._forward(model._indices([event]))))
         for name, used in zip(FEATURE_ORDER, event.feature_indices()):
-            table = grads["emb"][name]
+            table = grads[name]
             for row in range(table.shape[0]):
                 if row == used:
                     assert np.any(table[row] != 0.0)
@@ -235,11 +236,12 @@ class TestGradients:
             feature_weights={"client_os": 0.0},
         )
         event = random_events(1, seed=70)[0]
-        grads = model._backward(model._forward(model._indices([event])))
-        assert np.all(grads["heads"]["client_os"] == 0.0)
-        assert np.all(grads["head_biases"]["client_os"] == 0.0)
+        grads = model._views(model._backward(model._forward(model._indices([event]))))
+        cols = dict(model._feature_columns())["client_os"]
+        assert np.all(grads["head"][cols] == 0.0)
+        assert np.all(grads["head_bias"][cols] == 0.0)
         # the feature still feeds the encoder, so its embedding gradient survives
-        assert np.any(grads["emb"]["client_os"] != 0.0)
+        assert np.any(grads["client_os"] != 0.0)
 
 
 class TestTraining:
@@ -348,3 +350,79 @@ class TestPersistence:
         state["embeddings"]["geohash"] = [[0.0]]
         with pytest.raises(ValueError, match="geohash"):
             Autoencoder.from_state(state)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("b1", [0.3]),
+            ("w1", [[0.1] * 3] * 5),
+            ("b2", [0.0, 0.0, 0.0, 0.0]),
+            ("w3", [[0.2, 0.2, 0.2]]),
+            ("b3", 0.5),
+            ("heads.app_id", [[0.1] * 5]),
+            ("head_biases.geohash", [0.0]),
+            ("head_biases.weekday", [[0.0] * 4]),
+        ],
+    )
+    def test_parameter_shape_mismatch_rejected(self, key, value):
+        # each of these broadcasts into the right shape, so only a shape
+        # check stops the document from loading and scoring silently
+        model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0)
+        state = model.to_state()
+        *parents, leaf = key.split(".")
+        target = state
+        for part in parents:
+            target = target[part]
+        target[leaf] = value
+        with pytest.raises(ValueError, match=re.escape(key)):
+            Autoencoder.from_state(state)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_feature_size_below_one_rejected(self, size):
+        # the constructor refuses such a size, so a stored document may not
+        # carry one either
+        sizes = {**SIZES, "geohash": size}
+        with pytest.raises(ValueError):
+            Autoencoder("u1", sizes, hidden_dim=5, code_dim=3, seed=0)
+        # every other shape matches a vocabulary of one, so only the size
+        # check stops this document
+        one = Autoencoder("u1", {**SIZES, "geohash": 1}, hidden_dim=5, code_dim=3, seed=0)
+        state = one.to_state()
+        state["feature_sizes"]["geohash"] = size
+        state["embeddings"]["geohash"] = state["embeddings"]["geohash"][:1]
+        with pytest.raises(ValueError, match="geohash"):
+            Autoencoder.from_state(state)
+
+    def test_state_layout_is_per_feature(self):
+        model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0)
+        state = model.to_state()
+        assert sorted(state) == sorted([
+            "actor_id", "feature_sizes", "feature_weights", "hidden_dim",
+            "code_dim", "loss_mode", "embeddings", "w1", "b1", "w2", "b2",
+            "w3", "b3", "heads", "head_biases", "train_mu", "train_sigma",
+            "chosen_n", "epoch_losses",
+        ])
+        dims = {name: embedding_dim(SIZES[name]) for name in FEATURE_ORDER}
+        assert np.shape(state["w1"]) == (5, sum(dims.values()))
+        assert np.shape(state["b1"]) == (5,)
+        assert np.shape(state["w2"]) == (3, 5)
+        assert np.shape(state["b2"]) == (3,)
+        assert np.shape(state["w3"]) == (5, 3)
+        assert np.shape(state["b3"]) == (5,)
+        for part in ("embeddings", "heads", "head_biases"):
+            assert list(state[part]) == list(FEATURE_ORDER)
+        for name, dim in dims.items():
+            assert np.shape(state["embeddings"][name]) == (SIZES[name] + 1, dim)
+            assert np.shape(state["heads"][name]) == (dim, 5)
+            assert np.shape(state["head_biases"][name]) == (dim,)
+
+    @pytest.mark.parametrize("mode", list(LossMode))
+    def test_from_state_reproduces_losses_exactly(self, mode):
+        events = random_events(40, seed=19)
+        config = TrainConfig(
+            epochs=3, seed=4, loss_mode=mode, feature_weights={"outcome": 2.0}
+        )
+        model = train(events, config, feature_sizes=SIZES)
+        restored = Autoencoder.from_state(model.to_state())
+        assert np.array_equal(restored.theta, model.theta)
+        assert np.array_equal(restored.losses(events), model.losses(events))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
@@ -201,6 +202,18 @@ class TestTrainWorkflow:
         assert any("skipping actor tiny" in r.getMessage() for r in caplog.records)
         assert set(summary["actors"]) == {"u001", "u002"}
 
+    @pytest.mark.parametrize("actor", ["..", "../escaped", "{tmp}/abs", "a\\b", "nul\0byte"])
+    def test_unsafe_actor_id_skipped_with_reason(self, tmp_path, actor):
+        actor = actor.format(tmp=tmp_path)  # an absolute id inside the test's directory
+        registry = ModelRegistry(tmp_path / "registry")
+        events = crafted_events("u1", 120) + crafted_events(actor, 120)
+        config = fast_config(train=TrainConfig(epochs=2, seed=0))
+        summary = run_train_workflow(events, config, registry).to_summary()
+        assert "directory name" in summary["skipped"][actor]
+        assert set(summary["actors"]) == {"u1"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["registry"]
+        assert registry.actors() == ["u1"]
+
     def test_empty_after_filter_raises(self):
         bare = crafted_events("u1", 5)
         other = [
@@ -248,6 +261,19 @@ class TestScoreWorkflow:
         ghosts = crafted_events("ghost", 8)
         result = run_score_workflow(ghosts, fast_config(), trained_registry)
         assert result.unscorable == ["ghost"]
+        assert result.reports == {}
+
+    def test_unsafe_actor_id_reported_unscorable(self, tmp_path):
+        # a model stored next to the registry must not be reachable through
+        # an actor id that walks out of it
+        config = fast_config(train=TrainConfig(epochs=2, seed=0))
+        run_train_workflow(crafted_events("victim", 120), config, ModelRegistry(tmp_path))
+        (tmp_path / "registry").mkdir()
+        registry = ModelRegistry(tmp_path / "registry")
+        absolute = str(tmp_path / "victim")
+        events = crafted_events("../victim", 8) + crafted_events(absolute, 8)
+        result = run_score_workflow(events, config, registry)
+        assert sorted(result.unscorable) == sorted(["../victim", absolute])
         assert result.reports == {}
 
     def test_needs_retrain_triggers_retrain(self, corpus_events, trained_registry):
@@ -330,6 +356,19 @@ class TestCli:
         losses = (reports / "loss_epochs_u001.csv").read_text().splitlines()
         assert losses[0] == "epoch,mean_loss"
         assert len(losses) == 11
+
+    def test_report_refuses_unsafe_actor_directory(self, tmp_path, capsys):
+        # the registry never creates such a directory, but one can be put there
+        registry = tmp_path / "registry"
+        config = fast_config(train=TrainConfig(epochs=2, seed=0))
+        run_train_workflow(crafted_events("u1", 120), config, ModelRegistry(registry))
+        shutil.copytree(registry / "u1", registry / "a\\b")
+        reports = tmp_path / "reports"
+        code = main(["report", "--registry", str(registry), "--out-dir", str(reports)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "UnsafeActorIdError"
+        assert not (reports / "f1_curve_a\\b.csv").exists()
 
     def test_failure_exits_nonzero_with_json_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"

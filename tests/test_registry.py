@@ -18,6 +18,7 @@ from loginwatch.registry import (
     RegistryEntry,
     RegistryIntegrityError,
     RegistryNotFoundError,
+    UnsafeActorIdError,
 )
 
 from test_model import SIZES, random_events
@@ -158,3 +159,32 @@ class TestMetricsFile:
             assert row["status"] == "ACTIVE"
             assert row["best_n"] == 2.5
             assert row["created_at"]
+
+
+HOSTILE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0byte", "/abs"]
+
+
+class TestActorIds:
+    @pytest.mark.parametrize("actor", HOSTILE_IDS)
+    def test_unsafe_id_rejected_without_writing(self, tmp_path, actor):
+        registry = ModelRegistry(tmp_path / "registry")
+        if actor == "/abs":
+            actor = str(tmp_path / "abs")  # absolute, but inside the test's directory
+        with pytest.raises(UnsafeActorIdError):
+            registry.save(make_entry(actor=actor))
+        with pytest.raises(UnsafeActorIdError):
+            registry.load(actor)
+        with pytest.raises(UnsafeActorIdError):
+            registry.entry_paths(actor)
+        # nothing was created, inside the registry or next to it
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "actor", ["u1", "alice@example.com", "00u1f2 g.h-i_j", "..a", "a.."]
+    )
+    def test_plain_ids_keep_their_directory_name(self, tmp_path, actor):
+        registry = ModelRegistry(tmp_path)
+        path = registry.save(make_entry(actor=actor))
+        assert path.parent == tmp_path / actor
+        assert registry.actors() == [actor]
+        assert registry.load(actor).actor_id == actor
