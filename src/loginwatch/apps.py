@@ -165,8 +165,3 @@ def build_superset(
         if row.interval_mean >= threshold:
             apps[row.actor_id].add(row.app_id)
     return AppSuperset(apps)
-
-
-def known_app(actor_id: str, app_id: str, superset: AppSuperset) -> int:
-    """Unknown-app indicator: 0 if the app is in the actor's superset, else 1."""
-    return superset.known_app(actor_id, app_id)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from loginwatch.encoding import EncodedEvent, Label
+from loginwatch.encoding import Label
 from loginwatch.model import Autoencoder
 
 # n runs 0.0 .. 10.0 in steps of 0.1, inclusive.
@@ -76,7 +76,6 @@ class ScoredEvent:
     """One scored event in a report, identified by its input position."""
 
     position: int
-    actor_id: str
     loss: float
     classification: Classification
     label: Label | None = None
@@ -133,7 +132,7 @@ class DetectionReport:
             "records": [
                 {
                     "position": r.position,
-                    "actor_id": r.actor_id,
+                    "actor_id": self.actor_id,
                     "loss": r.loss,
                     "classification": r.classification.value,
                     "label": r.label.value if r.label is not None else None,
@@ -185,12 +184,13 @@ def f1_score(tp: int, fp: int, fn: int) -> float:
 
 
 def sweep_threshold(
-    scored: Sequence[tuple[float, Label]], stats: LossStats
+    losses: Sequence[float], labels: Sequence[Label], stats: LossStats
 ) -> SweepResult:
     """Grid-search n over 0.0..10.0 (step 0.1) for the best F1.
 
     Args:
-        scored: (loss, label) pairs for a labelled validation set.
+        losses: loss of every event of a labelled validation set.
+        labels: the label of each of those events, in the same order.
         stats: training-loss statistics supplying mu and sigma.
 
     Returns:
@@ -198,12 +198,15 @@ def sweep_threshold(
         its F1 and confusion, and the full F1 curve over the grid.
 
     Raises:
+        ValueError: ``losses`` and ``labels`` differ in length.
         DegenerateValidationError: the set lacks injected or normal events.
     """
-    if not scored:
+    losses = np.asarray(losses, dtype=float)
+    if len(losses) != len(labels):
+        raise ValueError(f"{len(losses)} losses but {len(labels)} labels")
+    if not len(losses):
         raise DegenerateValidationError("validation set is empty")
-    losses = np.array([loss for loss, _ in scored], dtype=float)
-    injected = np.array([label is Label.INJECTED for _, label in scored], dtype=bool)
+    injected = np.array([label is Label.INJECTED for label in labels], dtype=bool)
     if not injected.any() or injected.all():
         raise DegenerateValidationError(
             "sweep needs at least one injected and one normal event"
@@ -236,19 +239,22 @@ def sweep_threshold(
 
 def score_events(
     model: Autoencoder,
-    events: Sequence[EncodedEvent],
+    rows,
     n: float | None = None,
     *,
-    with_labels: bool = False,
+    labels: Sequence[Label] | None = None,
 ) -> DetectionReport:
-    """Score events with a trained model and its stored threshold.
+    """Score index rows with a trained model and its stored threshold.
+
+    Each row is classified as ``classify`` would: ANOMALY when its loss is
+    strictly above mu + n * sigma.
 
     Args:
         model: trained autoencoder carrying train_mu/train_sigma (and
             chosen_n, unless ``n`` overrides it).
-        events: encoded events to score.
+        rows: ``(N, 8)`` integer index matrix of the events to score.
         n: threshold multiplier; defaults to the model's chosen_n.
-        with_labels: carry event labels into the report (validation runs).
+        labels: one label per row, carried into the report (validation runs).
 
     Returns:
         DetectionReport with records sorted by loss descending.
@@ -258,17 +264,20 @@ def score_events(
     threshold_n = model.chosen_n if n is None else n
     if threshold_n is None:
         raise ValueError("no threshold multiplier: train sweep not run and n not given")
-    stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=0)
-    losses = model.losses(events)
+    if threshold_n < 0:
+        raise ValueError(f"n must be >= 0, got {threshold_n}")
+    losses = model.losses(rows)
+    if labels is not None and len(labels) != len(losses):
+        raise ValueError(f"{len(losses)} rows but {len(labels)} labels")
+    flagged = losses > model.train_mu + threshold_n * model.train_sigma
     records = [
         ScoredEvent(
             position=i,
-            actor_id=event.actor_id,
-            loss=float(losses[i]),
-            classification=classify(float(losses[i]), stats, threshold_n),
-            label=event.label if with_labels else None,
+            loss=loss,
+            classification=Classification.ANOMALY if flag else Classification.NORMAL,
+            label=None if labels is None else labels[i],
         )
-        for i, event in enumerate(events)
+        for i, (loss, flag) in enumerate(zip(losses.tolist(), flagged.tolist()))
     ]
     records.sort(key=lambda r: (-r.loss, r.position))
     return DetectionReport(

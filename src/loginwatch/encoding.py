@@ -6,6 +6,9 @@ was built. Time features pass through as their own level numbers (hour 1..24,
 weekday 1..7 with Sunday = 1), and the unknown-app indicator passes through
 as 0/1. Each feature later owns an embedding matrix of (levels + 1) rows so
 index 0 always resolves to a trainable out-of-vocabulary row.
+
+An encoded event is a row of 8 ints in ``FEATURE_ORDER``; a stream is an
+``(N, 8)`` int64 matrix of them, with any labels in a vector beside it.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ FEATURE_ORDER = (
     "client_device",
 )
 
-# Features whose integer value is its own embedding index (no string table).
-PASSTHROUGH_FEATURES = ("known_app", "event_hour", "weekday")
-
 DEFAULT_GEOHASH_PRECISION = 3
 
 
@@ -53,7 +53,7 @@ class TimeMode(str, Enum):
 
 
 class Label(str, Enum):
-    """Ground-truth marker carried by validation events."""
+    """Ground-truth marker of a validation event, kept beside its row."""
 
     NORMAL = "NORMAL"
     INJECTED = "INJECTED"
@@ -150,25 +150,6 @@ def embed_lookup(matrix: EmbeddingMatrix, index: int) -> np.ndarray:
     return matrix.weights[index]
 
 
-@dataclass(frozen=True)
-class EncodedEvent:
-    """Integer feature vector for one event, ready for embedding lookups."""
-
-    actor_id: str
-    geohash: int
-    app_id: int
-    known_app: int
-    outcome: int
-    event_hour: int
-    weekday: int
-    client_os: int
-    client_device: int
-    label: Label = Label.NORMAL
-
-    def feature_indices(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in FEATURE_ORDER)
-
-
 def geohash_value(event: LogEvent, precision: int) -> str:
     """Geohash level for an event; empty string marks a missing location."""
     if not event.has_location:
@@ -184,9 +165,8 @@ def encode_event(
     precision: int = DEFAULT_GEOHASH_PRECISION,
     time_mode: TimeMode = TimeMode.RAW,
     active_hours: frozenset[int] | set[int] | None = None,
-    label: Label = Label.NORMAL,
-) -> EncodedEvent:
-    """Map one event to its per-feature indices.
+) -> tuple[int, ...]:
+    """Map one event to its row of per-feature indices, in ``FEATURE_ORDER``.
 
     String features (geohash cell, app id, outcome, client os, client device)
     go through ``indices``; values unseen at table-build time land on 0. Time
@@ -199,7 +179,6 @@ def encode_event(
         precision: geohash characters for the location feature.
         time_mode: RAW or COARSE time granularity.
         active_hours: the actor's observed hour set; required for COARSE.
-        label: ground-truth marker to carry along.
     """
     if known_app not in (0, 1):
         raise ValueError(f"known_app must be 0 or 1, got {known_app}")
@@ -213,17 +192,15 @@ def encode_event(
         hour_value = time_features.event_hour
         weekday_value = time_features.weekday
 
-    return EncodedEvent(
-        actor_id=event.actor_id,
-        geohash=indices["geohash"].index_of(geohash_value(event, precision)),
-        app_id=indices["app_id"].index_of(event.app_id),
-        known_app=known_app,
-        outcome=indices["outcome"].index_of(event.outcome.value),
-        event_hour=hour_value,
-        weekday=weekday_value,
-        client_os=indices["client_os"].index_of(event.client_os),
-        client_device=indices["client_device"].index_of(event.client_device),
-        label=label,
+    return (
+        indices["geohash"].index_of(geohash_value(event, precision)),
+        indices["app_id"].index_of(event.app_id),
+        known_app,
+        indices["outcome"].index_of(event.outcome.value),
+        hour_value,
+        weekday_value,
+        indices["client_os"].index_of(event.client_os),
+        indices["client_device"].index_of(event.client_device),
     )
 
 

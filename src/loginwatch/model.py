@@ -30,14 +30,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from loginwatch.encoding import (
     FEATURE_ORDER,
     EmbeddingMatrix,
-    EncodedEvent,
     embedding_dim,
     init_embedding,
 )
@@ -101,6 +100,17 @@ def dice_coefficient(p: np.ndarray, g: np.ndarray) -> float:
     return float(2.0 * np.dot(p, g) / denom)
 
 
+def _check_rows(rows) -> np.ndarray:
+    """``rows`` as int64; anything but a 2-D integer array with 8 columns is refused."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != len(FEATURE_ORDER) or rows.dtype.kind not in "iu":
+        raise ValueError(
+            f"rows must be a 2-D integer array with {len(FEATURE_ORDER)} columns, "
+            f"got shape {rows.shape} and dtype {rows.dtype}"
+        )
+    return rows.astype(np.int64, copy=False)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument only, so neither branch overflows
     e = np.exp(-np.abs(x))
@@ -109,7 +119,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Autoencoder:
-    """Under-complete autoencoder for one actor's encoded login events.
+    """Under-complete autoencoder for one actor's index rows.
 
     Layer stack, for an input x built by concatenating per-feature embedding
     rows (total width ``input_dim``):
@@ -271,10 +281,8 @@ class Autoencoder:
     # forward
     # ------------------------------------------------------------------
 
-    def _indices(self, events: Sequence[EncodedEvent]) -> np.ndarray:
-        rows = np.array(
-            [event.feature_indices() for event in events], dtype=np.int64
-        ).reshape(len(events), len(FEATURE_ORDER))
+    def _indices(self, rows) -> np.ndarray:
+        rows = _check_rows(rows)
         bad = (rows < 0) | (rows > self._max_index)
         if bad.any():
             f, row = np.argwhere(bad.T)[0]  # first feature with a bad index
@@ -322,9 +330,7 @@ class Autoencoder:
             "losses": losses,
         }
 
-    def forward(
-        self, event: EncodedEvent
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    def forward(self, row) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Per-feature reconstructions and the input embeddings they target.
 
         Returns:
@@ -332,20 +338,18 @@ class Autoencoder:
             embedding rows the event looked up, both keyed by feature name
             with matching widths.
         """
-        cache = self._forward(self._indices([event]))
+        cache = self._forward(self._indices(np.asarray(row)[None]))
         rec = {name: cache["rec"][0, cols].copy() for name, cols in self._feature_columns()}
         emb = {name: cache["x"][0, cols].copy() for name, cols in self._feature_columns()}
         return rec, emb
 
-    def losses(self, events: Sequence[EncodedEvent]) -> np.ndarray:
-        """Loss of every event, in input order."""
-        if not events:
-            return np.zeros(0)
-        return self._forward(self._indices(events))["losses"].copy()
+    def losses(self, rows) -> np.ndarray:
+        """Loss of every index row, in input order."""
+        return self._forward(self._indices(rows))["losses"].copy()
 
-    def event_loss(self, event: EncodedEvent) -> float:
-        """Combined weighted dice dissimilarity of one event."""
-        return float(self.losses([event])[0])
+    def event_loss(self, row) -> float:
+        """Combined weighted dice dissimilarity of one index row."""
+        return float(self.losses(np.asarray(row)[None])[0])
 
     # ------------------------------------------------------------------
     # backward
@@ -480,20 +484,14 @@ class Autoencoder:
         return model
 
 
-def _sizes_from_data(dataset: Sequence[EncodedEvent]) -> dict[str, int]:
-    sizes = {name: 1 for name in FEATURE_ORDER}
-    for event in dataset:
-        for name, index in zip(FEATURE_ORDER, event.feature_indices()):
-            sizes[name] = max(sizes[name], index)
-    return sizes
-
-
 def train(
-    dataset: Sequence[EncodedEvent],
+    rows,
     config: TrainConfig,
     feature_sizes: Mapping[str, int] | None = None,
+    *,
+    actor_id: str,
 ) -> Autoencoder:
-    """Fit an autoencoder to one actor's encoded events by mini-batch SGD.
+    """Fit an autoencoder to one actor's index rows by mini-batch SGD.
 
     Embedding rows are parameters: each step updates them together with the
     layer weights. After the last epoch the model's ``train_mu`` and
@@ -501,29 +499,32 @@ def train(
     the final per-event losses over the whole dataset.
 
     Args:
-        dataset: encoded events of a single actor.
+        rows: ``(N, 8)`` integer index matrix of a single actor's events.
         config: hyperparameters.
         feature_sizes: largest valid index per feature. When omitted it is
-            inferred from the data, which is only safe if the dataset covers
-            every index the model will ever see.
+            each column's maximum (at least 1), which is only safe if the
+            rows cover every index the model will ever see.
+        actor_id: the actor the model belongs to.
 
     Returns:
         The trained model, with ``epoch_losses`` holding one mean loss per
         epoch.
 
     Raises:
-        ValueError: empty dataset or events from several actors.
+        ValueError: rows that are not a 2-D integer array with 8 columns,
+            no rows at all, or an index outside its feature's size.
         TrainingDivergedError: a non-finite loss appeared.
     """
-    if not dataset:
+    rows = _check_rows(rows)
+    if rows.shape[0] == 0:
         raise ValueError("dataset is empty")
-    actors = {event.actor_id for event in dataset}
-    if len(actors) > 1:
-        raise ValueError(f"dataset mixes actors: {sorted(actors)}")
 
-    sizes = dict(feature_sizes) if feature_sizes else _sizes_from_data(dataset)
+    if feature_sizes:
+        sizes = dict(feature_sizes)
+    else:
+        sizes = dict(zip(FEATURE_ORDER, np.maximum(rows.max(axis=0), 1).tolist()))
     model = Autoencoder(
-        dataset[0].actor_id,
+        actor_id,
         sizes,
         hidden_dim=config.hidden_dim,
         code_dim=config.code_dim,
@@ -531,7 +532,7 @@ def train(
         loss_mode=config.loss_mode,
         feature_weights=config.feature_weights,
     )
-    idx_all = model._indices(dataset)
+    idx_all = model._indices(rows)
     count = idx_all.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, count]))
 
@@ -550,24 +551,23 @@ def train(
             model._apply(model._backward(cache), config.learning_rate)
         model.epoch_losses.append(loss_sum / count)
 
-    final_losses = model.losses(dataset)
+    final_losses = model.losses(idx_all)
     model.train_mu = float(final_losses.mean())
     model.train_sigma = float(final_losses.std())
     return model
 
 
-def gradient_check(
-    model: Autoencoder, event: EncodedEvent, epsilon: float = 1e-5
-) -> float:
+def gradient_check(model: Autoencoder, row, epsilon: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
-    Every entry of ``model.theta`` is perturbed by +/- epsilon, including
-    every embedding row (used or not). Returns the maximum relative error
+    The loss is that of the one index row ``row``. Every entry of
+    ``model.theta`` is perturbed by +/- epsilon, including every embedding
+    row (used or not). Returns the maximum relative error
     |analytic - numeric| / max(|analytic| + |numeric|, 1e-6); the floor
     keeps float64 roundoff in the difference quotient (about 1e-11 at
     the default epsilon) from dominating near-zero gradient entries.
     """
-    idx = model._indices([event])
+    idx = model._indices(np.asarray(row)[None])
     grad = model._backward(model._forward(idx))
     theta = model.theta
 

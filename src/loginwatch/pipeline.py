@@ -39,8 +39,7 @@ from loginwatch.detect import (
 )
 from loginwatch.encoding import (
     DEFAULT_GEOHASH_PRECISION,
-    EncodedEvent,
-    Label,
+    FEATURE_ORDER,
     TimeMode,
     build_event_indices,
     encode_event,
@@ -277,24 +276,24 @@ class TrainWorkflowResult:
 
 
 def _encode_actor_events(
-    events: Sequence[LogEvent],
-    labels: Sequence[Label] | None,
-    encoder: EncoderState,
-) -> list[EncodedEvent]:
-    encoded = []
-    for position, event in enumerate(events):
-        encoded.append(
-            encode_event(
-                event,
-                encoder.superset.known_app(event.actor_id, event.app_id),
-                encoder.indices,
-                precision=encoder.geohash_precision,
-                time_mode=encoder.time_mode,
-                active_hours=encoder.active_hours,
-                label=Label.NORMAL if labels is None else labels[position],
-            )
+    events: Sequence[LogEvent], encoder: EncoderState
+) -> np.ndarray:
+    """One actor's events as an ``(N, 8)`` int64 index matrix; refuses a mix of actors."""
+    actors = {event.actor_id for event in events}
+    if len(actors) > 1:
+        raise ValueError(f"dataset mixes actors: {sorted(actors)}")
+    rows = [
+        encode_event(
+            event,
+            encoder.superset.known_app(event.actor_id, event.app_id),
+            encoder.indices,
+            precision=encoder.geohash_precision,
+            time_mode=encoder.time_mode,
+            active_hours=encoder.active_hours,
         )
-    return encoded
+        for event in events
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(FEATURE_ORDER))
 
 
 def _train_single_actor(
@@ -342,13 +341,13 @@ def _train_single_actor(
     if not sample:
         return None, "bootstrap sample came back empty"
 
-    encoded_sample = _encode_actor_events(sample, None, encoder)
+    sample_rows = _encode_actor_events(sample, encoder)
     sizes = feature_sizes(indices, config.time_mode)
     train_config = dataclasses.replace(
         config.train, seed=_actor_seed(config.seed, actor_id, "train")
     )
     try:
-        model = train(encoded_sample, train_config, sizes)
+        model = train(sample_rows, train_config, sizes, actor_id=actor_id)
     except TrainingDivergedError as exc:
         logger.warning("training diverged for %s: %s", actor_id, exc)
         return None, f"training diverged: {exc}"
@@ -360,13 +359,8 @@ def _train_single_actor(
             spec, seed=_actor_seed(config.seed, actor_id, f"inject:{spec.kind.value}")
         )
         mutated, labels = inject(val_part, seeded)
-        encoded_val = _encode_actor_events(mutated, labels, encoder)
-        losses = model.losses(encoded_val)
-        scored = [
-            (float(loss), encoded.label)
-            for loss, encoded in zip(losses, encoded_val)
-        ]
-        per_kind[spec.kind.value] = sweep_threshold(scored, stats)
+        losses = model.losses(_encode_actor_events(mutated, encoder))
+        per_kind[spec.kind.value] = sweep_threshold(losses, labels, stats)
 
     primary = per_kind[config.injections[0].kind.value]
     model.chosen_n = primary.best_n
@@ -470,6 +464,12 @@ def run_score_workflow(
     directory, are reported as unscorable. A stored model
     flagged NEEDS_RETRAIN is retrained on the actor's new events first,
     provided enough of them arrived; otherwise the stale model still scores.
+
+    A retrain fits on the time-sorted first ``train_split`` share of these
+    live events, and the new model then scores all of them, the fitted ones
+    included. This is intended: a stale model no longer describes the actor.
+    The cost is that an anomaly inside the fitted share is part of the new
+    baseline and less likely to be flagged.
     """
     filtered = filter_entry_events(events, config.filter_mode)
     groups = _group_by_actor(filtered)
@@ -503,8 +503,8 @@ def run_score_workflow(
                     reason,
                 )
 
-        encoded = _encode_actor_events(actor_events, None, entry.encoder)
-        reports[actor_id] = score_events(entry.model, encoded)
+        rows = _encode_actor_events(actor_events, entry.encoder)
+        reports[actor_id] = score_events(entry.model, rows)
     return ScoreWorkflowResult(
         reports=reports, unscorable=unscorable, retrained=retrained
     )

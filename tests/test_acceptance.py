@@ -43,7 +43,7 @@ from loginwatch.model import (
 from loginwatch.pipeline import PipelineConfig, run_train_workflow, stratified_sample
 from loginwatch.synth import generate_actor_profile, generate_corpus, generate_logins
 
-from test_model import SIZES, random_events
+from test_model import SIZES, random_rows
 
 # training settings for the acceptance experiments; hotter and longer than the
 # library defaults so every synthetic actor converges inside the time budget
@@ -94,33 +94,30 @@ def test_single_actor_perfect_separation(capsys):
     superset = build_superset(login_frequencies(train_part))
     sizes = feature_sizes(indices, TimeMode.RAW)
 
-    def encode(evts, labels=None):
-        return [
+    def encode(evts):
+        rows = [
             encode_event(
                 e,
                 superset.known_app(e.actor_id, e.app_id),
                 indices,
                 precision=3,
                 active_hours=hours,
-                label=labels[i] if labels is not None else "NORMAL",
             )
-            for i, e in enumerate(evts)
+            for e in evts
         ]
+        return np.array(rows, dtype=np.int64)
 
     sample = stratified_sample(train_part, 0.1, 10, seed=1234)
-    model = train(encode(sample), TrainConfig(seed=99, **ACCEPT_TRAIN), sizes)
+    config = TrainConfig(seed=99, **ACCEPT_TRAIN)
+    model = train(encode(sample), config, sizes, actor_id=profile.actor_id)
     mutated, labels = inject(
         val_part, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.1, seed=5)
     )
     injected = sum(1 for label in labels if label is Label.INJECTED)
 
-    encoded_val = encode(mutated, labels)
-    scored = [
-        (float(loss), e.label)
-        for loss, e in zip(model.losses(encoded_val), encoded_val)
-    ]
+    losses = model.losses(encode(mutated))
     stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=len(sample))
-    sweep = sweep_threshold(scored, stats)
+    sweep = sweep_threshold(losses, labels, stats)
     c = sweep.confusion
 
     ok = injected == 126 and c.fp + c.fn <= 2
@@ -251,8 +248,8 @@ def test_gradient_correctness(capsys):
     worst = 0.0
     for seed in range(20):
         model = Autoencoder("probe", SIZES, hidden_dim=5, code_dim=3, seed=seed)
-        event = random_events(1, seed=seed + 1000)[0]
-        worst = max(worst, gradient_check(model, event))
+        row = random_rows(1, seed=seed + 1000)[0]
+        worst = max(worst, gradient_check(model, row))
     ok = worst < 1e-4
     announce(capsys, "gradient-correctness", ok, f"max rel err {worst:.2e}")
     assert worst < 1e-4

@@ -12,7 +12,6 @@ from loginwatch.apps import (
     AppSuperset,
     build_superset,
     interval_mean,
-    known_app,
     login_frequencies,
     wilson_interval,
 )
@@ -180,10 +179,10 @@ class TestSuperset:
 
     def test_known_app_indicator(self):
         superset = AppSuperset({"u1": ["mail", "docs"]})
-        assert known_app("u1", "mail", superset) == 0
-        assert known_app("u1", "docs", superset) == 0
-        assert known_app("u1", "wiki", superset) == 1
-        assert known_app("u2", "mail", superset) == 1
+        assert superset.known_app("u1", "mail") == 0
+        assert superset.known_app("u1", "docs") == 0
+        assert superset.known_app("u1", "wiki") == 1
+        assert superset.known_app("u2", "mail") == 1
 
     def test_jsonl_round_trip(self, tmp_path):
         superset = AppSuperset({"u2": ["b", "a"], "u1": [], "u3": ["only"]})

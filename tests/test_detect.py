@@ -22,7 +22,7 @@ from loginwatch.detect import (
 from loginwatch.encoding import Label
 from loginwatch.model import TrainConfig, train
 
-from test_model import SIZES, random_events
+from test_model import SIZES, random_rows
 
 
 class TestLossStats:
@@ -141,8 +141,9 @@ class TestSweep:
         # normals at 1.0, injected at 100: every n separates perfectly,
         # so the tie rule must land on the top of the grid
         stats = loss_stats([1.0] * 50)
-        scored = [(1.0, Label.NORMAL)] * 50 + [(100.0, Label.INJECTED)] * 5
-        result = sweep_threshold(scored, stats)
+        losses = [1.0] * 50 + [100.0] * 5
+        labels = [Label.NORMAL] * 50 + [Label.INJECTED] * 5
+        result = sweep_threshold(losses, labels, stats)
         assert result.best_f1 == 1.0
         assert result.best_n == 10.0
         assert result.confusion.tp == 5
@@ -154,36 +155,38 @@ class TestSweep:
         rng = np.random.default_rng(21)
         train_losses = rng.exponential(0.05, size=300)
         stats = loss_stats(train_losses)
-        scored = [
-            (float(rng.exponential(0.05)), Label.NORMAL) for _ in range(200)
-        ] + [
-            (float(rng.exponential(0.05) + 0.1), Label.INJECTED) for _ in range(20)
+        losses = [float(rng.exponential(0.05)) for _ in range(200)] + [
+            float(rng.exponential(0.05) + 0.1) for _ in range(20)
         ]
-        result = sweep_threshold(scored, stats)
-        oracle_n, oracle_f1 = brute_force_sweep(scored, stats)
+        labels = [Label.NORMAL] * 200 + [Label.INJECTED] * 20
+        result = sweep_threshold(losses, labels, stats)
+        oracle_n, oracle_f1 = brute_force_sweep(list(zip(losses, labels)), stats)
         assert result.best_f1 == pytest.approx(oracle_f1)
         assert result.best_n == pytest.approx(oracle_n)
 
     def test_curve_covers_grid(self):
         stats = loss_stats([1.0, 1.1, 0.9])
-        scored = [(0.9, Label.NORMAL), (5.0, Label.INJECTED)]
-        result = sweep_threshold(scored, stats)
+        result = sweep_threshold([0.9, 5.0], [Label.NORMAL, Label.INJECTED], stats)
         assert len(result.f1_curve) == 101
         assert result.f1_curve[0] == result.best_f1 == 1.0
 
     def test_all_normal_rejected(self):
         stats = loss_stats([1.0])
         with pytest.raises(DegenerateValidationError):
-            sweep_threshold([(1.0, Label.NORMAL)], stats)
+            sweep_threshold([1.0], [Label.NORMAL], stats)
 
     def test_all_injected_rejected(self):
         stats = loss_stats([1.0])
         with pytest.raises(DegenerateValidationError):
-            sweep_threshold([(1.0, Label.INJECTED)], stats)
+            sweep_threshold([1.0], [Label.INJECTED], stats)
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateValidationError):
-            sweep_threshold([], loss_stats([1.0]))
+            sweep_threshold([], [], loss_stats([1.0]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 losses but 1 labels"):
+            sweep_threshold([1.0, 2.0], [Label.INJECTED], loss_stats([1.0]))
 
     def test_shuffled_labels_score_poorly(self):
         # negative control: random labels on one loss distribution can't
@@ -193,29 +196,29 @@ class TestSweep:
         stats = loss_stats(losses)
         labels = [Label.INJECTED] * 40 + [Label.NORMAL] * 360
         rng.shuffle(labels)
-        scored = list(zip(losses.tolist(), labels))
-        result = sweep_threshold(scored, stats)
+        result = sweep_threshold(losses, labels, stats)
         assert result.best_f1 < 0.4
 
 
 class TestScoreEvents:
     def _trained(self):
-        events = random_events(64, seed=30)
-        model = train(events, TrainConfig(epochs=10, seed=5), feature_sizes=SIZES)
-        return model, events
+        rows = random_rows(64, seed=30)
+        config = TrainConfig(epochs=10, seed=5)
+        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
+        return model, rows
 
     def test_records_sorted_by_loss_descending(self):
-        model, events = self._trained()
-        report = score_events(model, events, n=2.0)
+        model, rows = self._trained()
+        report = score_events(model, rows, n=2.0)
         losses = [r.loss for r in report.records]
         assert losses == sorted(losses, reverse=True)
-        assert {r.position for r in report.records} == set(range(len(events)))
+        assert {r.position for r in report.records} == set(range(len(rows)))
         assert report.threshold_n == 2.0
         assert report.mu == model.train_mu
 
     def test_classifications_match_threshold(self):
-        model, events = self._trained()
-        report = score_events(model, events, n=1.0)
+        model, rows = self._trained()
+        report = score_events(model, rows, n=1.0)
         cut = model.train_mu + 1.0 * model.train_sigma
         for record in report.records:
             expected = (
@@ -226,41 +229,83 @@ class TestScoreEvents:
             1 for r in report.records if r.loss > cut
         )
 
+    @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 2.5])
+    def test_classifications_match_scalar_classify(self, n):
+        model, rows = self._trained()
+        stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=0)
+        report = score_events(model, rows, n=n)
+        for record in report.records:
+            assert record.classification is classify(record.loss, stats, n)
+
+    @pytest.mark.parametrize("sigma, n", [(0.25, 0.0), (0.0, 0.0), (0.0, 3.0)])
+    def test_loss_exactly_at_threshold_is_normal(self, sigma, n):
+        # mu is one row's loss and n * sigma is 0, so that row sits exactly
+        # on the threshold
+        model, rows = self._trained()
+        losses = model.losses(rows)
+        model.train_mu = float(losses[7])
+        model.train_sigma = sigma
+        stats = LossStats(mu=model.train_mu, sigma=sigma, count=0)
+        report = score_events(model, rows, n=n)
+        for record in report.records:
+            assert record.classification is classify(record.loss, stats, n)
+            if record.position == 7:
+                assert record.classification is Classification.NORMAL
+        assert report.anomaly_count == int((losses > losses[7]).sum()) > 0
+
+    def test_negative_n_rejected(self):
+        model, rows = self._trained()
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            score_events(model, rows, n=-0.1)
+
+    def test_label_count_must_match_rows(self):
+        model, rows = self._trained()
+        with pytest.raises(ValueError, match="labels"):
+            score_events(model, rows, n=1.0, labels=[Label.NORMAL])
+
     def test_labels_carried_only_on_request(self):
-        model, events = self._trained()
-        plain = score_events(model, events, n=1.0)
+        model, rows = self._trained()
+        plain = score_events(model, rows, n=1.0)
         assert all(r.label is None for r in plain.records)
         assert plain.confusion() is None
-        labelled = score_events(model, events, n=1.0, with_labels=True)
+        labels = [Label.NORMAL] * len(rows)
+        labelled = score_events(model, rows, n=1.0, labels=labels)
         assert all(r.label is Label.NORMAL for r in labelled.records)
         confusion = labelled.confusion()
         assert confusion is not None
         assert confusion.tp == 0
         assert confusion.fn == 0
 
+    def test_labels_follow_their_rows(self):
+        model, rows = self._trained()
+        labels = [Label.INJECTED if i % 3 else Label.NORMAL for i in range(len(rows))]
+        report = score_events(model, rows, n=1.0, labels=labels)
+        assert all(r.label is labels[r.position] for r in report.records)
+
     def test_chosen_n_used_when_no_override(self):
-        model, events = self._trained()
+        model, rows = self._trained()
         model.chosen_n = 3.0
-        report = score_events(model, events)
+        report = score_events(model, rows)
         assert report.threshold_n == 3.0
 
     def test_missing_threshold_rejected(self):
-        model, events = self._trained()
+        model, rows = self._trained()
         model.chosen_n = None
         with pytest.raises(ValueError, match="threshold"):
-            score_events(model, events)
+            score_events(model, rows)
 
     def test_untrained_model_rejected(self):
-        model, events = self._trained()
+        model, rows = self._trained()
         model.train_mu = None
         with pytest.raises(ValueError, match="statistics"):
-            score_events(model, events, n=1.0)
+            score_events(model, rows, n=1.0)
 
     def test_report_dict_has_f1_when_labelled(self):
-        model, events = self._trained()
-        report = score_events(model, events, n=0.0, with_labels=True)
+        model, rows = self._trained()
+        labels = [Label.NORMAL] * len(rows)
+        report = score_events(model, rows, n=0.0, labels=labels)
         out = report.to_dict()
-        assert out["event_count"] == len(events)
+        assert out["event_count"] == len(rows)
         assert "confusion" in out
         # all-normal labels: f1 may be 0.0 (some flagged) or None (none flagged)
         assert out["f1"] in (0.0, None)

@@ -11,7 +11,6 @@ from loginwatch.encoding import (
     FEATURE_ORDER,
     MAX_EMBEDDING_DIM,
     STRING_FEATURES,
-    Label,
     TimeMode,
     build_event_indices,
     build_index,
@@ -130,58 +129,65 @@ class TestEmbeddingMatrix:
             embed_lookup(matrix, -1)
 
 
+def encode(event, known_app, indices, **kwargs) -> dict[str, int]:
+    """``encode_event``'s row, keyed by feature name."""
+    return dict(zip(FEATURE_ORDER, encode_event(event, known_app, indices, **kwargs)))
+
+
 class TestEncodeEvent:
     def _indices(self, events):
         return build_event_indices(events)
 
     def test_raw_time_mode_passthrough(self):
         event = make_event(ts=datetime(2023, 6, 7, 14, 30, 0, tzinfo=timezone.utc))
-        encoded = encode_event(event, 0, self._indices([event]))
+        row = encode_event(event, 0, self._indices([event]))
+        assert len(row) == len(FEATURE_ORDER)
+        assert all(type(value) is int for value in row)
+        encoded = dict(zip(FEATURE_ORDER, row))
         # 2023-06-07 is a Wednesday: weekday 4 with Sunday = 1; hour 14 -> 15
-        assert encoded.event_hour == 15
-        assert encoded.weekday == 4
-        assert encoded.known_app == 0
-        assert encoded.label is Label.NORMAL
+        assert encoded["event_hour"] == 15
+        assert encoded["weekday"] == 4
+        assert encoded["known_app"] == 0
 
     def test_string_features_hit_their_tables(self):
         event = make_event()
         indices = self._indices([event])
-        encoded = encode_event(event, 1, indices)
-        assert encoded.geohash == indices["geohash"].index_of(geohash_value(event, 3))
-        assert encoded.app_id == 1
-        assert encoded.outcome == 1
-        assert encoded.client_os == 1
-        assert encoded.client_device == 1
-        assert encoded.known_app == 1
+        encoded = encode(event, 1, indices)
+        assert encoded["geohash"] == indices["geohash"].index_of(geohash_value(event, 3))
+        assert encoded["app_id"] == 1
+        assert encoded["outcome"] == 1
+        assert encoded["client_os"] == 1
+        assert encoded["client_device"] == 1
+        assert encoded["known_app"] == 1
 
     def test_unseen_values_land_on_oov(self):
         train = make_event(app="mail", os_name="Mac OS X")
         val = make_event(lat=-33.9, lon=151.2, app="exotic", os_name="BeOS")
-        encoded = encode_event(val, 1, self._indices([train]))
-        assert encoded.geohash == 0
-        assert encoded.app_id == 0
-        assert encoded.client_os == 0
+        encoded = encode(val, 1, self._indices([train]))
+        assert encoded["geohash"] == 0
+        assert encoded["app_id"] == 0
+        assert encoded["client_os"] == 0
 
     def test_coarse_mode_folds_to_binary(self):
         # Saturday 2023-06-10, hour 22 -> event_hour 23
         weekend = make_event(ts=datetime(2023, 6, 10, 22, 0, 0, tzinfo=timezone.utc))
         indices = self._indices([weekend])
-        encoded = encode_event(
+        encoded = encode(
             weekend, 0, indices, time_mode=TimeMode.COARSE, active_hours={10, 11}
         )
-        assert encoded.weekday == 0
-        assert encoded.event_hour == 0
-        in_hours = encode_event(
+        assert encoded["weekday"] == 0
+        assert encoded["event_hour"] == 0
+        in_hours = encode(
             weekend, 0, indices, time_mode=TimeMode.COARSE, active_hours={23}
         )
-        assert in_hours.event_hour == 1
+        assert in_hours["event_hour"] == 1
 
     def test_coarse_weekday_one_on_weekdays(self):
         monday = make_event(ts=datetime(2023, 6, 12, 9, 0, 0, tzinfo=timezone.utc))
-        encoded = encode_event(
+        encoded = encode(
             monday, 0, self._indices([monday]), time_mode=TimeMode.COARSE, active_hours={10}
         )
-        assert encoded.weekday == 1
+        assert encoded["weekday"] == 1
 
     def test_coarse_requires_active_hours(self):
         event = make_event()
@@ -197,7 +203,7 @@ class TestEncodeEvent:
         event = make_event(lat=None, lon=None)
         assert geohash_value(event, 3) == ""
         indices = self._indices([event])
-        assert encode_event(event, 0, indices).geohash == indices["geohash"].index_of("")
+        assert encode(event, 0, indices)["geohash"] == indices["geohash"].index_of("")
 
     def test_indices_within_feature_sizes(self):
         rng = np.random.default_rng(5)
@@ -217,14 +223,13 @@ class TestEncodeEvent:
         indices = self._indices(events)
         sizes = feature_sizes(indices)
         for event in events:
-            encoded = encode_event(event, int(rng.integers(0, 2)), indices)
-            for name, value in zip(FEATURE_ORDER, encoded.feature_indices()):
+            row = encode_event(event, int(rng.integers(0, 2)), indices)
+            for name, value in zip(FEATURE_ORDER, row):
                 assert 0 <= value <= sizes[name], name
 
     def test_feature_indices_order(self):
         event = make_event()
-        encoded = encode_event(event, 1, self._indices([event]))
-        values = encoded.feature_indices()
+        values = encode_event(event, 1, self._indices([event]))
         assert len(values) == len(FEATURE_ORDER)
         assert values[FEATURE_ORDER.index("known_app")] == 1
 

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from loginwatch.encoding import FEATURE_ORDER, EncodedEvent, embedding_dim
+from loginwatch.encoding import FEATURE_ORDER, embedding_dim
 from loginwatch.model import (
     Autoencoder,
     LossMode,
@@ -32,24 +32,23 @@ SIZES = {
 }
 
 
-def random_events(count: int, seed: int, actor: str = "u1") -> list[EncodedEvent]:
+def random_rows(count: int, seed: int) -> np.ndarray:
+    """``count`` random index rows within SIZES, one draw per feature in order."""
     rng = np.random.default_rng(seed)
-    events = []
-    for _ in range(count):
-        events.append(
-            EncodedEvent(
-                actor_id=actor,
-                geohash=int(rng.integers(0, SIZES["geohash"] + 1)),
-                app_id=int(rng.integers(0, SIZES["app_id"] + 1)),
-                known_app=int(rng.integers(0, 2)),
-                outcome=int(rng.integers(0, SIZES["outcome"] + 1)),
-                event_hour=int(rng.integers(1, 25)),
-                weekday=int(rng.integers(1, 8)),
-                client_os=int(rng.integers(0, SIZES["client_os"] + 1)),
-                client_device=int(rng.integers(0, SIZES["client_device"] + 1)),
-            )
-        )
-    return events
+    bounds = [
+        (0, SIZES["geohash"] + 1),
+        (0, SIZES["app_id"] + 1),
+        (0, 2),
+        (0, SIZES["outcome"] + 1),
+        (1, 25),
+        (1, 8),
+        (0, SIZES["client_os"] + 1),
+        (0, SIZES["client_device"] + 1),
+    ]
+    rows = [
+        [int(rng.integers(low, high)) for low, high in bounds] for _ in range(count)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(count, len(FEATURE_ORDER))
 
 
 def oracle_dissim(rec_row: np.ndarray, emb_row: np.ndarray) -> float:
@@ -98,67 +97,76 @@ class TestDiceCoefficient:
 class TestForward:
     def test_event_loss_matches_scalar_recomputation(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=3)
-        for event in random_events(5, seed=9):
-            rec, emb = model.forward(event)
+        for row in random_rows(5, seed=9):
+            rec, emb = model.forward(row)
             expected = sum(oracle_dissim(rec[n], emb[n]) for n in FEATURE_ORDER)
-            assert model.event_loss(event) == pytest.approx(expected, rel=1e-10)
+            assert model.event_loss(row) == pytest.approx(expected, rel=1e-10)
 
     def test_product_mode_multiplies_dissimilarities(self):
         model = Autoencoder(
             "u1", SIZES, hidden_dim=6, code_dim=4, seed=3, loss_mode=LossMode.PRODUCT
         )
-        event = random_events(1, seed=4)[0]
-        rec, emb = model.forward(event)
+        row = random_rows(1, seed=4)[0]
+        rec, emb = model.forward(row)
         expected = 1.0
         for name in FEATURE_ORDER:
             expected *= oracle_dissim(rec[name], emb[name])
-        assert model.event_loss(event) == pytest.approx(expected, rel=1e-9)
+        assert model.event_loss(row) == pytest.approx(expected, rel=1e-9)
 
     def test_feature_weights_scale_sum_terms(self):
         weights = {"geohash": 2.0, "app_id": 0.5, "client_os": 0.0}
         model = Autoencoder(
             "u1", SIZES, hidden_dim=6, code_dim=4, seed=3, feature_weights=weights
         )
-        event = random_events(1, seed=4)[0]
-        rec, emb = model.forward(event)
+        row = random_rows(1, seed=4)[0]
+        rec, emb = model.forward(row)
         expected = 0.0
         for name in FEATURE_ORDER:
             expected += weights.get(name, 1.0) * oracle_dissim(rec[name], emb[name])
-        assert model.event_loss(event) == pytest.approx(expected, rel=1e-10)
+        assert model.event_loss(row) == pytest.approx(expected, rel=1e-10)
 
     def test_head_widths_match_embeddings(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=0)
-        rec, emb = model.forward(random_events(1, seed=1)[0])
+        rec, emb = model.forward(random_rows(1, seed=1)[0])
         for name in FEATURE_ORDER:
             assert rec[name].shape == emb[name].shape
             assert rec[name].shape == (model.embeddings[name].dim,)
 
     def test_losses_matches_per_event_loop(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=7)
-        events = random_events(40, seed=8)
-        batched = model.losses(events)
-        single = np.array([model.event_loss(e) for e in events])
+        rows = random_rows(40, seed=8)
+        batched = model.losses(rows)
+        single = np.array([model.event_loss(row) for row in rows])
         assert batched == pytest.approx(single, rel=1e-10)
 
     def test_losses_empty_input(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=7)
-        assert model.losses([]).shape == (0,)
+        empty = np.zeros((0, len(FEATURE_ORDER)), dtype=np.int64)
+        assert model.losses(empty).shape == (0,)
 
     def test_out_of_range_index_rejected(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=0)
-        event = EncodedEvent(
-            actor_id="u1",
-            geohash=SIZES["geohash"] + 1,
-            app_id=0,
-            known_app=0,
-            outcome=0,
-            event_hour=1,
-            weekday=1,
-            client_os=0,
-            client_device=0,
-        )
+        row = [SIZES["geohash"] + 1, 0, 0, 0, 1, 1, 0, 0]  # in FEATURE_ORDER
         with pytest.raises(ValueError, match="geohash"):
-            model.event_loss(event)
+            model.event_loss(row)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.ones((4, 8), dtype=float),
+            np.ones((4, 8), dtype=bool),
+            np.ones(8, dtype=np.int64),
+            np.ones((4, 7), dtype=np.int64),
+        ],
+        ids=["float", "bool", "1-D", "7-column"],
+    )
+    def test_bad_rows_rejected(self, rows):
+        # a float matrix would otherwise be truncated to indices silently
+        model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=0)
+        with pytest.raises(ValueError, match="2-D integer array with 8 columns"):
+            model.losses(rows)
+        with pytest.raises(ValueError, match="2-D integer array with 8 columns"):
+            train(rows, TrainConfig(epochs=1), feature_sizes=SIZES, actor_id="u1")
 
 
 class TestConstruction:
@@ -184,27 +192,27 @@ class TestConstruction:
             assert np.all(np.abs(table.weights) <= 0.05)
 
     def test_seed_controls_init(self):
-        events = random_events(10, seed=0)
+        rows = random_rows(10, seed=0)
         a = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=1)
         b = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=1)
         c = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=2)
-        assert np.array_equal(a.losses(events), b.losses(events))
-        assert not np.array_equal(a.losses(events), c.losses(events))
+        assert np.array_equal(a.losses(rows), b.losses(rows))
+        assert not np.array_equal(a.losses(rows), c.losses(rows))
 
 
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_analytic_matches_finite_differences(self, seed):
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=seed)
-        event = random_events(1, seed=seed + 100)[0]
-        assert gradient_check(model, event) < 1e-4
+        row = random_rows(1, seed=seed + 100)[0]
+        assert gradient_check(model, row) < 1e-4
 
     def test_product_mode_gradients(self):
         model = Autoencoder(
             "u1", SIZES, hidden_dim=5, code_dim=3, seed=4, loss_mode=LossMode.PRODUCT
         )
-        event = random_events(1, seed=40)[0]
-        assert gradient_check(model, event) < 1e-4
+        row = random_rows(1, seed=40)[0]
+        assert gradient_check(model, row) < 1e-4
 
     def test_weighted_gradients(self):
         model = Autoencoder(
@@ -215,14 +223,14 @@ class TestGradients:
             seed=5,
             feature_weights={"geohash": 3.0, "outcome": 0.25},
         )
-        event = random_events(1, seed=50)[0]
-        assert gradient_check(model, event) < 1e-4
+        row = random_rows(1, seed=50)[0]
+        assert gradient_check(model, row) < 1e-4
 
     def test_untouched_embedding_rows_get_zero_gradient(self):
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=6)
-        event = random_events(1, seed=60)[0]
-        grads = model._views(model._backward(model._forward(model._indices([event]))))
-        for name, used in zip(FEATURE_ORDER, event.feature_indices()):
+        row = random_rows(1, seed=60)[0]
+        grads = model._views(model._backward(model._forward(model._indices(row[None]))))
+        for name, used in zip(FEATURE_ORDER, row):
             table = grads[name]
             for row in range(table.shape[0]):
                 if row == used:
@@ -235,8 +243,8 @@ class TestGradients:
             "u1", SIZES, hidden_dim=5, code_dim=3, seed=7,
             feature_weights={"client_os": 0.0},
         )
-        event = random_events(1, seed=70)[0]
-        grads = model._views(model._backward(model._forward(model._indices([event]))))
+        row = random_rows(1, seed=70)[0]
+        grads = model._views(model._backward(model._forward(model._indices(row[None]))))
         cols = dict(model._feature_columns())["client_os"]
         assert np.all(grads["head"][cols] == 0.0)
         assert np.all(grads["head_bias"][cols] == 0.0)
@@ -246,68 +254,64 @@ class TestGradients:
 
 class TestTraining:
     def test_memorizes_a_single_pattern(self):
-        event = random_events(1, seed=11)[0]
-        dataset = [event] * 32
+        row = random_rows(1, seed=11)[0]
+        dataset = np.tile(row, (32, 1))
         config = TrainConfig(epochs=300, batch_size=32, learning_rate=0.1, seed=0)
-        model = train(dataset, config, feature_sizes=SIZES)
+        model = train(dataset, config, feature_sizes=SIZES, actor_id="u1")
         assert model.epoch_losses[-1] < 0.01
         assert model.epoch_losses[-1] < model.epoch_losses[0]
 
     def test_epoch_losses_and_stats_recorded(self):
-        events = random_events(64, seed=12)
-        model = train(events, TrainConfig(epochs=5, seed=1), feature_sizes=SIZES)
+        rows = random_rows(64, seed=12)
+        config = TrainConfig(epochs=5, seed=1)
+        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
         assert len(model.epoch_losses) == 5
         assert model.train_mu is not None
         assert model.train_sigma is not None
         assert model.train_sigma >= 0.0
-        final = model.losses(events)
+        final = model.losses(rows)
         assert model.train_mu == pytest.approx(float(final.mean()))
         assert model.train_sigma == pytest.approx(float(final.std()))
 
     def test_deterministic_given_seed(self):
-        events = random_events(48, seed=13)
+        rows = random_rows(48, seed=13)
         config = TrainConfig(epochs=4, seed=9)
-        a = train(events, config, feature_sizes=SIZES)
-        b = train(events, config, feature_sizes=SIZES)
+        a = train(rows, config, feature_sizes=SIZES, actor_id="u1")
+        b = train(rows, config, feature_sizes=SIZES, actor_id="u1")
         assert a.epoch_losses == b.epoch_losses
-        assert np.array_equal(a.losses(events), b.losses(events))
-        c = train(events, TrainConfig(epochs=4, seed=10), feature_sizes=SIZES)
-        assert not np.array_equal(a.losses(events), c.losses(events))
+        assert np.array_equal(a.losses(rows), b.losses(rows))
+        other = TrainConfig(epochs=4, seed=10)
+        c = train(rows, other, feature_sizes=SIZES, actor_id="u1")
+        assert not np.array_equal(a.losses(rows), c.losses(rows))
 
     def test_empty_dataset_rejected(self):
+        empty = np.zeros((0, len(FEATURE_ORDER)), dtype=np.int64)
         with pytest.raises(ValueError, match="empty"):
-            train([], TrainConfig())
-
-    def test_mixed_actors_rejected(self):
-        events = random_events(3, seed=0, actor="u1") + random_events(3, seed=1, actor="u2")
-        with pytest.raises(ValueError, match="actors"):
-            train(events, TrainConfig())
+            train(empty, TrainConfig(), actor_id="u1")
 
     def test_index_beyond_declared_size_rejected(self):
-        events = random_events(4, seed=14)
+        rows = random_rows(4, seed=14)
         sizes = dict(SIZES)
         sizes["event_hour"] = 1
         with pytest.raises(ValueError, match="event_hour"):
-            train(events, TrainConfig(epochs=1), feature_sizes=sizes)
+            train(rows, TrainConfig(epochs=1), feature_sizes=sizes, actor_id="u1")
 
     def test_sizes_inferred_from_data_when_omitted(self):
-        events = random_events(30, seed=15)
-        model = train(events, TrainConfig(epochs=1, seed=0))
-        for name in FEATURE_ORDER:
-            observed = max(
-                e.feature_indices()[FEATURE_ORDER.index(name)] for e in events
-            )
+        rows = random_rows(30, seed=15)
+        model = train(rows, TrainConfig(epochs=1, seed=0), actor_id="u1")
+        for f, name in enumerate(FEATURE_ORDER):
+            observed = max(int(row[f]) for row in rows)
             assert model.feature_sizes[name] == max(observed, 1)
 
     def test_non_finite_loss_raises(self, monkeypatch):
-        events = random_events(8, seed=16)
+        rows = random_rows(8, seed=16)
 
         def bad_forward(self, idx):
             return {"losses": np.full(idx.shape[0], np.nan)}
 
         monkeypatch.setattr(Autoencoder, "_forward", bad_forward)
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
-            train(events, TrainConfig(epochs=2), feature_sizes=SIZES)
+            train(rows, TrainConfig(epochs=2), feature_sizes=SIZES, actor_id="u1")
 
 
 class TestTrainConfig:
@@ -327,22 +331,24 @@ class TestTrainConfig:
 
 class TestPersistence:
     def test_state_round_trip_is_bit_exact(self):
-        events = random_events(40, seed=17)
-        model = train(events, TrainConfig(epochs=3, seed=2), feature_sizes=SIZES)
+        rows = random_rows(40, seed=17)
+        config = TrainConfig(epochs=3, seed=2)
+        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
         state = model.to_state()
         json.dumps(state)
         restored = Autoencoder.from_state(state)
-        assert np.array_equal(model.losses(events), restored.losses(events))
+        assert np.array_equal(model.losses(rows), restored.losses(rows))
         assert restored.train_mu == model.train_mu
         assert restored.train_sigma == model.train_sigma
         assert restored.epoch_losses == model.epoch_losses
 
     def test_state_survives_json_serialization(self):
-        events = random_events(20, seed=18)
-        model = train(events, TrainConfig(epochs=2, seed=3), feature_sizes=SIZES)
+        rows = random_rows(20, seed=18)
+        config = TrainConfig(epochs=2, seed=3)
+        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
         rehydrated = json.loads(json.dumps(model.to_state()))
         restored = Autoencoder.from_state(rehydrated)
-        assert np.array_equal(model.losses(events), restored.losses(events))
+        assert np.array_equal(model.losses(rows), restored.losses(rows))
 
     def test_embedding_shape_mismatch_rejected(self):
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0)
@@ -418,11 +424,11 @@ class TestPersistence:
 
     @pytest.mark.parametrize("mode", list(LossMode))
     def test_from_state_reproduces_losses_exactly(self, mode):
-        events = random_events(40, seed=19)
+        rows = random_rows(40, seed=19)
         config = TrainConfig(
             epochs=3, seed=4, loss_mode=mode, feature_weights={"outcome": 2.0}
         )
-        model = train(events, config, feature_sizes=SIZES)
+        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
         restored = Autoencoder.from_state(model.to_state())
         assert np.array_equal(restored.theta, model.theta)
-        assert np.array_equal(restored.losses(events), model.losses(events))
+        assert np.array_equal(restored.losses(rows), model.losses(rows))

@@ -2,27 +2,37 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import shutil
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
+from loginwatch.apps import build_superset, login_frequencies
 from loginwatch.cli import main
-from loginwatch.encoding import TimeMode
-from loginwatch.events import LogEvent, Outcome, parse_event
+from loginwatch.encoding import (
+    FEATURE_ORDER,
+    TimeMode,
+    build_event_indices,
+    encode_event,
+    observed_hours,
+)
+from loginwatch.events import LogEvent, Outcome, filter_entry_events, parse_event
 from loginwatch.inject import InjectionKind, InjectionSpec
 from loginwatch.model import TrainConfig
 from loginwatch.pipeline import (
     PipelineConfig,
     WorkflowError,
+    _encode_actor_events,
     run_score_workflow,
     run_train_workflow,
     stratified_sample,
 )
-from loginwatch.registry import EntryStatus, ModelRegistry
+from loginwatch.registry import EncoderState, EntryStatus, ModelRegistry
 from loginwatch.synth import generate_corpus
 
 
@@ -110,6 +120,47 @@ class TestStratifiedSample:
             stratified_sample(events, 1.1, 1, seed=0)
         with pytest.raises(ValueError):
             stratified_sample(events, 0.5, 0, seed=0)
+
+
+class TestEncodeActorEvents:
+    @staticmethod
+    def _encoder(events, time_mode=TimeMode.RAW) -> EncoderState:
+        return EncoderState(
+            geohash_precision=3,
+            time_mode=time_mode,
+            active_hours=observed_hours(events),
+            indices=build_event_indices(events, 3),
+            superset=build_superset(login_frequencies(events)),
+        )
+
+    @pytest.mark.parametrize("time_mode", list(TimeMode))
+    def test_matrix_equals_stacked_encode_event_rows(self, corpus_events, time_mode):
+        events = [e for e in corpus_events if e.actor_id == "u001"]
+        encoder = self._encoder(events[: len(events) // 2], time_mode)
+        rows = _encode_actor_events(events, encoder)
+        assert rows.dtype == np.int64
+        assert rows.shape == (len(events), len(FEATURE_ORDER))
+        for row, event in zip(rows, events):
+            expected = encode_event(
+                event,
+                encoder.superset.known_app(event.actor_id, event.app_id),
+                encoder.indices,
+                precision=encoder.geohash_precision,
+                time_mode=encoder.time_mode,
+                active_hours=encoder.active_hours,
+            )
+            assert tuple(row.tolist()) == expected
+
+    def test_no_events_give_an_empty_matrix(self):
+        encoder = self._encoder(crafted_events("u1", 10))
+        rows = _encode_actor_events([], encoder)
+        assert rows.shape == (0, len(FEATURE_ORDER))
+        assert rows.dtype == np.int64
+
+    def test_mixed_actors_rejected(self):
+        events = crafted_events("u1", 3) + crafted_events("u2", 3)
+        with pytest.raises(ValueError, match="actors"):
+            _encode_actor_events(events, self._encoder(events))
 
 
 class TestPipelineConfig:
@@ -285,6 +336,33 @@ class TestScoreWorkflow:
         assert "u001" in result.retrained
         assert len(trained_registry.entry_paths("u001")) == before + 1
         assert "u001" in result.reports
+
+    def test_retrain_fits_on_the_live_events_it_scores(
+        self, corpus_events, trained_registry
+    ):
+        entry = trained_registry.load("u001")
+        entry.status = EntryStatus.NEEDS_RETRAIN
+        trained_registry.save(entry)
+        config = fast_config()
+        result = run_score_workflow(corpus_events, config, trained_registry)
+        assert result.retrained == ["u001"]
+
+        live = [
+            e for e in filter_entry_events(corpus_events, config.filter_mode)
+            if e.actor_id == "u001"
+        ]
+        ordered = sorted(live, key=lambda e: e.timestamp)
+        fitted = ordered[: int(len(live) * config.train_split)]
+        digest = hashlib.sha256()
+        for event in fitted:
+            digest.update(event.to_json_line().encode("utf-8") + b"\n")
+        fresh = trained_registry.load("u001")
+        assert fresh.metadata["dataset_hash"] == digest.hexdigest()
+        assert fresh.metrics["train_size"] == len(fitted)
+
+        report = result.reports["u001"]
+        assert report.threshold_n == fresh.model.chosen_n
+        assert sorted(r.position for r in report.records) == list(range(len(live)))
 
     def test_stale_model_scores_when_too_few_new_events(
         self, corpus_events, trained_registry

@@ -21,7 +21,7 @@ from loginwatch.registry import (
     UnsafeActorIdError,
 )
 
-from test_model import SIZES, random_events
+from test_model import SIZES, random_rows
 
 
 def make_encoder_state() -> EncoderState:
@@ -41,8 +41,9 @@ def make_encoder_state() -> EncoderState:
 
 
 def make_entry(actor: str = "u1", seed: int = 0, f1: float = 0.9) -> RegistryEntry:
-    events = random_events(30, seed=seed, actor=actor)
-    model = train(events, TrainConfig(epochs=2, seed=seed), feature_sizes=SIZES)
+    rows = random_rows(30, seed=seed)
+    config = TrainConfig(epochs=2, seed=seed)
+    model = train(rows, config, feature_sizes=SIZES, actor_id=actor)
     model.chosen_n = 2.5
     return RegistryEntry(
         actor_id=actor,
@@ -50,7 +51,7 @@ def make_entry(actor: str = "u1", seed: int = 0, f1: float = 0.9) -> RegistryEnt
         encoder=make_encoder_state(),
         status=EntryStatus.ACTIVE,
         metrics={"best_f1": f1, "best_n": 2.5},
-        metadata={"train_events": len(events)},
+        metadata={"train_events": len(rows)},
     )
 
 
@@ -58,13 +59,13 @@ class TestSaveLoad:
     def test_round_trip_preserves_losses_bit_exactly(self, tmp_path):
         registry = ModelRegistry(tmp_path)
         entry = make_entry()
-        events = random_events(20, seed=1)
-        before = entry.model.losses(events)
+        rows = random_rows(20, seed=1)
+        before = entry.model.losses(rows)
         path = registry.save(entry)
         assert path.exists()
         assert path.suffix == ".model"
         loaded = registry.load("u1")
-        assert np.array_equal(loaded.model.losses(events), before)
+        assert np.array_equal(loaded.model.losses(rows), before)
         assert loaded.status is EntryStatus.ACTIVE
         assert loaded.metrics == entry.metrics
         assert loaded.metadata == entry.metadata
