@@ -43,8 +43,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             data = json.load(handle)
     config = PipelineConfig.from_dict(data)
     # Flags beat file values.
-    if getattr(args, "registry", None):
-        config.registry_dir = args.registry
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     return config
@@ -102,7 +100,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     events, stats = load_events(args.input)
-    registry = ModelRegistry(config.registry_dir)
+    registry = ModelRegistry(args.registry)
     result = run_train_workflow(events, config, registry)
     summary = result.to_summary_json()
     if args.summary:
@@ -116,7 +114,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     config = _load_config(args)
     events, _ = load_events(args.input)
-    registry = ModelRegistry(config.registry_dir)
+    registry = ModelRegistry(args.registry)
     result = run_score_workflow(events, config, registry)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -190,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train and register per-actor models")
     p_train.add_argument("--input", required=True)
     p_train.add_argument("--config", help="pipeline config JSON")
-    p_train.add_argument("--registry", help="override registry directory")
+    p_train.add_argument("--registry", default="registry", help="registry directory")
     p_train.add_argument("--seed", type=int, help="override workflow seed")
     p_train.add_argument("--summary", help="write the summary JSON here too")
     p_train.set_defaults(func=_cmd_train)
@@ -198,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="score events with stored models")
     p_score.add_argument("--input", required=True)
     p_score.add_argument("--config", help="pipeline config JSON")
-    p_score.add_argument("--registry", help="override registry directory")
+    p_score.add_argument("--registry", default="registry", help="registry directory")
     p_score.add_argument("--seed", type=int, help="override workflow seed")
     p_score.add_argument("--out", help="per-event report JSONL")
     p_score.add_argument("--summary", help="write the summary JSON here too")

@@ -76,7 +76,6 @@ class WorkflowError(RuntimeError):
 class PipelineConfig:
     """Knobs for the train and score workflows."""
 
-    registry_dir: str = "registry"
     filter_mode: FilterMode = FilterMode.SIGN_ON
     time_mode: TimeMode = TimeMode.RAW
     geohash_precision: int = DEFAULT_GEOHASH_PRECISION
@@ -127,7 +126,6 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return {
-            "registry_dir": self.registry_dir,
             "filter_mode": self.filter_mode.value,
             "time_mode": self.time_mode.value,
             "geohash_precision": self.geohash_precision,
@@ -180,10 +178,7 @@ def stratified_sample(
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    by_actor: dict[str, list[LogEvent]] = {}
-    for event in events:
-        by_actor.setdefault(event.actor_id, []).append(event)
-
+    by_actor = _group_by_actor(events)
     rng = np.random.default_rng(seed)
     sample: list[LogEvent] = []
     for _ in range(repetitions):

@@ -1,10 +1,14 @@
 """File-based model registry.
 
-One directory per actor; each save drops a self-contained, versioned
-``<created_at>.model`` JSON document (model parameters, vocabularies, the
-app superset, threshold statistics, validation metrics) plus a small
-``metrics.json`` summary. Writes go through a temp file and an atomic
-rename, and every document carries a checksum that is verified on load.
+One directory per actor; each save writes one self-contained, versioned
+``<created_at>.model`` document (model parameters, vocabularies, the app
+superset, threshold statistics, validation metrics), and an actor's history
+is its set of ``.model`` files. A document is sealed: compact sorted-key JSON
+whose last member, ``"checksum":"<64 hex>"``, is the sha256 of every byte
+before it, so ``load`` checks the stored bytes and then parses them once. A
+file that fails the check, the spaced version-1 layout included, is refused;
+retraining the actor replaces it. Writes go through a temp file, an
+``fsync`` and an atomic rename.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from loginwatch.model import Autoencoder
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MODEL_SUFFIX = ".model"
-METRICS_FILENAME = "metrics.json"
+_CHECKSUM_MEMBER = b',"checksum":"'
+_TRAILER_LENGTH = len(_CHECKSUM_MEMBER) + 64 + len(b'"}')
 
 
 class EntryStatus(str, Enum):
@@ -128,10 +133,6 @@ class RegistryEntry:
 
     @classmethod
     def from_document(cls, document: dict) -> "RegistryEntry":
-        if document.get("version") != FORMAT_VERSION:
-            raise RegistryIntegrityError(
-                f"unsupported format version {document.get('version')!r}"
-            )
         return cls(
             actor_id=document["actor_id"],
             model=Autoencoder.from_state(document["model"]),
@@ -143,12 +144,36 @@ class RegistryEntry:
         )
 
 
-def _canonical(document: dict) -> bytes:
-    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _trailer(head: bytes) -> bytes:
+    return _CHECKSUM_MEMBER + hashlib.sha256(head).hexdigest().encode("ascii") + b'"}'
 
 
-def _checksum(document: dict) -> str:
-    return hashlib.sha256(_canonical(document)).hexdigest()
+def _seal(document: dict) -> bytes:
+    """The stored bytes of ``document``: compact sorted JSON, checksum last."""
+    body = json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    head = body[:-1]  # without the closing brace, which the trailer restores
+    return head + _trailer(head)
+
+
+def _unseal(path: Path) -> dict:
+    """Parse a stored document after checking its checksum over the raw bytes.
+
+    Raises:
+        RegistryIntegrityError: the file fails the checksum, does not parse,
+            or has a format version other than ``FORMAT_VERSION``.
+    """
+    payload = path.read_bytes()
+    head = payload[:-_TRAILER_LENGTH]
+    try:
+        document = json.loads(payload) if payload[len(head):] == _trailer(head) else None
+    except ValueError:  # a matching trailer after bytes that are not JSON
+        document = None
+    if document is None or document.get("version") != FORMAT_VERSION:
+        raise RegistryIntegrityError(
+            f"{path} failed its checksum or format version {FORMAT_VERSION} check; "
+            f"retrain the actor to replace it"
+        )
+    return document
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:
@@ -181,29 +206,9 @@ class ModelRegistry:
             path = actor_dir / f"{created}-{bump:02d}{MODEL_SUFFIX}"
         entry.created_at = path.stem
 
-        document = entry.to_document()
-        document["checksum"] = _checksum(
-            {key: value for key, value in document.items() if key != "checksum"}
-        )
-        _atomic_write(path, json.dumps(document, sort_keys=True).encode("utf-8"))
-        self._rewrite_metrics(entry.actor_id)
+        _atomic_write(path, _seal(entry.to_document()))
         logger.info("saved model for %s at %s", entry.actor_id, path.name)
         return path
-
-    def _rewrite_metrics(self, actor_id: str) -> None:
-        rows = []
-        for path in sorted(self._actor_dir(actor_id).glob(f"*{MODEL_SUFFIX}")):
-            document = json.loads(path.read_bytes())
-            rows.append(
-                {
-                    "created_at": document["created_at"],
-                    "status": document["status"],
-                    "best_f1": document["metrics"].get("best_f1"),
-                    "best_n": document["metrics"].get("best_n"),
-                }
-            )
-        payload = json.dumps({"actor_id": actor_id, "entries": rows}, sort_keys=True, indent=2)
-        _atomic_write(self._actor_dir(actor_id) / METRICS_FILENAME, payload.encode("utf-8"))
 
     def entry_paths(self, actor_id: str) -> list[Path]:
         actor_dir = self._actor_dir(actor_id)
@@ -221,12 +226,8 @@ class ModelRegistry:
         paths = self.entry_paths(actor_id)
         if not paths:
             raise RegistryNotFoundError(f"no model saved for actor {actor_id!r}")
-        path = paths[-1]  # names sort chronologically
-        document = json.loads(path.read_bytes())
-        stored = document.pop("checksum", None)
-        if stored is None or stored != _checksum(document):
-            raise RegistryIntegrityError(f"checksum mismatch in {path}")
-        return RegistryEntry.from_document(document)
+        newest = paths[-1]  # names sort chronologically
+        return RegistryEntry.from_document(_unseal(newest))
 
     def actors(self) -> list[str]:
         if not self.root.is_dir():

@@ -435,6 +435,30 @@ class TestCli:
         assert losses[0] == "epoch,mean_loss"
         assert len(losses) == 11
 
+    def test_train_summary_does_not_depend_on_where_the_registry_lives(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        raw = tmp_path / "raw.jsonl"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"min_events": 100, "seed": 3, "train": {"epochs": 2}})
+        )
+        assert main(["synth", "--actors", "2", "--days", "25", "--seed", "3",
+                     "--out", str(raw)]) == 0
+        monkeypatch.chdir(tmp_path)
+        train = ["train", "--input", str(raw), "--config", str(config_path)]
+        # the first run uses the default directory, ./registry
+        assert main(train + ["--summary", "first.json"]) == 0
+        assert main(train + ["--registry", str(tmp_path / "elsewhere"),
+                             "--summary", "second.json"]) == 0
+        capsys.readouterr()
+        assert ModelRegistry(tmp_path / "registry").actors() == ["u001", "u002"]
+        assert ModelRegistry(tmp_path / "elsewhere").actors() == ["u001", "u002"]
+        first = (tmp_path / "first.json").read_bytes()
+        assert first == (tmp_path / "second.json").read_bytes()
+        config = PipelineConfig.from_dict(json.loads(config_path.read_text()))
+        assert json.loads(first)["config_hash"] == config.config_hash()
+
     def test_report_refuses_unsafe_actor_directory(self, tmp_path, capsys):
         # the registry never creates such a directory, but one can be put there
         registry = tmp_path / "registry"

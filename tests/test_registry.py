@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from loginwatch.apps import AppSuperset
 from loginwatch.encoding import TimeMode, build_index
 from loginwatch.model import TrainConfig, train
 from loginwatch.registry import (
-    METRICS_FILENAME,
     EncoderState,
     EntryStatus,
     ModelRegistry,
@@ -19,6 +20,7 @@ from loginwatch.registry import (
     RegistryIntegrityError,
     RegistryNotFoundError,
     UnsafeActorIdError,
+    _seal,
 )
 
 from test_model import SIZES, random_rows
@@ -128,16 +130,35 @@ class TestIntegrity:
     def test_unsupported_version_detected(self, tmp_path):
         registry = ModelRegistry(tmp_path)
         path = registry.save(make_entry())
-        document = json.loads(path.read_text())
+        document = json.loads(path.read_bytes())
         document.pop("checksum")
         document["version"] = 99
-        # re-checksum so the version check itself is what trips
-        from loginwatch.registry import _checksum
-
-        document["checksum"] = _checksum(document)
-        path.write_text(json.dumps(document, sort_keys=True))
-        with pytest.raises(RegistryIntegrityError, match="version"):
+        # sealed with a valid checksum, so the version check itself is what trips
+        path.write_bytes(_seal(document))
+        with pytest.raises(RegistryIntegrityError, match="version") as caught:
             registry.load("u1")
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated",
+            "body_byte_flipped",
+            "wrong_digest",
+            "not_json",
+            "not_json_sealed",
+            "empty",
+            "version_1_layout",
+        ],
+    )
+    def test_hostile_document_refused_naming_the_path(self, tmp_path, damage):
+        registry = ModelRegistry(tmp_path)
+        path = registry.save(make_entry())
+        path.write_bytes(hostile_payload(path.read_bytes(), damage))
+        with pytest.raises(RegistryIntegrityError, match="checksum") as caught:
+            registry.load("u1")
+        assert str(path) in str(caught.value)
+        assert "retrain" in str(caught.value)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         registry = ModelRegistry(tmp_path)
@@ -147,19 +168,95 @@ class TestIntegrity:
         assert leftovers == []
 
 
-class TestMetricsFile:
-    def test_metrics_summary_tracks_every_save(self, tmp_path):
+def hostile_payload(sealed: bytes, damage: str) -> bytes:
+    """A damaged copy of one sealed document's bytes."""
+    head, member, tail = sealed.rpartition(b',"checksum":"')
+    if damage == "truncated":
+        return sealed[: len(sealed) // 2]
+    if damage == "body_byte_flipped":
+        # the first decimal of the stored mu, so the body is still valid JSON
+        at = head.index(b".", head.index(b'"train_mu":')) + 1
+        digit = b"7" if head[at : at + 1] != b"7" else b"3"
+        return head[:at] + digit + head[at + 1 :] + member + tail
+    if damage == "wrong_digest":
+        return head + member + hashlib.sha256(b"other").hexdigest().encode() + b'"}'
+    if damage == "not_json":
+        return b"not json, just some bytes"
+    if damage == "not_json_sealed":
+        forged = b"{not json" * 20
+        return forged + member + hashlib.sha256(forged).hexdigest().encode() + b'"}'
+    if damage == "empty":
+        return b""
+    if damage == "version_1_layout":
+        # spaced JSON, checksum over the compact form, in sorted key position
+        document = json.loads(sealed)
+        del document["checksum"]
+        document["version"] = 1
+        compact = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        document["checksum"] = hashlib.sha256(compact.encode()).hexdigest()
+        return json.dumps(document, sort_keys=True).encode()
+    raise ValueError(damage)
+
+
+class TestSealedFormat:
+    def test_document_is_compact_sorted_json_sealed_by_its_last_member(self, tmp_path):
         registry = ModelRegistry(tmp_path)
-        registry.save(make_entry(f1=0.6))
-        registry.save(make_entry(seed=2, f1=0.85))
-        payload = json.loads((tmp_path / "u1" / METRICS_FILENAME).read_text())
-        assert payload["actor_id"] == "u1"
-        assert len(payload["entries"]) == 2
-        assert [row["best_f1"] for row in payload["entries"]] == [0.6, 0.85]
-        for row in payload["entries"]:
-            assert row["status"] == "ACTIVE"
-            assert row["best_n"] == 2.5
-            assert row["created_at"]
+        payload = registry.save(make_entry()).read_bytes()
+        head, member, tail = payload.rpartition(b',"checksum":"')
+        assert member
+        assert tail == hashlib.sha256(head).hexdigest().encode() + b'"}'
+        document = json.loads(payload)
+        assert list(document)[-1] == "checksum"
+        assert document["version"] == 2
+        body = {key: value for key, value in document.items() if key != "checksum"}
+        compact = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        assert head + b"}" == compact
+
+    def test_save_writes_one_file_and_reads_no_stored_document(
+        self, tmp_path, monkeypatch
+    ):
+        registry = ModelRegistry(tmp_path)
+        sealed = registry.save(make_entry()).read_bytes()
+        actor_dir = tmp_path / "u1"
+        for path in actor_dir.iterdir():
+            path.unlink()
+        for night in range(1, 31):
+            (actor_dir / f"202301{night:02d}T020000.000000Z.model").write_bytes(sealed)
+
+        def refuse(path):
+            raise AssertionError(f"save read {path}")
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", refuse)
+        path = registry.save(make_entry(seed=1, f1=0.95))
+        monkeypatch.undo()
+        assert sorted(p.name for p in actor_dir.iterdir()) == [
+            p.name for p in registry.entry_paths("u1")
+        ]
+        assert len(registry.entry_paths("u1")) == 31
+        assert registry.entry_paths("u1")[-1] == path
+        assert registry.load("u1").metrics["best_f1"] == 0.95
+
+    def test_non_json_older_version_does_not_break_save(self, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        older = tmp_path / "u1" / "20000101T000000.000000Z.model"
+        older.parent.mkdir()
+        older.write_bytes(b"not json")
+        path = registry.save(make_entry())
+        assert registry.load("u1").created_at == path.stem
+        assert older.read_bytes() == b"not json"
+
+    def test_load_does_not_serialise(self, tmp_path, monkeypatch):
+        registry = ModelRegistry(tmp_path)
+        entry = make_entry()
+        registry.save(entry)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load called json.dumps")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        loaded = registry.load("u1")
+        rows = random_rows(10, seed=2)
+        assert np.array_equal(loaded.model.losses(rows), entry.model.losses(rows))
 
 
 HOSTILE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0byte", "/abs"]
