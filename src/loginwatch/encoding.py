@@ -4,8 +4,8 @@ String-valued features are mapped through per-feature lookup tables whose
 indices start at 1; index 0 is reserved for values never seen when the table
 was built. Time features pass through as their own level numbers (hour 1..24,
 weekday 1..7 with Sunday = 1), and the unknown-app indicator passes through
-as 0/1. Each feature later owns an embedding matrix of (levels + 1) rows so
-index 0 always resolves to a trainable out-of-vocabulary row.
+as 0/1. Each feature later owns an embedding table of (levels + 1) rows in
+the model, so index 0 always resolves to a trainable out-of-vocabulary row.
 
 An encoded event is a row of 8 ints in ``FEATURE_ORDER``; a stream is an
 ``(N, 8)`` int64 matrix of them, with any labels in a vector beside it.
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from loginwatch.events import LogEvent, TimeFeatures, derive_time_features
 from loginwatch.geo import geohash_encode
@@ -102,52 +100,6 @@ def embedding_dim(vocab_size: int) -> int:
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
     return min(vocab_size // 2 + 1, MAX_EMBEDDING_DIM)
-
-
-@dataclass
-class EmbeddingMatrix:
-    """Trainable embedding table for one feature.
-
-    ``weights`` has m + 1 rows: row 0 is the out-of-vocabulary row, rows
-    1..m belong to known levels. The OOV row trains like any other if index
-    0 ever appears in the data.
-    """
-
-    feature_name: str
-    m: int
-    dim: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.m + 1, self.dim)
-        if self.weights.shape != expected:
-            raise ValueError(
-                f"{self.feature_name}: weights shape {self.weights.shape} != {expected}"
-            )
-
-
-def init_embedding(vocab_size: int, dim: int, seed: int, feature_name: str = "") -> EmbeddingMatrix:
-    """Create an embedding matrix with entries i.i.d. uniform in [-0.05, 0.05]."""
-    if vocab_size < 1:
-        raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    weights = rng.uniform(-0.05, 0.05, size=(vocab_size + 1, dim))
-    return EmbeddingMatrix(feature_name=feature_name, m=vocab_size, dim=dim, weights=weights)
-
-
-def embed_lookup(matrix: EmbeddingMatrix, index: int) -> np.ndarray:
-    """Row of the embedding for ``index``; 0 selects the OOV row.
-
-    Raises:
-        ValueError: index outside [0, m].
-    """
-    if not 0 <= index <= matrix.m:
-        raise ValueError(
-            f"{matrix.feature_name}: index {index} outside [0, {matrix.m}]"
-        )
-    return matrix.weights[index]
 
 
 def geohash_value(event: LogEvent, precision: int) -> str:

@@ -19,12 +19,18 @@ is one gather from ``theta``, the per-feature dice sums are products with a
 fixed 0/1 ``(input_dim, features)`` segment matrix, and the embedding
 gradient is one ``np.bincount`` over the gather positions.
 
+A stored model keeps ``theta`` whole, as base64 of its little-endian float64
+bytes, beside the scalars that fix its layout (``feature_sizes``,
+``hidden_dim``, ``code_dim``); loading checks the blob's length against that
+layout and copies it back bit-exact.
+
 The loss of an event doubles as its anomaly score: events built from
 patterns the model never learned reconstruct poorly and score high.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import logging
 import math
@@ -34,12 +40,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from loginwatch.encoding import (
-    FEATURE_ORDER,
-    EmbeddingMatrix,
-    embedding_dim,
-    init_embedding,
-)
+from loginwatch.encoding import FEATURE_ORDER, embedding_dim
 
 logger = logging.getLogger(__name__)
 
@@ -133,9 +134,10 @@ class Autoencoder:
     with the dice dissimilarity and combines features per ``loss_mode``.
 
     ``theta`` holds every parameter; ``w1`` to ``b3``, ``head`` (the H_f
-    stacked in feature order), ``head_bias`` (the c_f) and each
-    ``embeddings[name].weights`` are views into it. Write parameters in
-    place (``view[...] = values``); rebinding an attribute detaches it.
+    stacked in feature order) and ``head_bias`` (the c_f) are views into it,
+    and ``_views(theta)[name]`` is feature ``name``'s embedding table: m + 1
+    rows, row 0 for out-of-vocabulary values. Write parameters in place
+    (``view[...] = values``); rebinding an attribute detaches it.
     """
 
     def __init__(
@@ -153,14 +155,17 @@ class Autoencoder:
             actor_id, feature_sizes, hidden_dim, code_dim, loss_mode, feature_weights
         )
 
-        # Initial values: one seed per embedding table, then one generator
-        # for w1, w2, w3 and the heads in feature order. Trained models and
-        # the acceptance figures depend on this order; keep it.
+        # Initial values: one generator per embedding table (entries uniform
+        # in [-0.05, 0.05]), then one for w1, w2, w3 and the heads in feature
+        # order. Trained models and the acceptance figures depend on this
+        # order; keep it.
         seeds = np.random.SeedSequence(seed).generate_state(len(FEATURE_ORDER) + 1)
+        views = self._views(self.theta)
         for name, child_seed in zip(FEATURE_ORDER, seeds):
-            table = self.embeddings[name]
-            initial = init_embedding(table.m, table.dim, int(child_seed), name)
-            table.weights[...] = initial.weights
+            table = views[name]
+            table[...] = np.random.default_rng(int(child_seed)).uniform(
+                -0.05, 0.05, size=table.shape
+            )
 
         rng = np.random.default_rng(int(seeds[-1]))
 
@@ -239,10 +244,6 @@ class Autoencoder:
         self.w2, self.b2 = views["w2"], views["b2"]
         self.w3, self.b3 = views["w3"], views["b3"]
         self.head, self.head_bias = views["head"], views["head_bias"]
-        self.embeddings = {
-            name: EmbeddingMatrix(name, m, dim, views[name])
-            for name, m, dim in zip(FEATURE_ORDER, sizes, dims)
-        }
 
         # Column maps: column j of x is feature _col_feature[j]; an event with
         # index row idx reads it from theta[idx[f] * _col_dim[j] + _col_base[j]].
@@ -412,10 +413,9 @@ class Autoencoder:
     def to_state(self) -> dict:
         """Plain-type snapshot of every parameter and training statistic.
 
-        The document keeps one array per feature (embedding table, head,
-        head bias), independent of the in-memory layout.
+        ``theta`` is stored whole as base64 of its little-endian float64
+        bytes; the layout scalars beside it say how to read it back.
         """
-        columns = list(self._feature_columns())
         return {
             "actor_id": self.actor_id,
             "feature_sizes": dict(self.feature_sizes),
@@ -423,17 +423,9 @@ class Autoencoder:
             "hidden_dim": self.hidden_dim,
             "code_dim": self.code_dim,
             "loss_mode": self.loss_mode.value,
-            "embeddings": {
-                name: self.embeddings[name].weights.tolist() for name in FEATURE_ORDER
-            },
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2.tolist(),
-            "w3": self.w3.tolist(),
-            "b3": self.b3.tolist(),
-            "heads": {name: self.head[cols].tolist() for name, cols in columns},
-            "head_biases": {name: self.head_bias[cols].tolist() for name, cols in columns},
+            "theta": base64.b64encode(
+                self.theta.astype("<f8", copy=False).tobytes()
+            ).decode("ascii"),
             "train_mu": self.train_mu,
             "train_sigma": self.train_sigma,
             "chosen_n": self.chosen_n,
@@ -445,8 +437,9 @@ class Autoencoder:
         """Rebuild a model from ``to_state`` output.
 
         Raises:
-            ValueError: a parameter's shape differs from the one that
-                ``feature_sizes``, ``hidden_dim`` and ``code_dim`` imply.
+            ValueError: ``theta`` is not base64, or its length differs from
+                the one that ``feature_sizes``, ``hidden_dim`` and
+                ``code_dim`` imply.
         """
         model = cls.__new__(cls)
         model._allocate(
@@ -457,26 +450,16 @@ class Autoencoder:
             LossMode(state["loss_mode"]),
             state["feature_weights"],
         )
-
-        def put(target: np.ndarray, values, what: str) -> None:
-            array = np.asarray(values, dtype=float)
-            if array.shape != target.shape:
-                raise ValueError(
-                    f"{what} shape mismatch: stored {array.shape}, "
-                    f"expected {target.shape}"
-                )
-            target[...] = array
-
-        for key in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            put(getattr(model, key), state[key], key)
-        for name, cols in model._feature_columns():
-            targets = {
-                "embeddings": model.embeddings[name].weights,
-                "heads": model.head[cols],
-                "head_biases": model.head_bias[cols],
-            }
-            for part, target in targets.items():
-                put(target, state[part][name], f"{part}.{name}")
+        try:
+            blob = base64.b64decode(state["theta"], validate=True)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"theta is not base64: {exc}") from None
+        if len(blob) != 8 * model.theta.size:
+            raise ValueError(
+                f"theta length mismatch: stored {len(blob)} bytes, expected "
+                f"{model.theta.size} float64 values ({8 * model.theta.size} bytes)"
+            )
+        model.theta[...] = np.frombuffer(blob, "<f8")
         model.train_mu = state.get("train_mu")
         model.train_sigma = state.get("train_sigma")
         model.chosen_n = state.get("chosen_n")

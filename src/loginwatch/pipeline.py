@@ -54,6 +54,7 @@ from loginwatch.registry import (
     EntryStatus,
     ModelRegistry,
     RegistryEntry,
+    RegistryIntegrityError,
     RegistryNotFoundError,
     UnsafeActorIdError,
     check_actor_id,
@@ -377,7 +378,6 @@ def _train_single_actor(
     metadata = {
         "dataset_hash": _dataset_hash(train_part),
         "config_hash": config.config_hash(),
-        "epoch_losses": list(model.epoch_losses),
     }
     entry = RegistryEntry(
         actor_id=actor_id,
@@ -455,9 +455,10 @@ def run_score_workflow(
 ) -> ScoreWorkflowResult:
     """Score a live stream against stored per-actor models.
 
-    Actors without a stored model, or whose id cannot name a registry
-    directory, are reported as unscorable. A stored model
-    flagged NEEDS_RETRAIN is retrained on the actor's new events first,
+    Actors without a stored model, whose newest model fails its integrity
+    check (corrupt, or written in another format version), or whose id
+    cannot name a registry directory, are reported as unscorable. A stored
+    model flagged NEEDS_RETRAIN is retrained on the actor's new events first,
     provided enough of them arrived; otherwise the stale model still scores.
 
     A retrain fits on the time-sorted first ``train_split`` share of these
@@ -479,6 +480,10 @@ def run_score_workflow(
         try:
             entry = registry.load(actor_id)
         except (RegistryNotFoundError, UnsafeActorIdError):
+            unscorable.append(actor_id)
+            continue
+        except RegistryIntegrityError as exc:
+            logger.warning("cannot score %s: %s", actor_id, exc)
             unscorable.append(actor_id)
             continue
 

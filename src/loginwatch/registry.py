@@ -5,9 +5,11 @@ One directory per actor; each save writes one self-contained, versioned
 superset, threshold statistics, validation metrics), and an actor's history
 is its set of ``.model`` files. A document is sealed: compact sorted-key JSON
 whose last member, ``"checksum":"<64 hex>"``, is the sha256 of every byte
-before it, so ``load`` checks the stored bytes and then parses them once. A
-file that fails the check, the spaced version-1 layout included, is refused;
-retraining the actor replaces it. Writes go through a temp file, an
+before it, so ``load`` checks the stored bytes and then parses them once.
+Model parameters sit in it as one base64 ``theta`` blob (format version 3).
+A file that fails the check or carries another version, the spaced
+version-1 and the per-key version-2 layouts included, is refused; retraining
+the actor replaces it. Writes go through a temp file, an
 ``fsync`` and an atomic rename.
 """
 
@@ -28,7 +30,7 @@ from loginwatch.model import Autoencoder
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MODEL_SUFFIX = ".model"
 _CHECKSUM_MEMBER = b',"checksum":"'
 _TRAILER_LENGTH = len(_CHECKSUM_MEMBER) + 64 + len(b'"}')

@@ -14,12 +14,10 @@ from loginwatch.encoding import (
     TimeMode,
     build_event_indices,
     build_index,
-    embed_lookup,
     embedding_dim,
     encode_event,
     feature_sizes,
     geohash_value,
-    init_embedding,
     observed_hours,
 )
 from loginwatch.events import LogEvent, Outcome
@@ -100,33 +98,6 @@ class TestEmbeddingDim:
     def test_rejects_empty_vocab(self):
         with pytest.raises(ValueError):
             embedding_dim(0)
-
-
-class TestEmbeddingMatrix:
-    def test_shape_has_oov_row(self):
-        matrix = init_embedding(7, 4, seed=3, feature_name="weekday")
-        assert matrix.weights.shape == (8, 4)
-        assert matrix.m == 7
-        assert matrix.dim == 4
-
-    def test_init_range_and_determinism(self):
-        a = init_embedding(30, 16, seed=11)
-        b = init_embedding(30, 16, seed=11)
-        c = init_embedding(30, 16, seed=12)
-        assert np.array_equal(a.weights, b.weights)
-        assert not np.array_equal(a.weights, c.weights)
-        assert np.all(np.abs(a.weights) <= 0.05)
-        # values spread across the range rather than collapsing near zero
-        assert np.abs(a.weights).max() > 0.04
-
-    def test_lookup_bounds(self):
-        matrix = init_embedding(3, 2, seed=0, feature_name="outcome")
-        assert np.array_equal(embed_lookup(matrix, 0), matrix.weights[0])
-        assert np.array_equal(embed_lookup(matrix, 3), matrix.weights[3])
-        with pytest.raises(ValueError):
-            embed_lookup(matrix, 4)
-        with pytest.raises(ValueError):
-            embed_lookup(matrix, -1)
 
 
 def encode(event, known_app, indices, **kwargs) -> dict[str, int]:

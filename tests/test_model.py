@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -58,6 +58,38 @@ def oracle_dissim(rec_row: np.ndarray, emb_row: np.ndarray) -> float:
     overlap = sum(a * b for a, b in zip(p, g))
     denom = sum(a * a for a in p) + sum(b * b for b in g)
     return 1.0 - 2.0 * overlap / denom
+
+
+def theta_blob(values) -> str:
+    """``values`` as a stored ``theta``: base64 of little-endian float64."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def parameter_span(model: Autoencoder, key: str) -> slice:
+    """Where parameter ``key`` sits in ``theta``.
+
+    ``key`` is a layout key (``w1`` ... ``b3``) or ``heads.<feature>``,
+    ``head_biases.<feature>`` or ``embeddings.<feature>`` for one feature's
+    block.
+    """
+    spans = {name: span for name, span, _ in model._layout}
+    part, _, feature = key.partition(".")
+    if not feature:
+        return spans[key]
+    if part == "embeddings":
+        return spans[feature]
+    cols = dict(model._feature_columns())[feature]
+    width = model.hidden_dim if part == "heads" else 1
+    start = spans["head" if part == "heads" else "head_bias"].start
+    return slice(start + cols.start * width, start + cols.stop * width)
+
+
+def spliced_blob(model: Autoencoder, key: str, value) -> str:
+    """``model``'s stored ``theta`` with parameter ``key`` replaced by ``value``."""
+    span = parameter_span(model, key)
+    theta = model.theta
+    parts = [theta[: span.start], np.ravel(value), theta[span.stop :]]
+    return theta_blob(np.concatenate(parts))
 
 
 class TestDiceCoefficient:
@@ -130,7 +162,7 @@ class TestForward:
         rec, emb = model.forward(random_rows(1, seed=1)[0])
         for name in FEATURE_ORDER:
             assert rec[name].shape == emb[name].shape
-            assert rec[name].shape == (model.embeddings[name].dim,)
+            assert rec[name].shape == (model._views(model.theta)[name].shape[1],)
 
     def test_losses_matches_per_event_loop(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=7)
@@ -187,9 +219,22 @@ class TestConstruction:
     def test_embedding_tables_have_oov_rows(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=0)
         for name in FEATURE_ORDER:
-            table = model.embeddings[name]
-            assert table.weights.shape == (SIZES[name] + 1, table.dim)
-            assert np.all(np.abs(table.weights) <= 0.05)
+            table = model._views(model.theta)[name]
+            assert table.shape == (SIZES[name] + 1, embedding_dim(SIZES[name]))
+            assert np.all(np.abs(table) <= 0.05)
+
+    def test_embedding_init_range_and_determinism(self):
+        def tables(seed: int) -> np.ndarray:
+            model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=seed)
+            views = model._views(model.theta)
+            return np.concatenate([views[name].ravel() for name in FEATURE_ORDER])
+
+        a, b, c = tables(11), tables(11), tables(12)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert np.all(np.abs(a) <= 0.05)
+        # values spread across the range rather than collapsing near zero
+        assert np.abs(a).max() > 0.04
 
     def test_seed_controls_init(self):
         rows = random_rows(10, seed=0)
@@ -353,8 +398,8 @@ class TestPersistence:
     def test_embedding_shape_mismatch_rejected(self):
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0)
         state = model.to_state()
-        state["embeddings"]["geohash"] = [[0.0]]
-        with pytest.raises(ValueError, match="geohash"):
+        state["theta"] = spliced_blob(model, "embeddings.geohash", [[0.0]])
+        with pytest.raises(ValueError, match="theta"):
             Autoencoder.from_state(state)
 
     @pytest.mark.parametrize(
@@ -367,20 +412,53 @@ class TestPersistence:
             ("b3", 0.5),
             ("heads.app_id", [[0.1] * 5]),
             ("head_biases.geohash", [0.0]),
-            ("head_biases.weekday", [[0.0] * 4]),
+            ("head_biases.weekday", [[0.0] * 4] * 2),
         ],
     )
     def test_parameter_shape_mismatch_rejected(self, key, value):
-        # each of these broadcasts into the right shape, so only a shape
-        # check stops the document from loading and scoring silently
+        # a blob written with one parameter of another shape has another
+        # length, so only the length check stops it loading and scoring
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0)
         state = model.to_state()
-        *parents, leaf = key.split(".")
-        target = state
-        for part in parents:
-            target = target[part]
-        target[leaf] = value
-        with pytest.raises(ValueError, match=re.escape(key)):
+        state["theta"] = spliced_blob(model, key, value)
+        assert len(state["theta"]) != len(model.to_state()["theta"])
+        with pytest.raises(ValueError, match="theta"):
+            Autoencoder.from_state(state)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "one_value_short",
+            "one_value_long",
+            "float32",
+            "not_base64",
+            "not_a_string",
+            "feature_sizes_disagree",
+            "hidden_dim_disagree",
+        ],
+    )
+    def test_corrupt_theta_rejected(self, damage):
+        model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0)
+        state = model.to_state()
+        if damage == "one_value_short":
+            state["theta"] = theta_blob(model.theta[:-1])
+        elif damage == "one_value_long":
+            state["theta"] = theta_blob(np.append(model.theta, 0.0))
+        elif damage == "float32":
+            # the right value count at half the width
+            state["theta"] = base64.b64encode(
+                model.theta.astype("<f4").tobytes()
+            ).decode("ascii")
+        elif damage == "not_base64":
+            # a lenient decoder would skip the character and load the rest
+            state["theta"] = state["theta"][:8] + "!" + state["theta"][8:]
+        elif damage == "not_a_string":
+            state["theta"] = model.theta.tolist()
+        elif damage == "feature_sizes_disagree":
+            state["feature_sizes"]["app_id"] = SIZES["app_id"] + 2
+        elif damage == "hidden_dim_disagree":
+            state["hidden_dim"] = 6
+        with pytest.raises(ValueError, match="theta"):
             Autoencoder.from_state(state)
 
     @pytest.mark.parametrize("size", [0, -1])
@@ -390,37 +468,41 @@ class TestPersistence:
         sizes = {**SIZES, "geohash": size}
         with pytest.raises(ValueError):
             Autoencoder("u1", sizes, hidden_dim=5, code_dim=3, seed=0)
-        # every other shape matches a vocabulary of one, so only the size
-        # check stops this document
+        # the blob matches a vocabulary of one with its OOV row cut, so only
+        # the size check stops this document
         one = Autoencoder("u1", {**SIZES, "geohash": 1}, hidden_dim=5, code_dim=3, seed=0)
         state = one.to_state()
         state["feature_sizes"]["geohash"] = size
-        state["embeddings"]["geohash"] = state["embeddings"]["geohash"][:1]
+        table = one._views(one.theta)["geohash"]
+        state["theta"] = spliced_blob(one, "embeddings.geohash", table[:1])
         with pytest.raises(ValueError, match="geohash"):
             Autoencoder.from_state(state)
 
-    def test_state_layout_is_per_feature(self):
+    def test_state_layout_is_one_theta_blob(self):
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0)
         state = model.to_state()
         assert sorted(state) == sorted([
             "actor_id", "feature_sizes", "feature_weights", "hidden_dim",
-            "code_dim", "loss_mode", "embeddings", "w1", "b1", "w2", "b2",
-            "w3", "b3", "heads", "head_biases", "train_mu", "train_sigma",
+            "code_dim", "loss_mode", "theta", "train_mu", "train_sigma",
             "chosen_n", "epoch_losses",
         ])
         dims = {name: embedding_dim(SIZES[name]) for name in FEATURE_ORDER}
-        assert np.shape(state["w1"]) == (5, sum(dims.values()))
-        assert np.shape(state["b1"]) == (5,)
-        assert np.shape(state["w2"]) == (3, 5)
-        assert np.shape(state["b2"]) == (3,)
-        assert np.shape(state["w3"]) == (5, 3)
-        assert np.shape(state["b3"]) == (5,)
-        for part in ("embeddings", "heads", "head_biases"):
-            assert list(state[part]) == list(FEATURE_ORDER)
+        input_dim = sum(dims.values())
+        size = (
+            5 * input_dim + 5  # w1 b1
+            + 3 * 5 + 3  # w2 b2
+            + 5 * 3 + 5  # w3 b3
+            + input_dim * 5 + input_dim  # head head_bias
+            + sum((SIZES[name] + 1) * dim for name, dim in dims.items())
+        )
+        blob = base64.b64decode(state["theta"], validate=True)
+        assert len(blob) == 8 * size
+        # little-endian float64, in the in-memory layout, bit for bit
+        assert blob == model.theta.astype("<f8").tobytes()
+        views = model._views(np.frombuffer(blob, "<f8"))
         for name, dim in dims.items():
-            assert np.shape(state["embeddings"][name]) == (SIZES[name] + 1, dim)
-            assert np.shape(state["heads"][name]) == (dim, 5)
-            assert np.shape(state["head_biases"][name]) == (dim,)
+            assert views[name].shape == (SIZES[name] + 1, dim)
+            assert np.array_equal(views[name], model._views(model.theta)[name])
 
     @pytest.mark.parametrize("mode", list(LossMode))
     def test_from_state_reproduces_losses_exactly(self, mode):

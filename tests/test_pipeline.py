@@ -32,8 +32,10 @@ from loginwatch.pipeline import (
     run_train_workflow,
     stratified_sample,
 )
-from loginwatch.registry import EncoderState, EntryStatus, ModelRegistry
+from loginwatch.registry import EncoderState, EntryStatus, ModelRegistry, _seal
 from loginwatch.synth import generate_corpus
+
+from test_registry import version_2_document
 
 
 def crafted_events(
@@ -326,6 +328,24 @@ class TestScoreWorkflow:
         result = run_score_workflow(events, config, registry)
         assert sorted(result.unscorable) == sorted(["../victim", absolute])
         assert result.reports == {}
+
+    @pytest.mark.parametrize("damage", ["emptied", "version_2_sealed"])
+    def test_corrupt_newest_model_leaves_other_actors_scored(
+        self, corpus_events, trained_registry, damage, caplog
+    ):
+        newest = trained_registry.entry_paths("u002")[-1]
+        if damage == "emptied":
+            newest.write_bytes(b"")
+        else:
+            document = json.loads(newest.read_bytes())
+            del document["checksum"]
+            newest.write_bytes(_seal(version_2_document(document)))
+        with caplog.at_level(logging.WARNING, logger="loginwatch.pipeline"):
+            result = run_score_workflow(corpus_events, fast_config(), trained_registry)
+        assert sorted(result.reports) == ["u001"]
+        assert result.unscorable == ["u002"]
+        assert result.retrained == []
+        assert str(newest) in caplog.text
 
     def test_needs_retrain_triggers_retrain(self, corpus_events, trained_registry):
         entry = trained_registry.load("u001")

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from loginwatch.apps import AppSuperset
-from loginwatch.encoding import TimeMode, build_index
-from loginwatch.model import TrainConfig, train
+from loginwatch.encoding import FEATURE_ORDER, TimeMode, build_index
+from loginwatch.model import Autoencoder, TrainConfig, train
 from loginwatch.registry import (
     EncoderState,
     EntryStatus,
@@ -24,6 +24,8 @@ from loginwatch.registry import (
 )
 
 from test_model import SIZES, random_rows
+
+GOLDEN_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry"
 
 
 def make_encoder_state() -> EncoderState:
@@ -73,6 +75,20 @@ class TestSaveLoad:
         assert loaded.metadata == entry.metadata
         assert loaded.model.chosen_n == 2.5
         assert loaded.created_at == path.stem
+
+    def test_theta_round_trips_bit_exactly(self, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        entry = make_entry()
+        # values decimal text could lose or mangle: signed zero, a subnormal,
+        # the extremes, and a NaN with a payload
+        special = np.array([-0.0, 5e-324, 1.7976931348623157e308, -np.inf, np.pi])
+        entry.model.theta[: special.size] = special
+        entry.model.theta[special.size] = np.frombuffer(
+            bytes.fromhex("0100000000f8ff7f"), "<f8"
+        )[0]
+        registry.save(entry)
+        loaded = registry.load("u1").model
+        assert loaded.theta.tobytes() == entry.model.theta.tobytes()
 
     def test_encoder_state_round_trips(self, tmp_path):
         registry = ModelRegistry(tmp_path)
@@ -149,6 +165,7 @@ class TestIntegrity:
             "not_json_sealed",
             "empty",
             "version_1_layout",
+            "version_2_sealed",
         ],
     )
     def test_hostile_document_refused_naming_the_path(self, tmp_path, damage):
@@ -195,7 +212,24 @@ def hostile_payload(sealed: bytes, damage: str) -> bytes:
         compact = json.dumps(document, sort_keys=True, separators=(",", ":"))
         document["checksum"] = hashlib.sha256(compact.encode()).hexdigest()
         return json.dumps(document, sort_keys=True).encode()
+    if damage == "version_2_sealed":
+        document = json.loads(sealed)
+        del document["checksum"]
+        return _seal(version_2_document(document))
     raise ValueError(damage)
+
+
+def version_2_document(document: dict) -> dict:
+    """``document`` in the version-2 layout: one JSON array per parameter."""
+    model = Autoencoder.from_state(document["model"])
+    views = model._views(model.theta)
+    columns = list(model._feature_columns())
+    state = {key: value for key, value in document["model"].items() if key != "theta"}
+    state.update({key: views[key].tolist() for key in ("w1", "b1", "w2", "b2", "w3", "b3")})
+    state["embeddings"] = {name: views[name].tolist() for name in FEATURE_ORDER}
+    state["heads"] = {name: model.head[cols].tolist() for name, cols in columns}
+    state["head_biases"] = {name: model.head_bias[cols].tolist() for name, cols in columns}
+    return {**document, "version": 2, "model": state}
 
 
 class TestSealedFormat:
@@ -207,7 +241,7 @@ class TestSealedFormat:
         assert tail == hashlib.sha256(head).hexdigest().encode() + b'"}'
         document = json.loads(payload)
         assert list(document)[-1] == "checksum"
-        assert document["version"] == 2
+        assert document["version"] == 3
         body = {key: value for key, value in document.items() if key != "checksum"}
         compact = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
         assert head + b"}" == compact
@@ -257,6 +291,42 @@ class TestSealedFormat:
         loaded = registry.load("u1")
         rows = random_rows(10, seed=2)
         assert np.array_equal(loaded.model.losses(rows), entry.model.losses(rows))
+
+
+class TestGoldenDocument:
+    """A version-3 document committed under ``tests/data``.
+
+    It was written once by ``ModelRegistry.save`` (3 epochs on
+    ``random_rows(30, seed=5)``, hidden 5, code 3, outcome weight 2). Any
+    change to how a stored model is read makes this test fail; such a change
+    needs a new ``FORMAT_VERSION``, not a regenerated file.
+    """
+
+    def test_golden_version_3_document_loads_with_its_losses(self):
+        entry = ModelRegistry(GOLDEN_REGISTRY).load("golden")
+        model = entry.model
+        assert model.theta.size == 744
+        assert hashlib.sha256(model.theta.astype("<f8").tobytes()).hexdigest() == (
+            "d1bf35d78e3e4d4b878d5257562ff3b35aacb828bc5eefdb82549868fd8644e6"
+        )
+        assert model.feature_weights["outcome"] == 2.0
+        assert (model.hidden_dim, model.code_dim) == (5, 3)
+        assert model.train_mu == 0.0038188762084788532
+        assert model.train_sigma == 0.0019951245321737556
+        assert model.chosen_n == 2.5
+        expected = [
+            0.0011322183217010728,
+            0.0060326011648934585,
+            0.001891227645230753,
+            0.0017382823037843664,
+            0.0031564899677238856,
+            0.0018351623499134329,
+        ]
+        # a tolerance for roundoff on other BLAS builds; a layout drift moves
+        # the losses by far more
+        assert model.losses(random_rows(6, seed=22)) == pytest.approx(expected, rel=1e-9)
+        assert entry.encoder.indices["app_id"].index_of("mail") == 2
+        assert entry.metrics == {"best_f1": 0.9, "best_n": 2.5}
 
 
 HOSTILE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0byte", "/abs"]
