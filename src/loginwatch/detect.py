@@ -183,6 +183,23 @@ def f1_score(tp: int, fp: int, fn: int) -> float:
     return 2.0 * tp / (2.0 * tp + fp + fn)
 
 
+def injected_mask(labels: Sequence[Label]) -> np.ndarray:
+    """Which events of a validation set are injected.
+
+    Raises:
+        DegenerateValidationError: the set is empty, or lacks injected or
+            normal events, so no threshold sweep can run on it.
+    """
+    if not len(labels):
+        raise DegenerateValidationError("validation set is empty")
+    injected = np.array([label is Label.INJECTED for label in labels], dtype=bool)
+    if not injected.any() or injected.all():
+        raise DegenerateValidationError(
+            "sweep needs at least one injected and one normal event"
+        )
+    return injected
+
+
 def sweep_threshold(
     losses: Sequence[float], labels: Sequence[Label], stats: LossStats
 ) -> SweepResult:
@@ -204,13 +221,7 @@ def sweep_threshold(
     losses = np.asarray(losses, dtype=float)
     if len(losses) != len(labels):
         raise ValueError(f"{len(losses)} losses but {len(labels)} labels")
-    if not len(losses):
-        raise DegenerateValidationError("validation set is empty")
-    injected = np.array([label is Label.INJECTED for label in labels], dtype=bool)
-    if not injected.any() or injected.all():
-        raise DegenerateValidationError(
-            "sweep needs at least one injected and one normal event"
-        )
+    injected = injected_mask(labels)
 
     positives = int(injected.sum())
     curve: list[float] = []

@@ -80,11 +80,6 @@ class StringIndex:
     def index_of(self, value: str) -> int:
         return self._lookup.get(value, 0)
 
-    def value_of(self, index: int) -> str:
-        if not 1 <= index <= self.size:
-            raise ValueError(f"index {index} outside [1, {self.size}]")
-        return self.values[index - 1]
-
 
 def build_index(values: Iterable[str], feature_name: str) -> StringIndex:
     """Build a StringIndex over the distinct values of a training column."""
@@ -176,9 +171,6 @@ def feature_sizes(
         "client_os": indices["client_os"].size,
         "client_device": indices["client_device"].size,
     }
-
-
-STRING_FEATURES = ("geohash", "app_id", "outcome", "client_os", "client_device")
 
 
 def build_event_indices(

@@ -19,6 +19,15 @@ is one gather from ``theta``, the per-feature dice sums are products with a
 fixed 0/1 ``(input_dim, features)`` segment matrix, and the embedding
 gradient is one ``np.bincount`` over the gather positions.
 
+There is one forward and one backward pass, written for a stack of actors
+(``_Stack``): every array carries a leading actor axis, so one matmul,
+sigmoid or ``bincount`` covers all of them. A model scores through a stack
+of one over its own ``theta``. ``train`` fits every job of a call in one
+such stack, the bank, whose narrower actors are padded to the widest
+``input_dim`` with columns that read a zero slot and belong to no feature,
+so their parameters stay exactly 0 and each actor's fit equals its fit
+alone up to float64 roundoff.
+
 A stored model keeps ``theta`` whole, as base64 of its little-endian float64
 bytes, beside the scalars that fix its layout (``feature_sizes``,
 ``hidden_dim``, ``code_dim``); loading checks the blob's length against that
@@ -36,7 +45,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +54,7 @@ from loginwatch.encoding import FEATURE_ORDER, embedding_dim
 logger = logging.getLogger(__name__)
 
 _EPS = 1e-12
+_DENSE_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "head", "head_bias")
 
 
 class LossMode(str, Enum):
@@ -117,6 +127,190 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _dense_shapes(hidden_dim: int, code_dim: int, width: int) -> list[tuple[int, ...]]:
+    """Shapes of one actor's ``w1 b1 w2 b2 w3 b3 head head_bias``."""
+    return [
+        (hidden_dim, width), (hidden_dim,),
+        (code_dim, hidden_dim), (code_dim,),
+        (hidden_dim, code_dim), (hidden_dim,),
+        (width, hidden_dim), (width,),
+    ]
+
+
+def _transposed(m: np.ndarray) -> np.ndarray:
+    return m.transpose(0, 2, 1)
+
+
+class _Stack:
+    """The dense parameters of several autoencoders as stacked views of one vector.
+
+    ``flat`` starts with one block per dense parameter, in ``_DENSE_KEYS``
+    order; a block holds that parameter of actor 0, then actor 1, and so on,
+    each ``width`` columns wide. Embedding tables follow, wherever the
+    gather positions say. A stack of one is exactly a model's ``theta``.
+
+    ``params`` holds the blocks as ``(actors, *shape)`` views and ``spans``
+    where each sits in ``flat``; ``segments`` is ``(actors, width,
+    features)``, 1 where a column belongs to a feature; ``weights`` holds
+    the feature weights.
+    """
+
+    def __init__(
+        self,
+        flat: np.ndarray,
+        params: tuple[np.ndarray, ...],
+        spans: tuple[slice, ...],
+        segments: np.ndarray,
+        weights: np.ndarray,
+        loss_mode: LossMode,
+    ):
+        self.flat = flat
+        self.params = params
+        self.spans = spans
+        self.segments = segments
+        self.weights = weights
+        self.loss_mode = loss_mode
+        w1, b1, w2, b2, w3, b3, head, head_bias = params
+        # each layer's weights as the forward pass multiplies by them, and
+        # its bias broadcast over rows
+        self._layers = (
+            (_transposed(w1), b1[:, None]),
+            (_transposed(w2), b2[:, None]),
+            (_transposed(w3), b3[:, None]),
+            (_transposed(head), head_bias[:, None]),
+        )
+
+    @classmethod
+    def over(
+        cls,
+        flat: np.ndarray,
+        actors: int,
+        hidden_dim: int,
+        code_dim: int,
+        segments: np.ndarray,
+        weights: np.ndarray,
+        loss_mode: LossMode,
+    ) -> "_Stack":
+        """The stack of ``actors`` whose dense blocks start ``flat``."""
+        params, spans, offset = [], [], 0
+        for shape in _dense_shapes(hidden_dim, code_dim, segments.shape[1]):
+            size = actors * math.prod(shape)
+            params.append(flat[offset : offset + size].reshape(actors, *shape))
+            spans.append(slice(offset, offset + size))
+            offset += size
+        return cls(flat, tuple(params), tuple(spans), segments, weights, loss_mode)
+
+    def lead(self, actors: int) -> "_Stack":
+        """The first ``actors`` actors, as views; each block's share is a prefix of it."""
+        total = self.segments.shape[0]
+        return _Stack(
+            self.flat,
+            tuple(p[:actors] for p in self.params),
+            tuple(
+                slice(s.start, s.start + (s.stop - s.start) // total * actors)
+                for s in self.spans
+            ),
+            self.segments[:actors],
+            self.weights,
+            self.loss_mode,
+        )
+
+    def forward(self, pos: np.ndarray) -> dict:
+        """Run ``(actors, rows, width)`` gather positions through the network.
+
+        Returns the cache the backward pass reads; ``losses`` is
+        ``(actors, rows)``.
+        """
+        (w1, b1), (w2, b2), (w3, b3), (head, head_bias) = self._layers
+        x = self.flat[pos]
+
+        a1 = np.tanh(x @ w1 + b1)
+        h = np.tanh(a1 @ w2 + b2)
+        a3 = np.tanh(h @ w3 + b3)
+        rec = a3 @ head + head_bias
+
+        p = _sigmoid(rec)
+        g = _sigmoid(x)
+        overlap = (p * g) @ self.segments
+        denom = (p * p + g * g) @ self.segments
+        dissim = 1.0 - 2.0 * overlap / denom
+
+        if self.loss_mode is LossMode.PRODUCT:
+            safe = np.maximum(dissim, _EPS)
+            losses = np.exp((np.log(safe) * self.weights).sum(axis=-1))
+        else:
+            losses = dissim @ self.weights
+
+        return {
+            "pos": pos,
+            "x": x,
+            "a1": a1,
+            "h": h,
+            "a3": a3,
+            "rec": rec,
+            "p": p,
+            "g": g,
+            "overlap": overlap,
+            "denom": denom,
+            "dissim": dissim,
+            "losses": losses,
+        }
+
+    def gradient(self, cache: dict, row_weight: np.ndarray) -> np.ndarray:
+        """Gradient of ``sum(row_weight * losses)``, in the layout of ``flat``.
+
+        ``row_weight`` is ``(actors, rows)``: 1 / batch size for an actor's
+        rows gives the gradient of each actor's mean batch loss, and 0 drops
+        a padding row. Entries of ``flat`` that no actor of the stack reads
+        get 0.
+        """
+        w1, b1, w2, b2, w3, b3, head, head_bias = self.params
+        dissim = cache["dissim"]
+
+        # d(weighted loss)/d(dissim_f) per event
+        if self.loss_mode is LossMode.PRODUCT:
+            # the PRODUCT loss is prod(safe ** w), so d/d(safe_f) = w_f * loss / safe_f
+            safe = np.maximum(dissim, _EPS)
+            coef = self.weights * (cache["losses"] * row_weight)[..., None] / safe
+        else:
+            coef = row_weight[..., None] * self.weights
+
+        # d(1 - dice)/dp = a*p - b*g and d(1 - dice)/dg = a*g - b*p for
+        # dice = 2*overlap/denom, with a and b per feature, spread to columns
+        # (a padded column belongs to no feature and gets 0)
+        overlap, denom = cache["overlap"], cache["denom"]
+        scale = coef / (denom * denom)
+        spread = _transposed(self.segments)
+        a = (4.0 * overlap * scale) @ spread
+        b = (2.0 * denom * scale) @ spread
+        p, g = cache["p"], cache["g"]
+        d_r = (a * p - b * g) * p * (1.0 - p)
+        d_emb_target = (a * g - b * p) * g * (1.0 - g)
+
+        x, a3, h, a1 = cache["x"], cache["a3"], cache["h"], cache["a1"]
+        d_z3 = (d_r @ head) * (1.0 - a3 * a3)
+        d_z2 = (d_z3 @ w3) * (1.0 - h * h)
+        d_z1 = (d_z2 @ w2) * (1.0 - a1 * a1)
+        d_x = d_z1 @ w1
+
+        # Both embedding routes (input and reconstruction target) land on the
+        # entries the batch gathered; bincount sums repeated ones.
+        grad = np.bincount(
+            cache["pos"].ravel(),
+            weights=(d_x + d_emb_target).ravel(),
+            minlength=self.flat.size,
+        )
+        dense = (  # w1 b1 w2 b2 w3 b3 head head_bias, in layout order
+            _transposed(d_z1) @ x, d_z1.sum(axis=1),
+            _transposed(d_z2) @ a1, d_z2.sum(axis=1),
+            _transposed(d_z3) @ h, d_z3.sum(axis=1),
+            _transposed(d_r) @ a3, d_r.sum(axis=1),
+        )
+        for span, part in zip(self.spans, dense):
+            grad[span] = part.ravel()
+        return grad
 
 
 class Autoencoder:
@@ -222,28 +416,17 @@ class Autoencoder:
         self.hidden_dim = hidden_dim
         self.code_dim = code_dim
 
-        shapes = [
-            ("w1", (hidden_dim, self.input_dim)),
-            ("b1", (hidden_dim,)),
-            ("w2", (code_dim, hidden_dim)),
-            ("b2", (code_dim,)),
-            ("w3", (hidden_dim, code_dim)),
-            ("b3", (hidden_dim,)),
-            ("head", (self.input_dim, hidden_dim)),
-            ("head_bias", (self.input_dim,)),
-        ]
+        shapes = list(zip(_DENSE_KEYS, _dense_shapes(hidden_dim, code_dim, self.input_dim)))
         shapes += [(name, (m + 1, dim)) for name, m, dim in zip(FEATURE_ORDER, sizes, dims)]
         self._layout: list[tuple[str, slice, tuple[int, ...]]] = []
         offset = 0
         for key, shape in shapes:
-            self._layout.append((key, slice(offset, offset + math.prod(shape)), shape))
-            offset += math.prod(shape)
+            size = math.prod(shape)
+            self._layout.append((key, slice(offset, offset + size), shape))
+            offset += size
         self.theta = np.zeros(offset)
-        views = self._views(self.theta)
-        self.w1, self.b1 = views["w1"], views["b1"]
-        self.w2, self.b2 = views["w2"], views["b2"]
-        self.w3, self.b3 = views["w3"], views["b3"]
-        self.head, self.head_bias = views["head"], views["head_bias"]
+        dense = self._layout[: len(_DENSE_KEYS)]
+        self._table_start = self._layout[len(_DENSE_KEYS)][1].start
 
         # Column maps: column j of x is feature _col_feature[j]; an event with
         # index row idx reads it from theta[idx[f] * _col_dim[j] + _col_base[j]].
@@ -259,6 +442,17 @@ class Autoencoder:
         self._segments = np.zeros((self.input_dim, len(FEATURE_ORDER)))
         self._segments[np.arange(self.input_dim), self._col_feature] = 1.0
         self._max_index = np.array(sizes, dtype=np.int64)
+
+        views = [self.theta[span].reshape(shape) for _, span, shape in dense]
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.head, self.head_bias = views
+        self._stack = _Stack(
+            self.theta,
+            tuple(view[None] for view in views),
+            tuple(span for _, span, _ in dense),
+            self._segments[None],
+            self._w_vec,
+            self.loss_mode,
+        )
 
         self.train_mu: float | None = None
         self.train_sigma: float | None = None
@@ -294,42 +488,13 @@ class Autoencoder:
             )
         return rows
 
-    def _forward(self, idx: np.ndarray) -> dict:
-        """Run a batch of index rows through the network, keeping the cache."""
-        pos = idx[:, self._col_feature] * self._col_dim + self._col_base
-        x = self.theta[pos]
+    def _positions(self, idx: np.ndarray) -> np.ndarray:
+        """Where in ``theta`` each column of each checked index row reads from."""
+        return idx[:, self._col_feature] * self._col_dim + self._col_base
 
-        a1 = np.tanh(x @ self.w1.T + self.b1)
-        h = np.tanh(a1 @ self.w2.T + self.b2)
-        a3 = np.tanh(h @ self.w3.T + self.b3)
-        rec = a3 @ self.head.T + self.head_bias
-
-        p = _sigmoid(rec)
-        g = _sigmoid(x)
-        overlap = (p * g) @ self._segments
-        denom = (p * p + g * g) @ self._segments
-        dissim = 1.0 - 2.0 * overlap / denom
-
-        if self.loss_mode is LossMode.SUM:
-            losses = dissim @ self._w_vec
-        else:
-            safe = np.maximum(dissim, _EPS)
-            losses = np.exp((np.log(safe) * self._w_vec).sum(axis=1))
-
-        return {
-            "pos": pos,
-            "x": x,
-            "a1": a1,
-            "h": h,
-            "a3": a3,
-            "rec": rec,
-            "p": p,
-            "g": g,
-            "overlap": overlap,
-            "denom": denom,
-            "dissim": dissim,
-            "losses": losses,
-        }
+    def _run(self, rows) -> dict:
+        """The forward cache of ``rows`` through this model's stack of one."""
+        return self._stack.forward(self._positions(self._indices(rows))[None])
 
     def forward(self, row) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
         """Per-feature reconstructions and the input embeddings they target.
@@ -339,72 +504,18 @@ class Autoencoder:
             embedding rows the event looked up, both keyed by feature name
             with matching widths.
         """
-        cache = self._forward(self._indices(np.asarray(row)[None]))
-        rec = {name: cache["rec"][0, cols].copy() for name, cols in self._feature_columns()}
-        emb = {name: cache["x"][0, cols].copy() for name, cols in self._feature_columns()}
+        cache = self._run(np.asarray(row)[None])
+        rec = {name: cache["rec"][0, 0, cols].copy() for name, cols in self._feature_columns()}
+        emb = {name: cache["x"][0, 0, cols].copy() for name, cols in self._feature_columns()}
         return rec, emb
 
     def losses(self, rows) -> np.ndarray:
         """Loss of every index row, in input order."""
-        return self._forward(self._indices(rows))["losses"].copy()
+        return self._run(rows)["losses"][0]
 
     def event_loss(self, row) -> float:
         """Combined weighted dice dissimilarity of one index row."""
         return float(self.losses(np.asarray(row)[None])[0])
-
-    # ------------------------------------------------------------------
-    # backward
-    # ------------------------------------------------------------------
-
-    def _backward(self, cache: dict) -> np.ndarray:
-        """Gradient of the mean batch loss, in the layout of ``theta``."""
-        x = cache["x"]
-        batch = x.shape[0]
-        dissim = cache["dissim"]
-
-        # d(mean loss)/d(dissim_f) per event
-        if self.loss_mode is LossMode.SUM:
-            coef = self._w_vec / batch
-        else:
-            # the PRODUCT loss is prod(safe ** w), so d/d(safe_f) = w_f * loss / safe_f
-            safe = np.maximum(dissim, _EPS)
-            coef = self._w_vec * cache["losses"][:, None] / safe / batch
-
-        # d(1 - dice)/dp = a*p - b*g and d(1 - dice)/dg = a*g - b*p for
-        # dice = 2*overlap/denom, with a and b per feature, spread to columns
-        overlap, denom = cache["overlap"], cache["denom"]
-        scale = coef / (denom * denom)
-        a = (4.0 * overlap * scale)[:, self._col_feature]
-        b = (2.0 * denom * scale)[:, self._col_feature]
-        p, g = cache["p"], cache["g"]
-        d_r = (a * p - b * g) * p * (1.0 - p)
-        d_emb_target = (a * g - b * p) * g * (1.0 - g)
-
-        a3, h, a1 = cache["a3"], cache["h"], cache["a1"]
-        d_z3 = (d_r @ self.head) * (1.0 - a3 * a3)
-        d_z2 = (d_z3 @ self.w3) * (1.0 - h * h)
-        d_z1 = (d_z2 @ self.w2) * (1.0 - a1 * a1)
-        d_x = d_z1 @ self.w1
-
-        # Both embedding routes (input and reconstruction target) land on the
-        # rows the batch gathered; bincount sums repeated rows.
-        grad = np.bincount(
-            cache["pos"].ravel(),
-            weights=(d_x + d_emb_target).ravel(),
-            minlength=self.theta.size,
-        )
-        dense = (  # w1 b1 w2 b2 w3 b3 head head_bias, in layout order
-            d_z1.T @ x, d_z1.sum(axis=0),
-            d_z2.T @ a1, d_z2.sum(axis=0),
-            d_z3.T @ h, d_z3.sum(axis=0),
-            d_r.T @ a3, d_r.sum(axis=0),
-        )
-        for (_, span, _), part in zip(self._layout, dense):
-            grad[span] = part.ravel()
-        return grad
-
-    def _apply(self, grad: np.ndarray, learning_rate: float) -> None:
-        self.theta -= learning_rate * grad
 
     # ------------------------------------------------------------------
     # persistence
@@ -467,77 +578,237 @@ class Autoencoder:
         return model
 
 
+def _corner(param: np.ndarray) -> tuple[slice, ...]:
+    """Where ``param`` sits in its zero-padded, wider copy."""
+    return tuple(slice(0, n) for n in param.shape)
+
+
+class _Bank:
+    """The parameters of several models, stacked for one training loop.
+
+    ``stack.flat`` holds the dense blocks of every model, padded to the
+    widest ``input_dim`` with zeros, then each model's embedding tables in
+    turn, then one zero slot. A narrower model's padded columns gather the
+    zero slot and belong to no feature, so their gradient is exactly 0 and
+    the padding never moves.
+    """
+
+    def __init__(self, models: Sequence[Autoencoder]):
+        self.models = list(models)
+        first = self.models[0]
+        width = max(model.input_dim for model in self.models)
+        segments = np.zeros((len(self.models), width, len(FEATURE_ORDER)))
+        for k, model in enumerate(self.models):
+            segments[k, : model.input_dim] = model._segments
+        dense = sum(
+            len(self.models) * math.prod(shape)
+            for shape in _dense_shapes(first.hidden_dim, first.code_dim, width)
+        )
+        self._tables: list[slice] = []
+        offset = dense
+        for model in self.models:
+            size = model.theta.size - model._table_start
+            self._tables.append(slice(offset, offset + size))
+            offset += size
+        self.zero = offset
+        self.stack = _Stack.over(
+            np.zeros(offset + 1), len(self.models), first.hidden_dim, first.code_dim,
+            segments, first._w_vec, first.loss_mode,
+        )
+        for k, model in enumerate(self.models):
+            for stacked, own in zip(self.stack.params, model._stack.params):
+                stacked[k][_corner(own[0])] = own[0]
+            self.stack.flat[self._tables[k]] = model.theta[model._table_start :]
+
+    def positions(self, k: int, idx: np.ndarray) -> np.ndarray:
+        """Gather positions in ``stack.flat`` of model ``k``'s checked index rows."""
+        model = self.models[k]
+        pos = np.full((idx.shape[0], self.stack.segments.shape[1]), self.zero)
+        shift = self._tables[k].start - model._table_start
+        pos[:, : model.input_dim] = model._positions(idx) + shift
+        return pos
+
+    def clear(self, k: int) -> None:
+        """Set every parameter of model ``k`` to 0."""
+        for stacked in self.stack.params:
+            stacked[k] = 0.0
+        self.stack.flat[self._tables[k]] = 0.0
+
+    def store(self) -> None:
+        """Copy the stacked parameters back into each model's ``theta``."""
+        for k, model in enumerate(self.models):
+            for stacked, own in zip(self.stack.params, model._stack.params):
+                own[0] = stacked[k][_corner(own[0])]
+            model.theta[model._table_start :] = self.stack.flat[self._tables[k]]
+
+
+@dataclass(frozen=True)
+class TrainJob:
+    """One actor's share of a ``train`` call.
+
+    ``rows`` is the actor's ``(N, 8)`` index matrix. ``feature_sizes`` is
+    the largest valid index per feature; when None it is each column's
+    maximum (at least 1), which is only safe if the rows cover every index
+    the model will ever see. ``seed`` fixes the initial parameters and the
+    order of the batches.
+    """
+
+    actor_id: str
+    rows: np.ndarray
+    feature_sizes: Mapping[str, int] | None
+    seed: int
+
+
 def train(
-    rows,
-    config: TrainConfig,
-    feature_sizes: Mapping[str, int] | None = None,
-    *,
-    actor_id: str,
-) -> Autoencoder:
-    """Fit an autoencoder to one actor's index rows by mini-batch SGD.
+    jobs: Sequence[TrainJob], config: TrainConfig
+) -> list[Autoencoder | TrainingDivergedError]:
+    """Fit one autoencoder per job by mini-batch SGD, all jobs in one loop.
+
+    Every job gets the model, seed, per-epoch permutation stream, batch
+    count and per-batch mean loss it would get alone, so its fit equals a
+    one-job ``train`` up to float64 roundoff; the jobs only share the
+    numpy calls. Jobs are stacked by row count, most first, so batch ``b``
+    of an epoch runs on a leading slice of the stack; a batch that is short
+    for some jobs pads their rows with weight 0.
 
     Embedding rows are parameters: each step updates them together with the
-    layer weights. After the last epoch the model's ``train_mu`` and
-    ``train_sigma`` are set to the mean and population standard deviation of
-    the final per-event losses over the whole dataset.
-
-    Args:
-        rows: ``(N, 8)`` integer index matrix of a single actor's events.
-        config: hyperparameters.
-        feature_sizes: largest valid index per feature. When omitted it is
-            each column's maximum (at least 1), which is only safe if the
-            rows cover every index the model will ever see.
-        actor_id: the actor the model belongs to.
+    layer weights. After the last epoch a model's ``train_mu`` and
+    ``train_sigma`` are the mean and population standard deviation of its
+    final per-event losses over its whole dataset, and ``epoch_losses``
+    holds one mean loss per epoch.
 
     Returns:
-        The trained model, with ``epoch_losses`` holding one mean loss per
-        epoch.
+        One result per job, in job order: the trained model, or a
+        ``TrainingDivergedError`` naming the epoch in which that job's batch
+        loss went non-finite. A diverged job's parameters and row weights
+        are set to 0 for the rest of the loop, and the other jobs carry on.
 
     Raises:
-        ValueError: rows that are not a 2-D integer array with 8 columns,
-            no rows at all, or an index outside its feature's size.
-        TrainingDivergedError: a non-finite loss appeared.
+        ValueError: a job's rows are not a 2-D integer array with 8 columns,
+            are empty, or hold an index outside its feature's size.
     """
-    rows = _check_rows(rows)
-    if rows.shape[0] == 0:
-        raise ValueError("dataset is empty")
+    models, indices = [], []
+    for job in jobs:
+        rows = _check_rows(job.rows)
+        if rows.shape[0] == 0:
+            raise ValueError(f"dataset of {job.actor_id!r} is empty")
+        if job.feature_sizes:
+            sizes = dict(job.feature_sizes)
+        else:
+            sizes = dict(zip(FEATURE_ORDER, np.maximum(rows.max(axis=0), 1).tolist()))
+        model = Autoencoder(
+            job.actor_id,
+            sizes,
+            hidden_dim=config.hidden_dim,
+            code_dim=config.code_dim,
+            seed=job.seed,
+            loss_mode=config.loss_mode,
+            feature_weights=config.feature_weights,
+        )
+        models.append(model)
+        indices.append(model._indices(rows))
+    if not models:
+        return []
 
-    if feature_sizes:
-        sizes = dict(feature_sizes)
-    else:
-        sizes = dict(zip(FEATURE_ORDER, np.maximum(rows.max(axis=0), 1).tolist()))
-    model = Autoencoder(
-        actor_id,
-        sizes,
-        hidden_dim=config.hidden_dim,
-        code_dim=config.code_dim,
-        seed=config.seed,
-        loss_mode=config.loss_mode,
-        feature_weights=config.feature_weights,
+    # From here on, k counts actors in stack order: most rows, so most batches, first.
+    size = config.batch_size
+    order = sorted(range(len(models)), key=lambda j: -len(indices[j]))
+    bank = _Bank([models[j] for j in order])
+    counts = np.array([len(indices[j]) for j in order])
+    batches = -(-counts // size)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([jobs[j].seed, len(indices[j])]))
+        for j in order
+    ]
+
+    # Every actor's gather positions, then one padding row of zero slots.
+    table = np.concatenate(
+        [bank.positions(k, indices[j]) for k, j in enumerate(order)]
+        + [np.full((1, bank.stack.segments.shape[1]), bank.zero)]
     )
-    idx_all = model._indices(rows)
-    count = idx_all.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, count]))
+    first_row = np.concatenate([[0], np.cumsum(counts)])
+    # slots[b, k, r] is the table row of actor k's row r in batch b; each
+    # epoch writes actor k's permuted rows through dest[k].
+    slots = np.full((batches[0], len(order), size), len(table) - 1)
+    flat_slots = slots.reshape(-1)
+    dest = [
+        (np.arange(n) // size * len(order) + k) * size + np.arange(n) % size
+        for k, n in enumerate(counts)
+    ]
 
+    steps = []  # per batch: the stack's leading slice, row weights, 0/1 real-row mask
+    for b in range(batches[0]):
+        live = np.clip(counts - b * size, 0, size)[: np.count_nonzero(batches > b), None]
+        real = (np.arange(live.max()) < live).astype(float)
+        steps.append((bank.stack.lead(len(live)), real / live, real))
+
+    errors: dict[int, TrainingDivergedError] = {}
+    loss_sums = np.zeros((config.epochs, len(order)))
+    flat = bank.stack.flat
     for epoch in range(config.epochs):
-        order = rng.permutation(count)
-        loss_sum = 0.0
-        for start in range(0, count, config.batch_size):
-            batch_idx = idx_all[order[start : start + config.batch_size]]
-            cache = model._forward(batch_idx)
-            batch_losses = cache["losses"]
-            if not np.all(np.isfinite(batch_losses)):
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch + 1}"
-                )
-            loss_sum += float(batch_losses.sum())
-            model._apply(model._backward(cache), config.learning_rate)
-        model.epoch_losses.append(loss_sum / count)
+        for k, rng in enumerate(rngs):
+            flat_slots[dest[k]] = first_row[k] + rng.permutation(counts[k])
+        for b, (stack, weight, real) in enumerate(steps):
+            pos = table[slots[b, : real.shape[0], : real.shape[1]]]
+            cache = stack.forward(pos)
+            sums = (cache["losses"] * real).sum(axis=1)
+            if not np.isfinite(sums).all():
+                # Zero the diverged actors, so that no NaN reaches a gradient
+                # (a weight of 0 would not do: 0 * NaN is NaN), and rerun.
+                for k in np.flatnonzero(~np.isfinite(sums)).tolist():
+                    errors[k] = TrainingDivergedError(f"non-finite loss in epoch {epoch + 1}")
+                    bank.clear(k)
+                    for _, w, r in steps[: batches[k]]:
+                        w[k] = 0.0
+                        r[k] = 0.0
+                cache = stack.forward(pos)
+                sums = (cache["losses"] * real).sum(axis=1)
+            loss_sums[epoch, : len(sums)] += sums
+            flat -= config.learning_rate * stack.gradient(cache, weight)
 
-    final_losses = model.losses(idx_all)
-    model.train_mu = float(final_losses.mean())
-    model.train_sigma = float(final_losses.std())
-    return model
+    bank.store()
+    results: dict[int, Autoencoder | TrainingDivergedError] = {}
+    for k, j in enumerate(order):
+        if k in errors:
+            results[j] = errors[k]
+            continue
+        model = models[j]
+        model.epoch_losses = (loss_sums[:, k] / counts[k]).tolist()
+        final_losses = model.losses(indices[j])
+        model.train_mu = float(final_losses.mean())
+        model.train_sigma = float(final_losses.std())
+        results[j] = model
+    return [results[j] for j in range(len(models))]
+
+
+def _finite_differences(
+    stack: _Stack, pos: np.ndarray, row_weight: np.ndarray, epsilon: float = 1e-5
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic and central-difference gradients of ``sum(row_weight * losses)``.
+
+    Every entry of ``stack.flat`` is perturbed by +/- epsilon.
+    """
+    analytic = stack.gradient(stack.forward(pos), row_weight)
+    flat = stack.flat
+
+    def loss() -> float:
+        return float((stack.forward(pos)["losses"] * row_weight).sum())
+
+    numeric = np.empty(flat.size)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + epsilon
+        up = loss()
+        flat[i] = original - epsilon
+        down = loss()
+        flat[i] = original
+        numeric[i] = (up - down) / (2.0 * epsilon)
+    return analytic, numeric
+
+
+def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """|analytic - numeric| / max(|analytic| + |numeric|, 1e-6), entry by entry."""
+    return np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
 
 
 def gradient_check(model: Autoencoder, row, epsilon: float = 1e-5) -> float:
@@ -550,23 +821,6 @@ def gradient_check(model: Autoencoder, row, epsilon: float = 1e-5) -> float:
     keeps float64 roundoff in the difference quotient (about 1e-11 at
     the default epsilon) from dominating near-zero gradient entries.
     """
-    idx = model._indices(np.asarray(row)[None])
-    grad = model._backward(model._forward(idx))
-    theta = model.theta
-
-    def loss() -> float:
-        return float(model._forward(idx)["losses"][0])
-
-    worst = 0.0
-    for i in range(theta.size):
-        original = theta[i]
-        theta[i] = original + epsilon
-        up = loss()
-        theta[i] = original - epsilon
-        down = loss()
-        theta[i] = original
-        numeric = (up - down) / (2.0 * epsilon)
-        a = float(grad[i])
-        err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
-        worst = max(worst, err)
-    return worst
+    pos = model._positions(model._indices(np.asarray(row)[None]))[None]
+    analytic, numeric = _finite_differences(model._stack, pos, np.ones((1, 1)), epsilon)
+    return float(_relative_error(analytic, numeric).max())

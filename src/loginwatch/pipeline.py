@@ -1,10 +1,13 @@
 """End-to-end training and scoring workflows.
 
-Training, per actor: filter the stream, split train/validation by time
-order, learn vocabularies and the app superset from the training side only,
-bootstrap-sample the training side, fit the autoencoder, inject labelled
-anomalies into the validation side, sweep the threshold multiplier, and
-persist the model with its encoder state and metrics.
+Training runs in three phases. First, per actor: filter the stream, split
+train/validation by time order, learn vocabularies and the app superset
+from the training side only, bootstrap-sample the training side and inject
+labelled anomalies into the validation side. Then one ``train`` call fits
+every prepared actor's autoencoder in one stacked SGD loop. Last, per
+actor: sweep the threshold multiplier and persist the model with its
+encoder state and metrics. An actor that fails a step is skipped with a
+reason; the others carry on.
 
 Scoring: load each actor's newest model, re-encode live events with the
 stored vocabularies, and report per-event losses and classifications.
@@ -34,12 +37,14 @@ from loginwatch.detect import (
     DetectionReport,
     LossStats,
     SweepResult,
+    injected_mask,
     score_events,
     sweep_threshold,
 )
 from loginwatch.encoding import (
     DEFAULT_GEOHASH_PRECISION,
     FEATURE_ORDER,
+    Label,
     TimeMode,
     build_event_indices,
     encode_event,
@@ -48,7 +53,13 @@ from loginwatch.encoding import (
 )
 from loginwatch.events import FilterMode, LogEvent, filter_entry_events
 from loginwatch.inject import InjectionKind, InjectionSpec, inject
-from loginwatch.model import TrainConfig, TrainingDivergedError, train
+from loginwatch.model import (
+    Autoencoder,
+    TrainConfig,
+    TrainingDivergedError,
+    TrainJob,
+    train,
+)
 from loginwatch.registry import (
     EncoderState,
     EntryStatus,
@@ -292,12 +303,30 @@ def _encode_actor_events(
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(FEATURE_ORDER))
 
 
-def _train_single_actor(
+@dataclass
+class _PreparedActor:
+    """One actor, split, encoded and validated, waiting for its model."""
+
+    actor_id: str
+    encoder: EncoderState
+    job: TrainJob
+    sample_size: int
+    train_size: int
+    val_size: int
+    dataset_hash: str
+    validation: list[tuple[str, np.ndarray, list[Label]]]  # (kind, rows, labels)
+
+
+def _prepare_actor(
     actor_id: str,
     actor_events: Sequence[LogEvent],
     config: PipelineConfig,
-) -> tuple[RegistryEntry | None, str | None]:
-    """Run the whole per-actor pipeline; returns (entry, skip_reason)."""
+) -> tuple[_PreparedActor | None, str | None]:
+    """Everything before training: split, vocabularies, sample and injected validation.
+
+    Returns (prepared actor, None), or (None, skip reason) for an actor that
+    cannot be trained or validated.
+    """
     try:
         check_actor_id(actor_id)
     except UnsafeActorIdError as exc:
@@ -337,26 +366,58 @@ def _train_single_actor(
     if not sample:
         return None, "bootstrap sample came back empty"
 
-    sample_rows = _encode_actor_events(sample, encoder)
-    sizes = feature_sizes(indices, config.time_mode)
-    train_config = dataclasses.replace(
-        config.train, seed=_actor_seed(config.seed, actor_id, "train")
-    )
-    try:
-        model = train(sample_rows, train_config, sizes, actor_id=actor_id)
-    except TrainingDivergedError as exc:
-        logger.warning("training diverged for %s: %s", actor_id, exc)
-        return None, f"training diverged: {exc}"
-
-    stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=len(sample))
-    per_kind: dict[str, SweepResult] = {}
+    validation = []
     for spec in config.injections:
         seeded = dataclasses.replace(
             spec, seed=_actor_seed(config.seed, actor_id, f"inject:{spec.kind.value}")
         )
-        mutated, labels = inject(val_part, seeded)
-        losses = model.losses(_encode_actor_events(mutated, encoder))
-        per_kind[spec.kind.value] = sweep_threshold(losses, labels, stats)
+        try:
+            mutated, labels = inject(val_part, seeded)
+            injected_mask(labels)
+        except ValueError as exc:  # too few eligible events, or DegenerateValidationError
+            return None, f"cannot validate: {exc}"
+        validation.append(
+            (spec.kind.value, _encode_actor_events(mutated, encoder), labels)
+        )
+
+    job = TrainJob(
+        actor_id,
+        _encode_actor_events(sample, encoder),
+        feature_sizes(indices, config.time_mode),
+        _actor_seed(config.seed, actor_id, "train"),
+    )
+    prepared = _PreparedActor(
+        actor_id=actor_id,
+        encoder=encoder,
+        job=job,
+        sample_size=len(sample),
+        train_size=len(train_part),
+        val_size=len(val_part),
+        dataset_hash=_dataset_hash(train_part),
+        validation=validation,
+    )
+    return prepared, None
+
+
+def _finish_actor(
+    actor: _PreparedActor,
+    result: Autoencoder | TrainingDivergedError,
+    config: PipelineConfig,
+) -> tuple[RegistryEntry | None, str | None]:
+    """Everything after training: threshold sweep and registry entry.
+
+    Returns (entry, None), or (None, skip reason) when training diverged.
+    """
+    if isinstance(result, TrainingDivergedError):
+        logger.warning("training diverged for %s: %s", actor.actor_id, result)
+        return None, f"training diverged: {result}"
+    model = result
+
+    stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=actor.sample_size)
+    per_kind: dict[str, SweepResult] = {
+        kind: sweep_threshold(model.losses(rows), labels, stats)
+        for kind, rows, labels in actor.validation
+    }
 
     primary = per_kind[config.injections[0].kind.value]
     model.chosen_n = primary.best_n
@@ -371,23 +432,36 @@ def _train_single_actor(
         "confusion": primary.confusion.to_dict(),
         "f1_curve": list(primary.f1_curve),
         "per_kind": {kind: result.to_dict() for kind, result in per_kind.items()},
-        "train_size": len(train_part),
-        "sample_size": len(sample),
-        "val_size": len(val_part),
+        "train_size": actor.train_size,
+        "sample_size": actor.sample_size,
+        "val_size": actor.val_size,
     }
     metadata = {
-        "dataset_hash": _dataset_hash(train_part),
+        "dataset_hash": actor.dataset_hash,
         "config_hash": config.config_hash(),
     }
     entry = RegistryEntry(
-        actor_id=actor_id,
+        actor_id=actor.actor_id,
         model=model,
-        encoder=encoder,
+        encoder=actor.encoder,
         status=status,
         metrics=metrics,
         metadata=metadata,
     )
     return entry, None
+
+
+def _train_single_actor(
+    actor_id: str,
+    actor_events: Sequence[LogEvent],
+    config: PipelineConfig,
+) -> tuple[RegistryEntry | None, str | None]:
+    """Run the whole per-actor pipeline; returns (entry, skip_reason)."""
+    actor, reason = _prepare_actor(actor_id, actor_events, config)
+    if actor is None:
+        return None, reason
+    (result,) = train([actor.job], config.train)
+    return _finish_actor(actor, result, config)
 
 
 def run_train_workflow(
@@ -397,8 +471,12 @@ def run_train_workflow(
 ) -> TrainWorkflowResult:
     """Train and persist per-actor models over a raw event stream.
 
-    Actors below the minimum event floor are skipped with a warning. When
-    ``registry`` is given every trained entry is saved to it.
+    Three phases: prepare every actor (split, vocabularies, sample,
+    injected validation), fit all prepared actors in one ``train`` call, then
+    sweep each actor's threshold and build its entry. An actor that is below
+    the minimum event floor, cannot be validated or diverges is skipped with
+    a warning and a reason in the summary. When ``registry`` is given every
+    trained entry is saved to it.
 
     Raises:
         WorkflowError: the filtered stream contains no actors at all.
@@ -408,17 +486,34 @@ def run_train_workflow(
     if not groups:
         raise WorkflowError("no events left after filtering")
 
-    reports: list[ActorTrainReport] = []
+    reasons: dict[str, str] = {}
+    prepared: list[_PreparedActor] = []
     for actor_id in sorted(groups):
-        entry, reason = _train_single_actor(actor_id, groups[actor_id], config)
+        actor, reason = _prepare_actor(actor_id, groups[actor_id], config)
+        if actor is None:
+            reasons[actor_id] = reason
+        else:
+            prepared.append(actor)
+
+    entries: dict[str, RegistryEntry] = {}
+    results = train([actor.job for actor in prepared], config.train)
+    for actor, result in zip(prepared, results):
+        entry, reason = _finish_actor(actor, result, config)
         if entry is None:
-            logger.warning("skipping actor %s: %s", actor_id, reason)
-            reports.append(ActorTrainReport(actor_id, None, reason))
+            reasons[actor.actor_id] = reason
             continue
         if registry is not None:
             registry.save(entry)
-        reports.append(ActorTrainReport(actor_id, entry))
-    if not any(report.trained for report in reports):
+        entries[actor.actor_id] = entry
+
+    reports = []
+    for actor_id in sorted(groups):
+        if actor_id in reasons:
+            logger.warning("skipping actor %s: %s", actor_id, reasons[actor_id])
+            reports.append(ActorTrainReport(actor_id, None, reasons[actor_id]))
+        else:
+            reports.append(ActorTrainReport(actor_id, entries[actor_id]))
+    if not entries:
         logger.warning("train workflow produced no models")
     return TrainWorkflowResult(reports=reports, config=config)
 

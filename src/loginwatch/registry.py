@@ -46,7 +46,7 @@ class RegistryNotFoundError(LookupError):
 
 
 class RegistryIntegrityError(RuntimeError):
-    """A stored document failed its checksum or version check."""
+    """A stored document failed its checksum or version check, or its content does not fit."""
 
 
 class UnsafeActorIdError(ValueError):
@@ -223,13 +223,22 @@ class ModelRegistry:
 
         Raises:
             RegistryNotFoundError: no saved model for the actor.
-            RegistryIntegrityError: the newest document is corrupt.
+            RegistryIntegrityError: the newest document is corrupt, or its
+                sealed content does not rebuild a model (a missing member, a
+                ``theta`` of the wrong length).
         """
         paths = self.entry_paths(actor_id)
         if not paths:
             raise RegistryNotFoundError(f"no model saved for actor {actor_id!r}")
         newest = paths[-1]  # names sort chronologically
-        return RegistryEntry.from_document(_unseal(newest))
+        document = _unseal(newest)
+        try:
+            return RegistryEntry.from_document(document)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RegistryIntegrityError(
+                f"{newest} passed its checksum but does not hold a valid model "
+                f"({type(exc).__name__}: {exc}); retrain the actor to replace it"
+            ) from exc
 
     def actors(self) -> list[str]:
         if not self.root.is_dir():

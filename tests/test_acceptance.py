@@ -38,12 +38,11 @@ from loginwatch.model import (
     TrainConfig,
     dice_coefficient,
     gradient_check,
-    train,
 )
 from loginwatch.pipeline import PipelineConfig, run_train_workflow, stratified_sample
 from loginwatch.synth import generate_actor_profile, generate_corpus, generate_logins
 
-from test_model import SIZES, random_rows
+from test_model import SIZES, fit, random_rows
 
 # training settings for the acceptance experiments; hotter and longer than the
 # library defaults so every synthetic actor converges inside the time budget
@@ -109,7 +108,7 @@ def test_single_actor_perfect_separation(capsys):
 
     sample = stratified_sample(train_part, 0.1, 10, seed=1234)
     config = TrainConfig(seed=99, **ACCEPT_TRAIN)
-    model = train(encode(sample), config, sizes, actor_id=profile.actor_id)
+    model = fit(encode(sample), config, sizes, actor_id=profile.actor_id)
     mutated, labels = inject(
         val_part, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.1, seed=5)
     )

@@ -20,9 +20,9 @@ from loginwatch.detect import (
     sweep_threshold,
 )
 from loginwatch.encoding import Label
-from loginwatch.model import TrainConfig, train
+from loginwatch.model import TrainConfig
 
-from test_model import SIZES, random_rows
+from test_model import SIZES, fit, random_rows
 
 
 class TestLossStats:
@@ -204,7 +204,7 @@ class TestScoreEvents:
     def _trained(self):
         rows = random_rows(64, seed=30)
         config = TrainConfig(epochs=10, seed=5)
-        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
+        model = fit(rows, config)
         return model, rows
 
     def test_records_sorted_by_loss_descending(self):

@@ -10,7 +10,6 @@ import pytest
 from loginwatch.encoding import (
     FEATURE_ORDER,
     MAX_EMBEDDING_DIM,
-    STRING_FEATURES,
     TimeMode,
     build_event_indices,
     build_index,
@@ -65,15 +64,6 @@ class TestStringIndex:
         index = build_index(["a", "Z"], "client_os")
         assert index.index_of("Z") == 1
         assert index.index_of("a") == 2
-
-    def test_value_of_inverts_index_of(self):
-        index = build_index(["x", "y", "z"], "f")
-        for value in ("x", "y", "z"):
-            assert index.value_of(index.index_of(value)) == value
-        with pytest.raises(ValueError):
-            index.value_of(0)
-        with pytest.raises(ValueError):
-            index.value_of(4)
 
     def test_empty_string_is_a_real_level(self):
         # missing locations encode as "" and must stay distinguishable from OOV
@@ -221,9 +211,6 @@ class TestFeatureSizes:
         sizes = feature_sizes(build_event_indices(events), TimeMode.COARSE)
         assert sizes["event_hour"] == 1
         assert sizes["weekday"] == 1
-
-    def test_string_features_constant_lists_agree(self):
-        assert set(STRING_FEATURES) | {"known_app", "event_hour", "weekday"} == set(FEATURE_ORDER)
 
 
 class TestObservedHours:

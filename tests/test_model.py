@@ -15,6 +15,12 @@ from loginwatch.model import (
     LossMode,
     TrainConfig,
     TrainingDivergedError,
+    TrainJob,
+    _Bank,
+    _corner,
+    _finite_differences,
+    _relative_error,
+    _Stack,
     dice_coefficient,
     gradient_check,
     train,
@@ -49,6 +55,20 @@ def random_rows(count: int, seed: int) -> np.ndarray:
         [int(rng.integers(low, high)) for low, high in bounds] for _ in range(count)
     ]
     return np.array(rows, dtype=np.int64).reshape(count, len(FEATURE_ORDER))
+
+
+def fit(rows, config: TrainConfig, sizes=SIZES, actor_id: str = "u1") -> Autoencoder:
+    """The model of a one-job ``train`` call."""
+    (model,) = train([TrainJob(actor_id, rows, sizes, config.seed)], config)
+    assert isinstance(model, Autoencoder), model
+    return model
+
+
+def analytic_gradient(model: Autoencoder, rows) -> np.ndarray:
+    """Gradient of the mean loss of ``rows``, in the layout of ``theta``."""
+    pos = model._positions(model._indices(rows))[None]
+    weight = np.full(pos.shape[:2], 1.0 / pos.shape[1])
+    return model._stack.gradient(model._stack.forward(pos), weight)
 
 
 def oracle_dissim(rec_row: np.ndarray, emb_row: np.ndarray) -> float:
@@ -198,7 +218,7 @@ class TestForward:
         with pytest.raises(ValueError, match="2-D integer array with 8 columns"):
             model.losses(rows)
         with pytest.raises(ValueError, match="2-D integer array with 8 columns"):
-            train(rows, TrainConfig(epochs=1), feature_sizes=SIZES, actor_id="u1")
+            train([TrainJob("u1", rows, SIZES, 0)], TrainConfig(epochs=1))
 
 
 class TestConstruction:
@@ -274,7 +294,7 @@ class TestGradients:
     def test_untouched_embedding_rows_get_zero_gradient(self):
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=6)
         row = random_rows(1, seed=60)[0]
-        grads = model._views(model._backward(model._forward(model._indices(row[None]))))
+        grads = model._views(analytic_gradient(model, row[None]))
         for name, used in zip(FEATURE_ORDER, row):
             table = grads[name]
             for row in range(table.shape[0]):
@@ -289,7 +309,7 @@ class TestGradients:
             feature_weights={"client_os": 0.0},
         )
         row = random_rows(1, seed=70)[0]
-        grads = model._views(model._backward(model._forward(model._indices(row[None]))))
+        grads = model._views(analytic_gradient(model, row[None]))
         cols = dict(model._feature_columns())["client_os"]
         assert np.all(grads["head"][cols] == 0.0)
         assert np.all(grads["head_bias"][cols] == 0.0)
@@ -302,14 +322,14 @@ class TestTraining:
         row = random_rows(1, seed=11)[0]
         dataset = np.tile(row, (32, 1))
         config = TrainConfig(epochs=300, batch_size=32, learning_rate=0.1, seed=0)
-        model = train(dataset, config, feature_sizes=SIZES, actor_id="u1")
+        model = fit(dataset, config)
         assert model.epoch_losses[-1] < 0.01
         assert model.epoch_losses[-1] < model.epoch_losses[0]
 
     def test_epoch_losses_and_stats_recorded(self):
         rows = random_rows(64, seed=12)
         config = TrainConfig(epochs=5, seed=1)
-        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
+        model = fit(rows, config)
         assert len(model.epoch_losses) == 5
         assert model.train_mu is not None
         assert model.train_sigma is not None
@@ -321,42 +341,148 @@ class TestTraining:
     def test_deterministic_given_seed(self):
         rows = random_rows(48, seed=13)
         config = TrainConfig(epochs=4, seed=9)
-        a = train(rows, config, feature_sizes=SIZES, actor_id="u1")
-        b = train(rows, config, feature_sizes=SIZES, actor_id="u1")
+        a = fit(rows, config)
+        b = fit(rows, config)
         assert a.epoch_losses == b.epoch_losses
         assert np.array_equal(a.losses(rows), b.losses(rows))
         other = TrainConfig(epochs=4, seed=10)
-        c = train(rows, other, feature_sizes=SIZES, actor_id="u1")
+        c = fit(rows, other)
         assert not np.array_equal(a.losses(rows), c.losses(rows))
 
     def test_empty_dataset_rejected(self):
         empty = np.zeros((0, len(FEATURE_ORDER)), dtype=np.int64)
         with pytest.raises(ValueError, match="empty"):
-            train(empty, TrainConfig(), actor_id="u1")
+            train([TrainJob("u1", empty, None, 0)], TrainConfig())
 
     def test_index_beyond_declared_size_rejected(self):
         rows = random_rows(4, seed=14)
         sizes = dict(SIZES)
         sizes["event_hour"] = 1
         with pytest.raises(ValueError, match="event_hour"):
-            train(rows, TrainConfig(epochs=1), feature_sizes=sizes, actor_id="u1")
+            train([TrainJob("u1", rows, sizes, 0)], TrainConfig(epochs=1))
 
     def test_sizes_inferred_from_data_when_omitted(self):
         rows = random_rows(30, seed=15)
-        model = train(rows, TrainConfig(epochs=1, seed=0), actor_id="u1")
+        model = fit(rows, TrainConfig(epochs=1, seed=0), sizes=None)
         for f, name in enumerate(FEATURE_ORDER):
             observed = max(int(row[f]) for row in rows)
             assert model.feature_sizes[name] == max(observed, 1)
 
-    def test_non_finite_loss_raises(self, monkeypatch):
+    def test_non_finite_loss_reported_with_its_epoch(self, monkeypatch):
         rows = random_rows(8, seed=16)
+        forward = _Stack.forward
+        calls = []
 
-        def bad_forward(self, idx):
-            return {"losses": np.full(idx.shape[0], np.nan)}
+        def poisoned_forward(stack, pos):
+            calls.append(1)
+            if len(calls) == 1:
+                stack.params[0][0, 0, 0] = np.nan  # w1 of the one job
+            return forward(stack, pos)
 
-        monkeypatch.setattr(Autoencoder, "_forward", bad_forward)
-        with pytest.raises(TrainingDivergedError, match="epoch 1"):
-            train(rows, TrainConfig(epochs=2), feature_sizes=SIZES, actor_id="u1")
+        monkeypatch.setattr(_Stack, "forward", poisoned_forward)
+        (result,) = train([TrainJob("u1", rows, SIZES, 0)], TrainConfig(epochs=2))
+        assert isinstance(result, TrainingDivergedError)
+        assert "epoch 1" in str(result)
+
+
+# Vocabularies that give the bank jobs of different input_dim: 31, 28 and 13.
+WIDE_SIZES = {**SIZES, "geohash": 9}
+COARSE_SIZES = {**SIZES, "event_hour": 1, "weekday": 1}
+
+
+def rows_within(sizes, count: int, seed: int) -> np.ndarray:
+    """``count`` random index rows, each column within its feature's size."""
+    rng = np.random.default_rng(seed)
+    highs = [sizes[name] + 1 for name in FEATURE_ORDER]
+    return np.stack([rng.integers(0, high, size=count) for high in highs], axis=1)
+
+
+def assert_same_fit(bank_model: Autoencoder, solo: Autoencoder) -> None:
+    assert bank_model.actor_id == solo.actor_id
+    assert np.allclose(bank_model.theta, solo.theta, rtol=0.0, atol=1e-12)
+    assert np.allclose(bank_model.epoch_losses, solo.epoch_losses, rtol=0.0, atol=1e-12)
+    assert bank_model.train_mu == pytest.approx(solo.train_mu, rel=0.0, abs=1e-12)
+    assert bank_model.train_sigma == pytest.approx(solo.train_sigma, rel=0.0, abs=1e-12)
+
+
+class TestBank:
+    """Several jobs in one ``train`` call fit as each would alone."""
+
+    def jobs(self) -> list[TrainJob]:
+        # 70 rows: 3 batches, the last one partial; 40 rows: 2 batches;
+        # 100 rows: 4 batches; 20 rows: 1 partial batch
+        return [
+            TrainJob("wide", rows_within(WIDE_SIZES, 70, seed=1), WIDE_SIZES, seed=11),
+            TrainJob("plain", rows_within(SIZES, 40, seed=2), SIZES, seed=12),
+            TrainJob("coarse", rows_within(COARSE_SIZES, 100, seed=3), COARSE_SIZES, seed=13),
+            TrainJob("tiny", rows_within(SIZES, 20, seed=4), SIZES, seed=14),
+        ]
+
+    @pytest.mark.parametrize("mode", list(LossMode))
+    def test_each_job_equals_its_one_job_fit(self, mode):
+        config = TrainConfig(
+            epochs=4, batch_size=32, learning_rate=0.1, hidden_dim=6, code_dim=4,
+            loss_mode=mode, feature_weights={"outcome": 2.0},
+        )
+        jobs = self.jobs()
+        bank = train(jobs, config)
+        assert [model.input_dim for model in bank] == [31, 28, 13, 28]
+        for job, model in zip(jobs, bank):
+            (solo,) = train([job], config)
+            assert_same_fit(model, solo)
+
+    def test_diverged_job_is_reported_and_the_others_carry_on(self, monkeypatch):
+        config = TrainConfig(epochs=3, learning_rate=0.1, hidden_dim=6, code_dim=4)
+        jobs = self.jobs()[:3]
+        solos = [train([job], config)[0] for job in jobs]
+        forward = _Stack.forward
+        calls = []
+
+        def poisoned_forward(stack, pos):
+            if stack.segments.shape[0] == 3:
+                calls.append(1)
+                # Stacked by row count, the jobs sit as coarse, wide, plain;
+                # the third three-job batch is the first batch of epoch 2.
+                if len(calls) == 3:
+                    stack.params[0][1, 0, 0] = np.nan  # w1 of "wide"
+            return forward(stack, pos)
+
+        monkeypatch.setattr(_Stack, "forward", poisoned_forward)
+        wide, plain, coarse = train(jobs, config)
+        assert isinstance(wide, TrainingDivergedError)
+        assert str(wide) == "non-finite loss in epoch 2"
+        assert_same_fit(plain, solos[1])
+        assert_same_fit(coarse, solos[2])
+
+    def test_gradient_matches_finite_differences_and_padding_gets_none(self):
+        wide = Autoencoder("wide", WIDE_SIZES, hidden_dim=5, code_dim=3, seed=1)
+        coarse = Autoencoder("coarse", COARSE_SIZES, hidden_dim=5, code_dim=3, seed=2)
+        bank = _Bank([wide, coarse])
+        stack = bank.stack
+        # two rows for the wide job; one for the coarse job beside a padding row
+        pos = np.full((2, 2, wide.input_dim), bank.zero)
+        pos[0] = bank.positions(0, rows_within(WIDE_SIZES, 2, seed=5))
+        pos[1, :1] = bank.positions(1, rows_within(COARSE_SIZES, 1, seed=6))
+        weight = np.array([[0.5, 0.5], [1.0, 0.0]])
+        analytic, numeric = _finite_differences(stack, pos, weight)
+
+        # which job owns each entry of the bank; padding and the zero slot own none
+        owner = np.full(stack.flat.size, -1)
+        for k, model in enumerate(bank.models):
+            for span, stacked, own in zip(stack.spans, stack.params, model._stack.params):
+                block = owner[span].reshape(stacked.shape)
+                block[k][_corner(own[0])] = k
+                owner[span] = block.ravel()
+            owner[bank._tables[k]] = k
+        assert np.count_nonzero(owner == -1) == (
+            5 * (31 - 13) * 2 + (31 - 13) + 1  # w1 columns, head rows, head_bias, zero slot
+        )
+
+        errors = _relative_error(analytic, numeric)
+        for k in (0, 1):
+            assert errors[owner == k].max() < 1e-4
+        assert np.all(analytic[owner == -1] == 0.0)
+        assert np.all(numeric[owner == -1] == 0.0)
 
 
 class TestTrainConfig:
@@ -378,7 +504,7 @@ class TestPersistence:
     def test_state_round_trip_is_bit_exact(self):
         rows = random_rows(40, seed=17)
         config = TrainConfig(epochs=3, seed=2)
-        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
+        model = fit(rows, config)
         state = model.to_state()
         json.dumps(state)
         restored = Autoencoder.from_state(state)
@@ -390,7 +516,7 @@ class TestPersistence:
     def test_state_survives_json_serialization(self):
         rows = random_rows(20, seed=18)
         config = TrainConfig(epochs=2, seed=3)
-        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
+        model = fit(rows, config)
         rehydrated = json.loads(json.dumps(model.to_state()))
         restored = Autoencoder.from_state(rehydrated)
         assert np.array_equal(model.losses(rows), restored.losses(rows))
@@ -510,7 +636,7 @@ class TestPersistence:
         config = TrainConfig(
             epochs=3, seed=4, loss_mode=mode, feature_weights={"outcome": 2.0}
         )
-        model = train(rows, config, feature_sizes=SIZES, actor_id="u1")
+        model = fit(rows, config)
         restored = Autoencoder.from_state(model.to_state())
         assert np.array_equal(restored.theta, model.theta)
         assert np.array_equal(restored.losses(rows), model.losses(rows))

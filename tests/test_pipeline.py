@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -267,6 +268,36 @@ class TestTrainWorkflow:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["registry"]
         assert registry.actors() == ["u1"]
 
+    def test_actor_without_coordinates_skipped_and_the_other_trains(
+        self, corpus_events, tmp_path
+    ):
+        # LOCATION injection needs events with coordinates, and u002 has none
+        events = [
+            dataclasses.replace(e, latitude=None, longitude=None)
+            if e.actor_id == "u002" else e
+            for e in corpus_events
+        ]
+        registry = ModelRegistry(tmp_path / "registry")
+        summary = run_train_workflow(events, fast_config(), registry).to_summary()
+        assert set(summary["actors"]) == {"u001"}
+        assert summary["skipped"]["u002"] == (
+            "cannot validate: LOCATION: need 11 eligible events, have 0"
+        )
+        assert registry.actors() == ["u001"]
+
+    def test_actor_with_degenerate_validation_skipped(self, corpus_events):
+        # 2% of the 24 validation events of "small" rounds to no injection
+        config = fast_config(
+            injections=[InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.02)],
+            train=TrainConfig(epochs=2, seed=0),
+        )
+        events = corpus_events + crafted_events("small", 120)
+        summary = run_train_workflow(events, config).to_summary()
+        assert set(summary["actors"]) == {"u001", "u002"}
+        assert summary["skipped"]["small"] == (
+            "cannot validate: sweep needs at least one injected and one normal event"
+        )
+
     def test_empty_after_filter_raises(self):
         bare = crafted_events("u1", 5)
         other = [
@@ -329,7 +360,7 @@ class TestScoreWorkflow:
         assert sorted(result.unscorable) == sorted(["../victim", absolute])
         assert result.reports == {}
 
-    @pytest.mark.parametrize("damage", ["emptied", "version_2_sealed"])
+    @pytest.mark.parametrize("damage", ["emptied", "version_2_sealed", "theta_cut_sealed"])
     def test_corrupt_newest_model_leaves_other_actors_scored(
         self, corpus_events, trained_registry, damage, caplog
     ):
@@ -339,7 +370,11 @@ class TestScoreWorkflow:
         else:
             document = json.loads(newest.read_bytes())
             del document["checksum"]
-            newest.write_bytes(_seal(version_2_document(document)))
+            if damage == "version_2_sealed":
+                document = version_2_document(document)
+            else:  # passes its checksum, but theta is 9 bytes short
+                document["model"]["theta"] = document["model"]["theta"][:-12]
+            newest.write_bytes(_seal(document))
         with caplog.at_level(logging.WARNING, logger="loginwatch.pipeline"):
             result = run_score_workflow(corpus_events, fast_config(), trained_registry)
         assert sorted(result.reports) == ["u001"]

@@ -11,7 +11,7 @@ import pytest
 
 from loginwatch.apps import AppSuperset
 from loginwatch.encoding import FEATURE_ORDER, TimeMode, build_index
-from loginwatch.model import Autoencoder, TrainConfig, train
+from loginwatch.model import Autoencoder, TrainConfig
 from loginwatch.registry import (
     EncoderState,
     EntryStatus,
@@ -23,7 +23,7 @@ from loginwatch.registry import (
     _seal,
 )
 
-from test_model import SIZES, random_rows
+from test_model import SIZES, fit, random_rows
 
 GOLDEN_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry"
 
@@ -47,7 +47,7 @@ def make_encoder_state() -> EncoderState:
 def make_entry(actor: str = "u1", seed: int = 0, f1: float = 0.9) -> RegistryEntry:
     rows = random_rows(30, seed=seed)
     config = TrainConfig(epochs=2, seed=seed)
-    model = train(rows, config, feature_sizes=SIZES, actor_id=actor)
+    model = fit(rows, config, actor_id=actor)
     model.chosen_n = 2.5
     return RegistryEntry(
         actor_id=actor,
@@ -173,6 +173,27 @@ class TestIntegrity:
         path = registry.save(make_entry())
         path.write_bytes(hostile_payload(path.read_bytes(), damage))
         with pytest.raises(RegistryIntegrityError, match="checksum") as caught:
+            registry.load("u1")
+        assert str(path) in str(caught.value)
+        assert "retrain" in str(caught.value)
+
+    @pytest.mark.parametrize("damage", ["theta_cut", "member_missing", "status_unknown"])
+    def test_sealed_document_that_does_not_fit_refused_naming_the_path(
+        self, tmp_path, damage
+    ):
+        # the checksum holds, so only rebuilding the entry finds the fault
+        registry = ModelRegistry(tmp_path)
+        path = registry.save(make_entry())
+        document = json.loads(path.read_bytes())
+        del document["checksum"]
+        if damage == "theta_cut":
+            document["model"]["theta"] = document["model"]["theta"][:-12]
+        elif damage == "member_missing":
+            del document["encoder"]
+        else:
+            document["status"] = "RETIRED"
+        path.write_bytes(_seal(document))
+        with pytest.raises(RegistryIntegrityError, match="not hold a valid model") as caught:
             registry.load("u1")
         assert str(path) in str(caught.value)
         assert "retrain" in str(caught.value)
