@@ -7,9 +7,9 @@ sweeping a fixed grid and keeping the best F1 against injected ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,82 +71,45 @@ class SweepResult:
         }
 
 
-@dataclass(frozen=True)
-class ScoredEvent:
-    """One scored event in a report, identified by its input position."""
-
-    position: int
-    loss: float
-    classification: Classification
-    label: Label | None = None
-
-
 @dataclass
 class DetectionReport:
-    """Scoring output for one actor's event batch."""
+    """Scoring output for one actor's event batch: its loss vector and threshold.
+
+    ``losses`` holds one reconstruction loss per scored row, in input order;
+    ``flagged`` marks the rows whose loss is strictly above
+    mu + threshold_n * sigma.
+    """
 
     actor_id: str
     threshold_n: float
     mu: float
     sigma: float
-    records: list[ScoredEvent] = field(default_factory=list)
+    losses: np.ndarray
+    flagged: np.ndarray
 
     @property
     def anomaly_count(self) -> int:
-        return sum(
-            1 for r in self.records if r.classification is Classification.ANOMALY
-        )
+        return int(self.flagged.sum())
 
     @property
     def anomaly_rate(self) -> float:
-        return self.anomaly_count / len(self.records) if self.records else 0.0
+        return self.anomaly_count / len(self.losses) if len(self.losses) else 0.0
 
-    def confusion(self) -> Confusion | None:
-        """Confusion against labels, when every record carries one."""
-        if not self.records or any(r.label is None for r in self.records):
-            return None
-        tp = fp = fn = tn = 0
-        for r in self.records:
-            flagged = r.classification is Classification.ANOMALY
-            injected = r.label is Label.INJECTED
-            if flagged and injected:
-                tp += 1
-            elif flagged:
-                fp += 1
-            elif injected:
-                fn += 1
-            else:
-                tn += 1
-        return Confusion(tp=tp, fp=fp, fn=fn, tn=tn)
-
-    def to_dict(self) -> dict:
-        confusion = self.confusion()
-        out = {
-            "actor_id": self.actor_id,
-            "threshold_n": self.threshold_n,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "event_count": len(self.records),
-            "anomaly_count": self.anomaly_count,
-            "anomaly_rate": self.anomaly_rate,
-            "records": [
-                {
-                    "position": r.position,
-                    "actor_id": self.actor_id,
-                    "loss": r.loss,
-                    "classification": r.classification.value,
-                    "label": r.label.value if r.label is not None else None,
-                }
-                for r in self.records
-            ],
-        }
-        if confusion is not None:
-            out["confusion"] = confusion.to_dict()
-            try:
-                out["f1"] = f1_score(confusion.tp, confusion.fp, confusion.fn)
-            except UndefinedMetricError:
-                out["f1"] = None
-        return out
+    def records(self) -> Iterator[dict]:
+        """One record per row, loss descending, equal losses in input order."""
+        losses = self.losses.tolist()
+        flagged = self.flagged.tolist()
+        for position in np.argsort(-self.losses, kind="stable").tolist():
+            yield {
+                "position": position,
+                "actor_id": self.actor_id,
+                "loss": losses[position],
+                "classification": (
+                    Classification.ANOMALY if flagged[position] else Classification.NORMAL
+                ).value,
+                # Always null; kept so that ``score --out`` keeps its byte form.
+                "label": None,
+            }
 
 
 def loss_stats(losses: Sequence[float]) -> LossStats:
@@ -248,13 +211,7 @@ def sweep_threshold(
     )
 
 
-def score_events(
-    model: Autoencoder,
-    rows,
-    n: float | None = None,
-    *,
-    labels: Sequence[Label] | None = None,
-) -> DetectionReport:
+def score_events(model: Autoencoder, rows, n: float | None = None) -> DetectionReport:
     """Score index rows with a trained model and its stored threshold.
 
     Each row is classified as ``classify`` would: ANOMALY when its loss is
@@ -265,10 +222,9 @@ def score_events(
             chosen_n, unless ``n`` overrides it).
         rows: ``(N, 8)`` integer index matrix of the events to score.
         n: threshold multiplier; defaults to the model's chosen_n.
-        labels: one label per row, carried into the report (validation runs).
 
     Returns:
-        DetectionReport with records sorted by loss descending.
+        DetectionReport with the rows' losses and flags in input order.
     """
     if model.train_mu is None or model.train_sigma is None:
         raise ValueError("model has no training statistics")
@@ -278,23 +234,11 @@ def score_events(
     if threshold_n < 0:
         raise ValueError(f"n must be >= 0, got {threshold_n}")
     losses = model.losses(rows)
-    if labels is not None and len(labels) != len(losses):
-        raise ValueError(f"{len(losses)} rows but {len(labels)} labels")
-    flagged = losses > model.train_mu + threshold_n * model.train_sigma
-    records = [
-        ScoredEvent(
-            position=i,
-            loss=loss,
-            classification=Classification.ANOMALY if flag else Classification.NORMAL,
-            label=None if labels is None else labels[i],
-        )
-        for i, (loss, flag) in enumerate(zip(losses.tolist(), flagged.tolist()))
-    ]
-    records.sort(key=lambda r: (-r.loss, r.position))
     return DetectionReport(
         actor_id=model.actor_id,
         threshold_n=float(threshold_n),
         mu=model.train_mu,
         sigma=model.train_sigma,
-        records=records,
+        losses=losses,
+        flagged=losses > model.train_mu + threshold_n * model.train_sigma,
     )

@@ -77,7 +77,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     hidden_dim: int = 16
     code_dim: int = 8
-    seed: int = 0
     loss_mode: LossMode = LossMode.SUM
     feature_weights: dict[str, float] = field(default_factory=dict)
 
@@ -647,15 +646,13 @@ class TrainJob:
     """One actor's share of a ``train`` call.
 
     ``rows`` is the actor's ``(N, 8)`` index matrix. ``feature_sizes`` is
-    the largest valid index per feature; when None it is each column's
-    maximum (at least 1), which is only safe if the rows cover every index
-    the model will ever see. ``seed`` fixes the initial parameters and the
-    order of the batches.
+    the largest valid index per feature. ``seed`` fixes the initial
+    parameters and the order of the batches.
     """
 
     actor_id: str
     rows: np.ndarray
-    feature_sizes: Mapping[str, int] | None
+    feature_sizes: Mapping[str, int]
     seed: int
 
 
@@ -692,13 +689,9 @@ def train(
         rows = _check_rows(job.rows)
         if rows.shape[0] == 0:
             raise ValueError(f"dataset of {job.actor_id!r} is empty")
-        if job.feature_sizes:
-            sizes = dict(job.feature_sizes)
-        else:
-            sizes = dict(zip(FEATURE_ORDER, np.maximum(rows.max(axis=0), 1).tolist()))
         model = Autoencoder(
             job.actor_id,
-            sizes,
+            job.feature_sizes,
             hidden_dim=config.hidden_dim,
             code_dim=config.code_dim,
             seed=job.seed,

@@ -84,6 +84,13 @@ class WorkflowError(RuntimeError):
     """The workflow cannot proceed (for example, no eligible actors)."""
 
 
+def _check_keys(cls, data: Mapping, prefix: str = "") -> None:
+    """Refuse config keys that name no field of the dataclass ``cls``."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(prefix + key for key in unknown)}")
+
+
 @dataclass
 class PipelineConfig:
     """Knobs for the train and score workflows."""
@@ -122,12 +129,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(cls, data)
         kwargs = dict(data)
         if "train" in kwargs and isinstance(kwargs["train"], Mapping):
+            _check_keys(TrainConfig, kwargs["train"], prefix="train.")
             kwargs["train"] = TrainConfig(**kwargs["train"])
         if "injections" in kwargs:
             kwargs["injections"] = [
@@ -137,38 +142,8 @@ class PipelineConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "filter_mode": self.filter_mode.value,
-            "time_mode": self.time_mode.value,
-            "geohash_precision": self.geohash_precision,
-            "wilson_z": self.wilson_z,
-            "superset_threshold": self.superset_threshold,
-            "sample_fraction": self.sample_fraction,
-            "sample_repetitions": self.sample_repetitions,
-            "min_events": self.min_events,
-            "train_split": self.train_split,
-            "retrain_f1_floor": self.retrain_f1_floor,
-            "seed": self.seed,
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "hidden_dim": self.train.hidden_dim,
-                "code_dim": self.train.code_dim,
-                "seed": self.train.seed,
-                "loss_mode": self.train.loss_mode.value,
-                "feature_weights": dict(self.train.feature_weights),
-            },
-            "injections": [
-                {
-                    "kind": spec.kind.value,
-                    "fraction": spec.fraction,
-                    "distance_miles": spec.distance_miles,
-                    "seed": spec.seed,
-                }
-                for spec in self.injections
-            ],
-        }
+        # Enum fields stay members; they are str Enums, so JSON gets their values.
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -528,7 +503,7 @@ class ScoreWorkflowResult:
         return {
             "actors": {
                 actor_id: {
-                    "event_count": len(report.records),
+                    "event_count": len(report.losses),
                     "anomaly_count": report.anomaly_count,
                     "anomaly_rate": report.anomaly_rate,
                     "threshold_n": report.threshold_n,
@@ -561,12 +536,10 @@ def run_score_workflow(
     included. This is intended: a stale model no longer describes the actor.
     The cost is that an anomaly inside the fitted share is part of the new
     baseline and less likely to be flagged.
-    """
-    filtered = filter_entry_events(events, config.filter_mode)
-    groups = _group_by_actor(filtered)
-    if not groups:
-        raise WorkflowError("no events left after filtering")
 
+    A batch with no events left after filtering gives an empty result.
+    """
+    groups = _group_by_actor(filter_entry_events(events, config.filter_mode))
     reports: dict[str, DetectionReport] = {}
     unscorable: list[str] = []
     retrained: list[str] = []

@@ -107,8 +107,8 @@ def test_single_actor_perfect_separation(capsys):
         return np.array(rows, dtype=np.int64)
 
     sample = stratified_sample(train_part, 0.1, 10, seed=1234)
-    config = TrainConfig(seed=99, **ACCEPT_TRAIN)
-    model = fit(encode(sample), config, sizes, actor_id=profile.actor_id)
+    config = TrainConfig(**ACCEPT_TRAIN)
+    model = fit(encode(sample), config, sizes, actor_id=profile.actor_id, seed=99)
     mutated, labels = inject(
         val_part, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.1, seed=5)
     )

@@ -203,39 +203,49 @@ class TestSweep:
 class TestScoreEvents:
     def _trained(self):
         rows = random_rows(64, seed=30)
-        config = TrainConfig(epochs=10, seed=5)
-        model = fit(rows, config)
+        model = fit(rows, TrainConfig(epochs=10), seed=5)
         return model, rows
+
+    def test_losses_in_input_order(self):
+        model, rows = self._trained()
+        report = score_events(model, rows, n=2.0)
+        assert np.array_equal(report.losses, model.losses(rows))
+        assert report.threshold_n == 2.0
+        assert report.mu == model.train_mu
+        assert report.sigma == model.train_sigma
 
     def test_records_sorted_by_loss_descending(self):
         model, rows = self._trained()
+        rows = np.concatenate([rows, rows[:8]])  # the last 8 rows repeat, so ties occur
         report = score_events(model, rows, n=2.0)
-        losses = [r.loss for r in report.records]
-        assert losses == sorted(losses, reverse=True)
-        assert {r.position for r in report.records} == set(range(len(rows)))
-        assert report.threshold_n == 2.0
-        assert report.mu == model.train_mu
+        records = list(report.records())
+        keys = [(-r["loss"], r["position"]) for r in records]
+        assert keys == sorted(keys)
+        assert len({r["loss"] for r in records}) < len(records)
+        assert sorted(r["position"] for r in records) == list(range(len(rows)))
+        for r in records:
+            assert r["loss"] == report.losses[r["position"]]
+            assert r["actor_id"] == model.actor_id
+            assert r["label"] is None
 
     def test_classifications_match_threshold(self):
         model, rows = self._trained()
         report = score_events(model, rows, n=1.0)
         cut = model.train_mu + 1.0 * model.train_sigma
-        for record in report.records:
-            expected = (
-                Classification.ANOMALY if record.loss > cut else Classification.NORMAL
-            )
-            assert record.classification is expected
-        assert report.anomaly_count == sum(
-            1 for r in report.records if r.loss > cut
-        )
+        assert np.array_equal(report.flagged, report.losses > cut)
+        for r in report.records():
+            expected = Classification.ANOMALY if r["loss"] > cut else Classification.NORMAL
+            assert r["classification"] == expected.value
+        assert report.anomaly_count == sum(1 for loss in report.losses if loss > cut)
+        assert report.anomaly_rate == report.anomaly_count / len(rows)
 
     @pytest.mark.parametrize("n", [0.0, 0.5, 1.0, 2.5])
     def test_classifications_match_scalar_classify(self, n):
         model, rows = self._trained()
         stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=0)
         report = score_events(model, rows, n=n)
-        for record in report.records:
-            assert record.classification is classify(record.loss, stats, n)
+        for loss, flagged in zip(report.losses.tolist(), report.flagged.tolist()):
+            assert flagged == (classify(loss, stats, n) is Classification.ANOMALY)
 
     @pytest.mark.parametrize("sigma, n", [(0.25, 0.0), (0.0, 0.0), (0.0, 3.0)])
     def test_loss_exactly_at_threshold_is_normal(self, sigma, n):
@@ -247,40 +257,15 @@ class TestScoreEvents:
         model.train_sigma = sigma
         stats = LossStats(mu=model.train_mu, sigma=sigma, count=0)
         report = score_events(model, rows, n=n)
-        for record in report.records:
-            assert record.classification is classify(record.loss, stats, n)
-            if record.position == 7:
-                assert record.classification is Classification.NORMAL
+        for r in report.records():
+            assert r["classification"] == classify(r["loss"], stats, n).value
+        assert not report.flagged[7]
         assert report.anomaly_count == int((losses > losses[7]).sum()) > 0
 
     def test_negative_n_rejected(self):
         model, rows = self._trained()
         with pytest.raises(ValueError, match="n must be >= 0"):
             score_events(model, rows, n=-0.1)
-
-    def test_label_count_must_match_rows(self):
-        model, rows = self._trained()
-        with pytest.raises(ValueError, match="labels"):
-            score_events(model, rows, n=1.0, labels=[Label.NORMAL])
-
-    def test_labels_carried_only_on_request(self):
-        model, rows = self._trained()
-        plain = score_events(model, rows, n=1.0)
-        assert all(r.label is None for r in plain.records)
-        assert plain.confusion() is None
-        labels = [Label.NORMAL] * len(rows)
-        labelled = score_events(model, rows, n=1.0, labels=labels)
-        assert all(r.label is Label.NORMAL for r in labelled.records)
-        confusion = labelled.confusion()
-        assert confusion is not None
-        assert confusion.tp == 0
-        assert confusion.fn == 0
-
-    def test_labels_follow_their_rows(self):
-        model, rows = self._trained()
-        labels = [Label.INJECTED if i % 3 else Label.NORMAL for i in range(len(rows))]
-        report = score_events(model, rows, n=1.0, labels=labels)
-        assert all(r.label is labels[r.position] for r in report.records)
 
     def test_chosen_n_used_when_no_override(self):
         model, rows = self._trained()
@@ -299,16 +284,3 @@ class TestScoreEvents:
         model.train_mu = None
         with pytest.raises(ValueError, match="statistics"):
             score_events(model, rows, n=1.0)
-
-    def test_report_dict_has_f1_when_labelled(self):
-        model, rows = self._trained()
-        labels = [Label.NORMAL] * len(rows)
-        report = score_events(model, rows, n=0.0, labels=labels)
-        out = report.to_dict()
-        assert out["event_count"] == len(rows)
-        assert "confusion" in out
-        # all-normal labels: f1 may be 0.0 (some flagged) or None (none flagged)
-        assert out["f1"] in (0.0, None)
-        assert out["anomaly_rate"] == pytest.approx(
-            out["anomaly_count"] / out["event_count"]
-        )

@@ -57,9 +57,11 @@ def random_rows(count: int, seed: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(count, len(FEATURE_ORDER))
 
 
-def fit(rows, config: TrainConfig, sizes=SIZES, actor_id: str = "u1") -> Autoencoder:
+def fit(
+    rows, config: TrainConfig, sizes=SIZES, actor_id: str = "u1", seed: int = 0
+) -> Autoencoder:
     """The model of a one-job ``train`` call."""
-    (model,) = train([TrainJob(actor_id, rows, sizes, config.seed)], config)
+    (model,) = train([TrainJob(actor_id, rows, sizes, seed)], config)
     assert isinstance(model, Autoencoder), model
     return model
 
@@ -321,15 +323,14 @@ class TestTraining:
     def test_memorizes_a_single_pattern(self):
         row = random_rows(1, seed=11)[0]
         dataset = np.tile(row, (32, 1))
-        config = TrainConfig(epochs=300, batch_size=32, learning_rate=0.1, seed=0)
+        config = TrainConfig(epochs=300, batch_size=32, learning_rate=0.1)
         model = fit(dataset, config)
         assert model.epoch_losses[-1] < 0.01
         assert model.epoch_losses[-1] < model.epoch_losses[0]
 
     def test_epoch_losses_and_stats_recorded(self):
         rows = random_rows(64, seed=12)
-        config = TrainConfig(epochs=5, seed=1)
-        model = fit(rows, config)
+        model = fit(rows, TrainConfig(epochs=5), seed=1)
         assert len(model.epoch_losses) == 5
         assert model.train_mu is not None
         assert model.train_sigma is not None
@@ -340,19 +341,18 @@ class TestTraining:
 
     def test_deterministic_given_seed(self):
         rows = random_rows(48, seed=13)
-        config = TrainConfig(epochs=4, seed=9)
-        a = fit(rows, config)
-        b = fit(rows, config)
+        config = TrainConfig(epochs=4)
+        a = fit(rows, config, seed=9)
+        b = fit(rows, config, seed=9)
         assert a.epoch_losses == b.epoch_losses
         assert np.array_equal(a.losses(rows), b.losses(rows))
-        other = TrainConfig(epochs=4, seed=10)
-        c = fit(rows, other)
+        c = fit(rows, config, seed=10)
         assert not np.array_equal(a.losses(rows), c.losses(rows))
 
     def test_empty_dataset_rejected(self):
         empty = np.zeros((0, len(FEATURE_ORDER)), dtype=np.int64)
         with pytest.raises(ValueError, match="empty"):
-            train([TrainJob("u1", empty, None, 0)], TrainConfig())
+            train([TrainJob("u1", empty, SIZES, 0)], TrainConfig())
 
     def test_index_beyond_declared_size_rejected(self):
         rows = random_rows(4, seed=14)
@@ -360,13 +360,6 @@ class TestTraining:
         sizes["event_hour"] = 1
         with pytest.raises(ValueError, match="event_hour"):
             train([TrainJob("u1", rows, sizes, 0)], TrainConfig(epochs=1))
-
-    def test_sizes_inferred_from_data_when_omitted(self):
-        rows = random_rows(30, seed=15)
-        model = fit(rows, TrainConfig(epochs=1, seed=0), sizes=None)
-        for f, name in enumerate(FEATURE_ORDER):
-            observed = max(int(row[f]) for row in rows)
-            assert model.feature_sizes[name] == max(observed, 1)
 
     def test_non_finite_loss_reported_with_its_epoch(self, monkeypatch):
         rows = random_rows(8, seed=16)
@@ -503,8 +496,7 @@ class TestTrainConfig:
 class TestPersistence:
     def test_state_round_trip_is_bit_exact(self):
         rows = random_rows(40, seed=17)
-        config = TrainConfig(epochs=3, seed=2)
-        model = fit(rows, config)
+        model = fit(rows, TrainConfig(epochs=3), seed=2)
         state = model.to_state()
         json.dumps(state)
         restored = Autoencoder.from_state(state)
@@ -515,8 +507,7 @@ class TestPersistence:
 
     def test_state_survives_json_serialization(self):
         rows = random_rows(20, seed=18)
-        config = TrainConfig(epochs=2, seed=3)
-        model = fit(rows, config)
+        model = fit(rows, TrainConfig(epochs=2), seed=3)
         rehydrated = json.loads(json.dumps(model.to_state()))
         restored = Autoencoder.from_state(rehydrated)
         assert np.array_equal(model.losses(rows), restored.losses(rows))
@@ -633,10 +624,8 @@ class TestPersistence:
     @pytest.mark.parametrize("mode", list(LossMode))
     def test_from_state_reproduces_losses_exactly(self, mode):
         rows = random_rows(40, seed=19)
-        config = TrainConfig(
-            epochs=3, seed=4, loss_mode=mode, feature_weights={"outcome": 2.0}
-        )
-        model = fit(rows, config)
+        config = TrainConfig(epochs=3, loss_mode=mode, feature_weights={"outcome": 2.0})
+        model = fit(rows, config, seed=4)
         restored = Autoencoder.from_state(model.to_state())
         assert np.array_equal(restored.theta, model.theta)
         assert np.array_equal(restored.losses(rows), model.losses(rows))

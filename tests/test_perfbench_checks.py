@@ -30,7 +30,7 @@ def test_checks_read_a_registry_the_program_wrote(tmp_path):
     checks = load_checks()
     registry = tmp_path / "registry"
     events = crafted_events("u1", 120) + crafted_events("u2", 120)
-    config = fast_config(train=TrainConfig(epochs=2, seed=0))
+    config = fast_config(train=TrainConfig(epochs=2))
     result = run_train_workflow(events, config, ModelRegistry(registry))
     summary_path = tmp_path / "summary.json"
     summary_path.write_text(result.to_summary_json(), encoding="utf-8")

@@ -22,7 +22,13 @@ from loginwatch.encoding import (
     encode_event,
     observed_hours,
 )
-from loginwatch.events import LogEvent, Outcome, filter_entry_events, parse_event
+from loginwatch.events import (
+    LogEvent,
+    Outcome,
+    filter_entry_events,
+    parse_event,
+    write_events,
+)
 from loginwatch.inject import InjectionKind, InjectionSpec
 from loginwatch.model import TrainConfig
 from loginwatch.pipeline import (
@@ -74,7 +80,7 @@ def fast_config(**overrides) -> PipelineConfig:
     # retrain threshold, so the registry fixture holds ACTIVE entries
     base = dict(
         min_events=100,
-        train=TrainConfig(epochs=80, learning_rate=0.1, seed=0),
+        train=TrainConfig(epochs=80, learning_rate=0.1),
         seed=3,
     )
     base.update(overrides)
@@ -181,6 +187,13 @@ class TestPipelineConfig:
         assert restored == config
         assert restored.config_hash() == config.config_hash()
 
+    def test_to_dict_has_one_key_per_field(self):
+        config = fast_config(train=TrainConfig(epochs=7, feature_weights={"geohash": 2.0}))
+        out = config.to_dict()
+        assert set(out) == {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert set(out["train"]) == {f.name for f in dataclasses.fields(TrainConfig)}
+        assert PipelineConfig.from_dict(out) == config
+
     def test_from_dict_parses_nested_sections(self):
         config = PipelineConfig.from_dict(
             {
@@ -197,6 +210,11 @@ class TestPipelineConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_dict({"typo_key": 1})
+
+    @pytest.mark.parametrize("key", ["seed", "typo_key"])
+    def test_unknown_train_keys_rejected(self, key):
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['train\.{key}'\]"):
+            PipelineConfig.from_dict({"train": {"epochs": 3, key: 1}})
 
     def test_hash_tracks_content(self):
         assert fast_config().config_hash() == fast_config().config_hash()
@@ -236,7 +254,7 @@ class TestTrainWorkflow:
         events = crafted_events(
             "u1", 250, app_at=lambda i: "app-valonly" if i >= 210 else "app-mail"
         )
-        config = fast_config(train=TrainConfig(epochs=2, seed=0))
+        config = fast_config(train=TrainConfig(epochs=2))
         result = run_train_workflow(events, config)
         entry = result.reports[0].entry
         assert entry is not None
@@ -261,7 +279,7 @@ class TestTrainWorkflow:
         actor = actor.format(tmp=tmp_path)  # an absolute id inside the test's directory
         registry = ModelRegistry(tmp_path / "registry")
         events = crafted_events("u1", 120) + crafted_events(actor, 120)
-        config = fast_config(train=TrainConfig(epochs=2, seed=0))
+        config = fast_config(train=TrainConfig(epochs=2))
         summary = run_train_workflow(events, config, registry).to_summary()
         assert "directory name" in summary["skipped"][actor]
         assert set(summary["actors"]) == {"u1"}
@@ -289,7 +307,7 @@ class TestTrainWorkflow:
         # 2% of the 24 validation events of "small" rounds to no injection
         config = fast_config(
             injections=[InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.02)],
-            train=TrainConfig(epochs=2, seed=0),
+            train=TrainConfig(epochs=2),
         )
         events = corpus_events + crafted_events("small", 120)
         summary = run_train_workflow(events, config).to_summary()
@@ -350,7 +368,7 @@ class TestScoreWorkflow:
     def test_unsafe_actor_id_reported_unscorable(self, tmp_path):
         # a model stored next to the registry must not be reachable through
         # an actor id that walks out of it
-        config = fast_config(train=TrainConfig(epochs=2, seed=0))
+        config = fast_config(train=TrainConfig(epochs=2))
         run_train_workflow(crafted_events("victim", 120), config, ModelRegistry(tmp_path))
         (tmp_path / "registry").mkdir()
         registry = ModelRegistry(tmp_path / "registry")
@@ -381,6 +399,15 @@ class TestScoreWorkflow:
         assert result.unscorable == ["u002"]
         assert result.retrained == []
         assert str(newest) in caplog.text
+
+    def test_empty_batch_gives_an_empty_result(self, corpus_events, trained_registry):
+        password_changes = [
+            dataclasses.replace(e, event_type="user.account.update_password")
+            for e in corpus_events
+        ]
+        for events in ([], password_changes):
+            result = run_score_workflow(events, fast_config(), trained_registry)
+            assert result.to_summary() == {"actors": {}, "retrained": [], "unscorable": []}
 
     def test_needs_retrain_triggers_retrain(self, corpus_events, trained_registry):
         entry = trained_registry.load("u001")
@@ -417,7 +444,7 @@ class TestScoreWorkflow:
 
         report = result.reports["u001"]
         assert report.threshold_n == fresh.model.chosen_n
-        assert sorted(r.position for r in report.records) == list(range(len(live)))
+        assert len(report.losses) == len(live)
 
     def test_stale_model_scores_when_too_few_new_events(
         self, corpus_events, trained_registry
@@ -490,6 +517,82 @@ class TestCli:
         assert losses[0] == "epoch,mean_loss"
         assert len(losses) == 11
 
+    def test_score_out_records(self, tmp_path, capsys):
+        registry = tmp_path / "registry"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"min_events": 100, "seed": 3, "train": {"epochs": 2}})
+        )
+        history = tmp_path / "history.jsonl"
+        write_events(crafted_events("u1", 120) + crafted_events("u2", 120), history)
+        assert main(["train", "--input", str(history), "--config", str(config_path),
+                     "--registry", str(registry)]) == 0
+        # every event twice, so equal losses must fall back to position order
+        live = [
+            event
+            for event in crafted_events("u2", 30) + crafted_events("u1", 40)
+            for _ in range(2)
+        ]
+        live_path = tmp_path / "live.jsonl"
+        write_events(live, live_path)
+        scores = tmp_path / "scores.jsonl"
+        assert main(["score", "--input", str(live_path), "--config", str(config_path),
+                     "--registry", str(registry), "--out", str(scores)]) == 0
+        capsys.readouterr()
+
+        lines = scores.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        assert lines == [json.dumps(r, sort_keys=True) for r in records]
+        assert all(
+            set(r) == {"actor_id", "classification", "label", "loss", "position"}
+            and r["label"] is None
+            for r in records
+        )
+        assert [r["actor_id"] for r in records] == ["u1"] * 80 + ["u2"] * 60
+        for actor_id, count in (("u1", 80), ("u2", 60)):
+            mine = [r for r in records if r["actor_id"] == actor_id]
+            keys = [(-r["loss"], r["position"]) for r in mine]
+            assert keys == sorted(keys)
+            assert len(set(r["loss"] for r in mine)) < count  # ties did occur
+            assert sorted(r["position"] for r in mine) == list(range(count))
+
+            entry = ModelRegistry(registry).load(actor_id)
+            model = entry.model
+            rows = _encode_actor_events(
+                [e for e in live if e.actor_id == actor_id], entry.encoder
+            )
+            losses = model.losses(rows)
+            cut = model.train_mu + model.chosen_n * model.train_sigma
+            for r in mine:
+                assert r["loss"] == losses[r["position"]]
+                assert (r["classification"] == "ANOMALY") == (r["loss"] > cut)
+
+    @pytest.mark.parametrize("event_type", [None, "user.account.update_password"])
+    def test_score_of_an_empty_batch_exits_zero(self, tmp_path, capsys, event_type):
+        registry = tmp_path / "registry"
+        run_train_workflow(
+            crafted_events("u1", 120), fast_config(train=TrainConfig(epochs=2)),
+            ModelRegistry(registry),
+        )
+        live = tmp_path / "live.jsonl"
+        if event_type is None:
+            live.write_text("")
+        else:  # every event is filtered out
+            write_events(
+                [dataclasses.replace(e, event_type=event_type)
+                 for e in crafted_events("u1", 5)],
+                live,
+            )
+        scores = tmp_path / "scores.jsonl"
+        summary = tmp_path / "summary.json"
+        assert main(["score", "--input", str(live), "--registry", str(registry),
+                     "--out", str(scores), "--summary", str(summary)]) == 0
+        capsys.readouterr()
+        assert scores.read_bytes() == b""
+        assert json.loads(summary.read_text()) == {
+            "actors": {}, "retrained": [], "unscorable": []
+        }
+
     def test_train_summary_does_not_depend_on_where_the_registry_lives(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -517,7 +620,7 @@ class TestCli:
     def test_report_refuses_unsafe_actor_directory(self, tmp_path, capsys):
         # the registry never creates such a directory, but one can be put there
         registry = tmp_path / "registry"
-        config = fast_config(train=TrainConfig(epochs=2, seed=0))
+        config = fast_config(train=TrainConfig(epochs=2))
         run_train_workflow(crafted_events("u1", 120), config, ModelRegistry(registry))
         shutil.copytree(registry / "u1", registry / "a\\b")
         reports = tmp_path / "reports"

@@ -46,8 +46,7 @@ def make_encoder_state() -> EncoderState:
 
 def make_entry(actor: str = "u1", seed: int = 0, f1: float = 0.9) -> RegistryEntry:
     rows = random_rows(30, seed=seed)
-    config = TrainConfig(epochs=2, seed=seed)
-    model = fit(rows, config, actor_id=actor)
+    model = fit(rows, TrainConfig(epochs=2), actor_id=actor, seed=seed)
     model.chosen_n = 2.5
     return RegistryEntry(
         actor_id=actor,
