@@ -200,21 +200,31 @@ def _extract_app_id(record: dict) -> str:
 def parse_event(line: str, line_number: int | None = None) -> LogEvent:
     """Parse one raw JSONL line in the Okta System Log shape.
 
-    Args:
-        line: one line of JSON text.
-        line_number: optional 1-based offset used to annotate errors.
-
-    Returns:
-        The flattened LogEvent.
+    The entry point for a caller holding text: :func:`parse_record` of the
+    decoded line. ``line_number`` (1-based, optional) annotates errors.
 
     Raises:
         MalformedLineError: the line is not a JSON object.
         RecordRejectedError: actor id, event type, or timestamp is missing.
     """
+    return parse_record(_decode(line, line_number), line_number)
+
+
+def _decode(line: str, line_number: int | None):
+    """``json.loads`` of one line; invalid JSON is a :class:`MalformedLineError`."""
     try:
-        record = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedLineError(f"invalid JSON: {exc.msg}", line_number) from None
+
+
+def parse_record(record, line_number: int | None = None) -> LogEvent:
+    """Flatten one decoded JSON value in the Okta System Log shape.
+
+    Raises:
+        MalformedLineError: ``record`` is not an object.
+        RecordRejectedError: actor id, event type, or timestamp is missing.
+    """
     if not isinstance(record, dict):
         raise MalformedLineError("top-level value is not an object", line_number)
 
@@ -272,8 +282,9 @@ def load_events(path: Path | str) -> tuple[list[LogEvent], IngestStats]:
     """Read a JSONL file of events, counting rejected records.
 
     Lines may be in the raw Okta shape or the flattened snake_case shape;
-    the two are distinguished per line by their identity keys. Records
-    missing required fields are counted in ``stats.rejected`` and skipped.
+    the two are distinguished per line by their identity keys, and each line
+    is decoded once. Records missing required fields, and JSON values that
+    are not objects, are counted in ``stats.rejected`` and skipped.
     Lines that are not valid JSON raise :class:`MalformedLineError` with the
     line offset.
     """
@@ -281,15 +292,12 @@ def load_events(path: Path | str) -> tuple[list[LogEvent], IngestStats]:
     stats = IngestStats()
     for number, line in iter_raw_lines(path):
         stats.lines += 1
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLineError(f"invalid JSON: {exc.msg}", number) from None
+        record = _decode(line, number)
         try:
             if isinstance(record, dict) and "actor_id" in record:
                 events.append(LogEvent.from_flat_dict(record))
             else:
-                events.append(parse_event(line, number))
+                events.append(parse_record(record, number))
         except (RecordRejectedError, KeyError, ValueError) as exc:
             logger.warning("rejected record at line %d: %s", number, exc)
             stats.rejected += 1

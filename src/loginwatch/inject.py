@@ -36,12 +36,11 @@ class InjectionKind(str, Enum):
 
 @dataclass(frozen=True)
 class InjectionSpec:
-    """What to inject: the dimension, how much of the stream, and the seed."""
+    """What to inject: the dimension, how much of the stream, and how far."""
 
     kind: InjectionKind = InjectionKind.LOCATION
     fraction: float = DEFAULT_FRACTION
     distance_miles: float = DEFAULT_DISTANCE_MILES
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "kind", InjectionKind(self.kind))
@@ -89,9 +88,9 @@ def _shift_day_type(event: LogEvent) -> LogEvent:
 
 
 def inject(
-    events: Sequence[LogEvent], spec: InjectionSpec
+    events: Sequence[LogEvent], spec: InjectionSpec, seed: int
 ) -> tuple[list[LogEvent], list[Label]]:
-    """Mutate a seeded uniform sample of events along one dimension.
+    """Mutate a uniform sample of events along one dimension, drawn from ``seed``.
 
     Exactly ``round(spec.fraction * len(events))`` events are selected. For
     LOCATION, only events carrying coordinates are eligible; the mutation
@@ -123,7 +122,7 @@ def inject(
             f"{spec.kind.value}: need {count} eligible events, have {len(eligible)}"
         )
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     chosen = sorted(
         int(eligible[k]) for k in rng.choice(len(eligible), size=count, replace=False)
     )

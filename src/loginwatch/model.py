@@ -665,8 +665,9 @@ def train(
     count and per-batch mean loss it would get alone, so its fit equals a
     one-job ``train`` up to float64 roundoff; the jobs only share the
     numpy calls. Jobs are stacked by row count, most first, so batch ``b``
-    of an epoch runs on a leading slice of the stack; a batch that is short
-    for some jobs pads their rows with weight 0.
+    of an epoch runs on a leading slice of the stack: only the jobs that
+    still have rows. A batch that is short for some of them pads their
+    rows with weight 0.
 
     Embedding rows are parameters: each step updates them together with the
     layer weights. After the last epoch a model's ``train_mu`` and
@@ -720,29 +721,26 @@ def train(
         + [np.full((1, bank.stack.segments.shape[1]), bank.zero)]
     )
     first_row = np.concatenate([[0], np.cumsum(counts)])
-    # slots[b, k, r] is the table row of actor k's row r in batch b; each
-    # epoch writes actor k's permuted rows through dest[k].
-    slots = np.full((batches[0], len(order), size), len(table) - 1)
-    flat_slots = slots.reshape(-1)
-    dest = [
-        (np.arange(n) // size * len(order) + k) * size + np.arange(n) % size
-        for k, n in enumerate(counts)
-    ]
+    # epoch_rows[k] is actor k's epoch: its permuted table rows, then the
+    # padding row; batch b is a slice of its columns.
+    epoch_rows = np.full((len(order), batches[0] * size), len(table) - 1)
 
-    steps = []  # per batch: the stack's leading slice, row weights, 0/1 real-row mask
+    # per batch: the stack's leading slice, columns, row weights, 0/1 real-row mask
+    steps = []
     for b in range(batches[0]):
         live = np.clip(counts - b * size, 0, size)[: np.count_nonzero(batches > b), None]
         real = (np.arange(live.max()) < live).astype(float)
-        steps.append((bank.stack.lead(len(live)), real / live, real))
+        columns = slice(b * size, b * size + real.shape[1])
+        steps.append((bank.stack.lead(len(live)), columns, real / live, real))
 
     errors: dict[int, TrainingDivergedError] = {}
     loss_sums = np.zeros((config.epochs, len(order)))
     flat = bank.stack.flat
     for epoch in range(config.epochs):
         for k, rng in enumerate(rngs):
-            flat_slots[dest[k]] = first_row[k] + rng.permutation(counts[k])
-        for b, (stack, weight, real) in enumerate(steps):
-            pos = table[slots[b, : real.shape[0], : real.shape[1]]]
+            epoch_rows[k, : counts[k]] = first_row[k] + rng.permutation(counts[k])
+        for stack, columns, weight, real in steps:
+            pos = table[epoch_rows[: real.shape[0], columns]]
             cache = stack.forward(pos)
             sums = (cache["losses"] * real).sum(axis=1)
             if not np.isfinite(sums).all():
@@ -751,7 +749,7 @@ def train(
                 for k in np.flatnonzero(~np.isfinite(sums)).tolist():
                     errors[k] = TrainingDivergedError(f"non-finite loss in epoch {epoch + 1}")
                     bank.clear(k)
-                    for _, w, r in steps[: batches[k]]:
+                    for _, _, w, r in steps[: batches[k]]:
                         w[k] = 0.0
                         r[k] = 0.0
                 cache = stack.forward(pos)

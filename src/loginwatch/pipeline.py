@@ -135,10 +135,11 @@ class PipelineConfig:
             _check_keys(TrainConfig, kwargs["train"], prefix="train.")
             kwargs["train"] = TrainConfig(**kwargs["train"])
         if "injections" in kwargs:
-            kwargs["injections"] = [
-                spec if isinstance(spec, InjectionSpec) else InjectionSpec(**spec)
-                for spec in kwargs["injections"]
-            ]
+            for i, spec in enumerate(kwargs["injections"]):
+                if not isinstance(spec, Mapping):
+                    raise ValueError(f"injections[{i}] must be an object")
+                _check_keys(InjectionSpec, spec, prefix=f"injections[{i}].")
+            kwargs["injections"] = [InjectionSpec(**spec) for spec in kwargs["injections"]]
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -343,11 +344,9 @@ def _prepare_actor(
 
     validation = []
     for spec in config.injections:
-        seeded = dataclasses.replace(
-            spec, seed=_actor_seed(config.seed, actor_id, f"inject:{spec.kind.value}")
-        )
+        seed = _actor_seed(config.seed, actor_id, f"inject:{spec.kind.value}")
         try:
-            mutated, labels = inject(val_part, seeded)
+            mutated, labels = inject(val_part, spec, seed)
             injected_mask(labels)
         except ValueError as exc:  # too few eligible events, or DegenerateValidationError
             return None, f"cannot validate: {exc}"

@@ -110,7 +110,7 @@ def test_single_actor_perfect_separation(capsys):
     config = TrainConfig(**ACCEPT_TRAIN)
     model = fit(encode(sample), config, sizes, actor_id=profile.actor_id, seed=99)
     mutated, labels = inject(
-        val_part, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.1, seed=5)
+        val_part, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.1), seed=5
     )
     injected = sum(1 for label in labels if label is Label.INJECTED)
 

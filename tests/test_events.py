@@ -17,6 +17,7 @@ from loginwatch.events import (
     filter_entry_events,
     load_events,
     parse_event,
+    parse_record,
     write_events,
 )
 
@@ -134,6 +135,13 @@ class TestParseEvent:
         with pytest.raises(MalformedLineError):
             parse_event("[1, 2, 3]")
 
+    def test_parse_event_is_decode_then_parse_record(self):
+        record = raw_record()
+        assert parse_event(json.dumps(record)) == parse_record(record)
+        with pytest.raises(MalformedLineError) as excinfo:
+            parse_record([1, 2, 3], line_number=4)
+        assert excinfo.value.line_number == 4
+
 
 class TestFlatRoundTrip:
     def test_parse_serialize_parse_is_stable(self):
@@ -172,6 +180,24 @@ class TestLoadEvents:
         assert stats.parsed == 2
         assert stats.rejected == 1
         assert events[0] == events[1]  # raw and flat forms agree
+
+    def test_each_line_is_decoded_once(self, tmp_path, monkeypatch):
+        good = json.dumps(raw_record())
+        bad = json.dumps(raw_record(actor={}))
+        flat = parse_event(good).to_json_line()
+        path = tmp_path / "events.jsonl"
+        path.write_text(f"{good}\n{bad}\n{flat}\n[1, 2]\n{good}\n", encoding="utf-8")
+        decode = json.loads
+        decoded = []
+
+        def counting_loads(text, *args, **kwargs):
+            decoded.append(text)
+            return decode(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        events, stats = load_events(path)
+        assert len(decoded) == stats.lines == 5
+        assert (stats.parsed, stats.rejected) == (3, 2)  # no actor, not an object
 
     def test_malformed_line_is_fatal_with_offset(self, tmp_path):
         path = tmp_path / "events.jsonl"

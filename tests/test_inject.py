@@ -40,18 +40,18 @@ class TestSelection:
     def test_exact_count_from_fraction(self):
         events = [located_event(i) for i in range(1260)]
         for fraction, expected in [(0.1, 126), (0.25, 315), (0.0, 0), (1.0, 1260)]:
-            _, labels = inject(events, InjectionSpec(fraction=fraction, seed=1))
+            _, labels = inject(events, InjectionSpec(fraction=fraction), 1)
             assert labels.count(Label.INJECTED) == expected
 
     def test_rounding_of_fractional_counts(self):
         events = [located_event(i) for i in range(25)]
         # round(0.1 * 25) = round(2.5) = 2 under banker's rounding
-        _, labels = inject(events, InjectionSpec(fraction=0.1, seed=0))
+        _, labels = inject(events, InjectionSpec(fraction=0.1), 0)
         assert labels.count(Label.INJECTED) == 2
 
     def test_labels_align_with_mutations(self):
         events = [located_event(i) for i in range(100)]
-        mutated, labels = inject(events, InjectionSpec(fraction=0.2, seed=3))
+        mutated, labels = inject(events, InjectionSpec(fraction=0.2), 3)
         assert len(mutated) == len(labels) == 100
         for original, new, label in zip(events, mutated, labels):
             if label is Label.INJECTED:
@@ -62,15 +62,15 @@ class TestSelection:
 
     def test_deterministic_per_seed(self):
         events = [located_event(i) for i in range(80)]
-        a = inject(events, InjectionSpec(fraction=0.1, seed=5))
-        b = inject(events, InjectionSpec(fraction=0.1, seed=5))
-        c = inject(events, InjectionSpec(fraction=0.1, seed=6))
+        a = inject(events, InjectionSpec(fraction=0.1), 5)
+        b = inject(events, InjectionSpec(fraction=0.1), 5)
+        c = inject(events, InjectionSpec(fraction=0.1), 6)
         assert a == b
         assert a != c
 
     def test_zero_count_returns_all_normal(self):
         events = [located_event(i) for i in range(3)]
-        mutated, labels = inject(events, InjectionSpec(fraction=0.1, seed=0))
+        mutated, labels = inject(events, InjectionSpec(fraction=0.1), 0)
         assert labels == [Label.NORMAL] * 3
         assert all(m is e for m, e in zip(mutated, events))
 
@@ -78,10 +78,8 @@ class TestSelection:
 class TestLocationInjection:
     def test_displacement_distance_and_cell_change(self):
         events = synthetic_events()
-        spec = InjectionSpec(
-            kind=InjectionKind.LOCATION, fraction=0.1, distance_miles=1000.0, seed=2
-        )
-        mutated, labels = inject(events, spec)
+        spec = InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.1, distance_miles=1000.0)
+        mutated, labels = inject(events, spec, 2)
         moved = 0
         for original, new, label in zip(events, mutated, labels):
             if label is not Label.INJECTED:
@@ -99,7 +97,7 @@ class TestLocationInjection:
     def test_only_coordinates_change(self):
         events = [located_event(i) for i in range(50)]
         mutated, labels = inject(
-            events, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.3, seed=4)
+            events, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.3), 4
         )
         for original, new, label in zip(events, mutated, labels):
             if label is not Label.INJECTED:
@@ -121,7 +119,7 @@ class TestLocationInjection:
         )
         events = [bare] * 5 + [located_event(i) for i in range(5)]
         mutated, labels = inject(
-            events, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.5, seed=0)
+            events, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.5), 0
         )
         for new, label in zip(mutated, labels):
             if label is Label.INJECTED:
@@ -136,7 +134,7 @@ class TestLocationInjection:
         )
         events = [bare] * 9 + [located_event(0)]
         with pytest.raises(ValueError, match="eligible"):
-            inject(events, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.5))
+            inject(events, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.5), 0)
 
 
 class TestEventHourInjection:
@@ -145,7 +143,7 @@ class TestEventHourInjection:
         events = [located_event(i, hour=9 + i % 9) for i in range(60)]
         observed = {derive_time_features(e.timestamp).event_hour for e in events}
         mutated, labels = inject(
-            events, InjectionSpec(kind=InjectionKind.EVENT_HOUR, fraction=0.2, seed=1)
+            events, InjectionSpec(kind=InjectionKind.EVENT_HOUR, fraction=0.2), 1
         )
         for new, label in zip(mutated, labels):
             if label is Label.INJECTED:
@@ -154,7 +152,7 @@ class TestEventHourInjection:
     def test_preserves_minute_second_and_date(self):
         events = [located_event(i) for i in range(40)]
         mutated, labels = inject(
-            events, InjectionSpec(kind=InjectionKind.EVENT_HOUR, fraction=0.25, seed=2)
+            events, InjectionSpec(kind=InjectionKind.EVENT_HOUR, fraction=0.25), 2
         )
         for original, new, label in zip(events, mutated, labels):
             if label is not Label.INJECTED:
@@ -176,7 +174,7 @@ class TestEventHourInjection:
             if not (e.timestamp.hour == 5 and e.timestamp.day == 3)
         ]
         mutated, labels = inject(
-            events, InjectionSpec(kind=InjectionKind.EVENT_HOUR, fraction=0.1, seed=3)
+            events, InjectionSpec(kind=InjectionKind.EVENT_HOUR, fraction=0.1), 3
         )
         rare = min(
             range(1, 25),
@@ -198,7 +196,7 @@ class TestWeekdayInjection:
     def test_flips_day_type_and_keeps_time(self):
         events = synthetic_events(days=21)
         mutated, labels = inject(
-            events, InjectionSpec(kind=InjectionKind.WEEKDAY, fraction=0.15, seed=4)
+            events, InjectionSpec(kind=InjectionKind.WEEKDAY, fraction=0.15), 4
         )
         for original, new, label in zip(events, mutated, labels):
             if label is not Label.INJECTED:

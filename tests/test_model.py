@@ -411,15 +411,21 @@ class TestBank:
             TrainJob("tiny", rows_within(SIZES, 20, seed=4), SIZES, seed=14),
         ]
 
-    @pytest.mark.parametrize("mode", list(LossMode))
-    def test_each_job_equals_its_one_job_fit(self, mode):
+    @pytest.mark.parametrize(
+        "mode, reverse",
+        [pytest.param(mode, False, id=mode.value) for mode in LossMode]
+        + [pytest.param(mode, True, id=f"{mode.value}-reversed") for mode in LossMode],
+    )
+    def test_each_job_equals_its_one_job_fit(self, mode, reverse):
+        # the bank stacks its jobs by row count; no job order may change a model
         config = TrainConfig(
             epochs=4, batch_size=32, learning_rate=0.1, hidden_dim=6, code_dim=4,
             loss_mode=mode, feature_weights={"outcome": 2.0},
         )
-        jobs = self.jobs()
+        jobs = self.jobs()[::-1] if reverse else self.jobs()
         bank = train(jobs, config)
-        assert [model.input_dim for model in bank] == [31, 28, 13, 28]
+        widths = [31, 28, 13, 28]
+        assert [model.input_dim for model in bank] == (widths[::-1] if reverse else widths)
         for job, model in zip(jobs, bank):
             (solo,) = train([job], config)
             assert_same_fit(model, solo)

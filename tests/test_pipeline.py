@@ -180,7 +180,7 @@ class TestPipelineConfig:
             train=TrainConfig(epochs=7, learning_rate=0.2),
             injections=[
                 InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.2),
-                InjectionSpec(kind=InjectionKind.EVENT_HOUR, seed=9),
+                InjectionSpec(kind=InjectionKind.EVENT_HOUR, distance_miles=500.0),
             ],
         )
         restored = PipelineConfig.from_dict(config.to_dict())
@@ -215,6 +215,27 @@ class TestPipelineConfig:
     def test_unknown_train_keys_rejected(self, key):
         with pytest.raises(ValueError, match=rf"unknown config keys: \['train\.{key}'\]"):
             PipelineConfig.from_dict({"train": {"epochs": 3, key: 1}})
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            # an injection's seed comes from the config seed and the actor,
+            # so a spec takes none
+            (
+                {"kind": "WEEKDAY", "seed": 0.2},
+                r"unknown config keys: \['injections\[1\]\.seed'\]",
+            ),
+            (
+                {"kind": "WEEKDAY", "fractoin": 0.2},
+                r"unknown config keys: \['injections\[1\]\.fractoin'\]",
+            ),
+            ("LOCATION", r"injections\[1\] must be an object"),
+        ],
+        ids=["seed", "fractoin", "not-an-object"],
+    )
+    def test_unknown_injection_keys_rejected(self, entry, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_dict({"injections": [{"kind": "LOCATION"}, entry]})
 
     def test_hash_tracks_content(self):
         assert fast_config().config_hash() == fast_config().config_hash()
