@@ -119,8 +119,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             for actor_id in sorted(result.reports):
-                for record in result.reports[actor_id].records():
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+                handle.write(result.reports[actor_id].to_jsonl())
     summary = result.to_summary_json()
     if args.summary:
         Path(args.summary).write_text(summary + "\n", encoding="utf-8")

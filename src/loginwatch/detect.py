@@ -7,9 +7,11 @@ sweeping a fixed grid and keeping the best F1 against injected ground truth.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,21 +97,35 @@ class DetectionReport:
     def anomaly_rate(self) -> float:
         return self.anomaly_count / len(self.losses) if len(self.losses) else 0.0
 
-    def records(self) -> Iterator[dict]:
-        """One record per row, loss descending, equal losses in input order."""
+    def to_jsonl(self) -> str:
+        """The report's ``score --out`` lines: one JSON object per row.
+
+        Rows run loss descending, equal losses in input order. Each line is
+        the bytes ``json.dumps(record, sort_keys=True)`` gives for the record
+        ``{"actor_id", "classification", "label", "loss", "position"}``; the
+        actor id is escaped once per report, not once per row.
+        """
+        # "label" is always null; kept so that ``score --out`` keeps its byte form.
+        head = '{"actor_id": %s, "classification": "' % json.dumps(self.actor_id)
+        names = (Classification.NORMAL.value, Classification.ANOMALY.value)
         losses = self.losses.tolist()
         flagged = self.flagged.tolist()
-        for position in np.argsort(-self.losses, kind="stable").tolist():
-            yield {
-                "position": position,
-                "actor_id": self.actor_id,
-                "loss": losses[position],
-                "classification": (
-                    Classification.ANOMALY if flagged[position] else Classification.NORMAL
-                ).value,
-                # Always null; kept so that ``score --out`` keeps its byte form.
-                "label": None,
-            }
+        return "".join(
+            f'{head}{names[flagged[i]]}", "label": null, '
+            f'"loss": {_json_float(losses[i])}, "position": {i}}}\n'
+            for i in np.argsort(-self.losses, kind="stable").tolist()
+        )
+
+
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it: ``repr``, or NaN/Infinity/-Infinity."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
 
 
 def loss_stats(losses: Sequence[float]) -> LossStats:

@@ -52,7 +52,22 @@ class MalformedLineError(ParseError):
 
 
 class RecordRejectedError(ParseError):
-    """The record parses as JSON but lacks a required identity field."""
+    """The record parses as JSON but lacks a required field or has one of the wrong type."""
+
+
+# JSON types of the flat form's values. A missing key is left to the
+# required-key lookup and the defaults of ``from_flat_dict``.
+_FLAT_TYPES = {
+    "actor_id": (str, "a string"),
+    "timestamp": (str, "a string"),
+    "event_type": (str, "a string"),
+    "outcome": (str, "a string"),
+    "latitude": ((int, float, type(None)), "a number or null"),
+    "longitude": ((int, float, type(None)), "a number or null"),
+    "app_id": (str, "a string"),
+    "client_os": (str, "a string"),
+    "client_device": (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -107,6 +122,19 @@ class LogEvent:
 
     @classmethod
     def from_flat_dict(cls, record: dict) -> "LogEvent":
+        """Rebuild an event from its :meth:`to_flat_dict` form.
+
+        Raises:
+            KeyError: a required key is missing.
+            RecordRejectedError: a value has the wrong JSON type.
+            ValueError: the outcome is unknown, or the coordinates are not a
+                valid pair.
+        """
+        for key, (kinds, expected) in _FLAT_TYPES.items():
+            if key in record and not isinstance(record[key], kinds):
+                raise RecordRejectedError(
+                    f"{key} must be {expected}, got {type(record[key]).__name__}"
+                )
         return cls(
             actor_id=record["actor_id"],
             timestamp=parse_timestamp(record["timestamp"]),
@@ -155,6 +183,8 @@ def parse_timestamp(text: str) -> datetime:
         ts = datetime.fromisoformat(raw)
     except ValueError as exc:
         raise RecordRejectedError(f"bad timestamp {text!r}: {exc}") from None
+    if ts.tzinfo is timezone.utc and not ts.microsecond:
+        return ts  # already what the conversion below would make
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc).replace(microsecond=0)
@@ -164,18 +194,8 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _dig(record: dict, *path: str):
-    """Walk nested dicts, returning None on any missing hop."""
-    node = record
-    for key in path:
-        if not isinstance(node, dict):
-            return None
-        node = node.get(key)
-    return node
-
-
-def _extract_location(record: dict) -> tuple[float | None, float | None]:
-    geo = _dig(record, "client", "geographicalContext", "geolocation")
+def _extract_location(geo) -> tuple[float | None, float | None]:
+    """Coordinates of a ``geolocation`` node, or (None, None) if unusable."""
     if not isinstance(geo, dict):
         return None, None
     lat, lon = geo.get("lat"), geo.get("lon")
@@ -228,7 +248,8 @@ def parse_record(record, line_number: int | None = None) -> LogEvent:
     if not isinstance(record, dict):
         raise MalformedLineError("top-level value is not an object", line_number)
 
-    actor_id = _dig(record, "actor", "id")
+    actor = record.get("actor")
+    actor_id = actor.get("id") if isinstance(actor, dict) else None
     if not actor_id or not isinstance(actor_id, str):
         raise RecordRejectedError("missing actor.id", line_number)
     event_type = record.get("eventType")
@@ -242,19 +263,28 @@ def parse_record(record, line_number: int | None = None) -> LogEvent:
     except RecordRejectedError as exc:
         raise RecordRejectedError(str(exc), line_number) from None
 
-    result = _dig(record, "outcome", "result")
-    if result == Outcome.SUCCESS.value:
+    result = record.get("outcome")
+    result = result.get("result") if isinstance(result, dict) else None
+    # ``==``, not a dict lookup: a list or object result is OTHER, not a TypeError.
+    if result == "SUCCESS":
         outcome = Outcome.SUCCESS
-    elif result == Outcome.FAILURE.value:
+    elif result == "FAILURE":
         outcome = Outcome.FAILURE
     else:
         outcome = Outcome.OTHER
 
-    latitude, longitude = _extract_location(record)
     client = record.get("client")
     has_client = isinstance(client, dict)
-    client_os = _dig(record, "client", "userAgent", "os") or ""
-    client_device = _dig(record, "client", "device") or ""
+    latitude = longitude = None
+    client_os = client_device = ""
+    if has_client:
+        agent = client.get("userAgent")
+        if isinstance(agent, dict):
+            client_os = agent.get("os") or ""
+        client_device = client.get("device") or ""
+        context = client.get("geographicalContext")
+        if isinstance(context, dict):
+            latitude, longitude = _extract_location(context.get("geolocation"))
 
     return LogEvent(
         actor_id=actor_id,

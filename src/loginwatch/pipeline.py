@@ -536,8 +536,13 @@ def run_score_workflow(
     The cost is that an anomaly inside the fitted share is part of the new
     baseline and less likely to be flagged.
 
+    A model whose stored ``config_hash`` differs from ``config``'s was
+    trained under another configuration; it still scores, with a warning
+    that names the actor.
+
     A batch with no events left after filtering gives an empty result.
     """
+    config_hash = config.config_hash()
     groups = _group_by_actor(filter_entry_events(events, config.filter_mode))
     reports: dict[str, DetectionReport] = {}
     unscorable: list[str] = []
@@ -570,6 +575,15 @@ def run_score_workflow(
                     reason,
                 )
 
+        stored_hash = entry.metadata.get("config_hash")
+        if stored_hash is not None and stored_hash != config_hash:
+            logger.warning(
+                "config drift for %s: its model was trained with config %s, "
+                "this call uses %s; scoring with it anyway",
+                actor_id,
+                stored_hash,
+                config_hash,
+            )
         rows = _encode_actor_events(actor_events, entry.encoder)
         reports[actor_id] = score_events(entry.model, rows)
     return ScoreWorkflowResult(

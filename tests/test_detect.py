@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from loginwatch.detect import (
     SWEEP_GRID,
     Classification,
     DegenerateValidationError,
+    DetectionReport,
     LossStats,
     UndefinedMetricError,
     classify,
@@ -200,6 +202,11 @@ class TestSweep:
         assert result.best_f1 < 0.4
 
 
+def out_records(report: DetectionReport) -> list[dict]:
+    """The report's ``score --out`` lines, parsed back into records."""
+    return [json.loads(line) for line in report.to_jsonl().splitlines()]
+
+
 class TestScoreEvents:
     def _trained(self):
         rows = random_rows(64, seed=30)
@@ -218,7 +225,7 @@ class TestScoreEvents:
         model, rows = self._trained()
         rows = np.concatenate([rows, rows[:8]])  # the last 8 rows repeat, so ties occur
         report = score_events(model, rows, n=2.0)
-        records = list(report.records())
+        records = out_records(report)
         keys = [(-r["loss"], r["position"]) for r in records]
         assert keys == sorted(keys)
         assert len({r["loss"] for r in records}) < len(records)
@@ -233,7 +240,7 @@ class TestScoreEvents:
         report = score_events(model, rows, n=1.0)
         cut = model.train_mu + 1.0 * model.train_sigma
         assert np.array_equal(report.flagged, report.losses > cut)
-        for r in report.records():
+        for r in out_records(report):
             expected = Classification.ANOMALY if r["loss"] > cut else Classification.NORMAL
             assert r["classification"] == expected.value
         assert report.anomaly_count == sum(1 for loss in report.losses if loss > cut)
@@ -257,7 +264,7 @@ class TestScoreEvents:
         model.train_sigma = sigma
         stats = LossStats(mu=model.train_mu, sigma=sigma, count=0)
         report = score_events(model, rows, n=n)
-        for r in report.records():
+        for r in out_records(report):
             assert r["classification"] == classify(r["loss"], stats, n).value
         assert not report.flagged[7]
         assert report.anomaly_count == int((losses > losses[7]).sum()) > 0
@@ -284,3 +291,67 @@ class TestScoreEvents:
         model.train_mu = None
         with pytest.raises(ValueError, match="statistics"):
             score_events(model, rows, n=1.0)
+
+
+def reference_jsonl(actor_id: str, losses: list[float], flagged: list[bool]) -> str:
+    """``score --out`` bytes built the plain way: sort, then ``json.dumps`` each record."""
+    # loss descending, NaN last, equal losses in input order
+    order = sorted(
+        range(len(losses)),
+        key=lambda i: (True, 0.0, i) if math.isnan(losses[i]) else (False, -losses[i], i),
+    )
+    return "".join(
+        json.dumps(
+            {
+                "position": i,
+                "actor_id": actor_id,
+                "loss": losses[i],
+                "classification": "ANOMALY" if flagged[i] else "NORMAL",
+                "label": None,
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for i in order
+    )
+
+
+class TestOutByteForm:
+    """``DetectionReport.to_jsonl`` writes what ``json.dumps(record, sort_keys=True)`` would."""
+
+    @staticmethod
+    def _report(actor_id: str, losses: list[float]) -> DetectionReport:
+        array = np.array(losses, dtype=float)
+        return DetectionReport(
+            actor_id=actor_id, threshold_n=1.0, mu=0.5, sigma=0.25,
+            losses=array, flagged=array > 0.75,
+        )
+
+    @pytest.mark.parametrize(
+        "losses",
+        [
+            [0.25, 1.5, 0.25, 1.5, 0.1 + 0.2, 1e-300, 12345678.9, 0.0, 2.0 / 3.0],
+            [float("nan"), 0.5, math.inf, -math.inf, 1.0, float("nan"), math.inf],
+            [0.75],
+        ],
+        ids=["ties-and-repr", "nan-and-infinities", "one-row"],
+    )
+    @pytest.mark.parametrize(
+        "actor_id",
+        [
+            "u042",
+            'quote"d',
+            "back\\slash",
+            "caf\u00e9-\u6f22-\U0001f600",
+            "tab\tnew\nline\x00\x1f\x7f",
+            "100%{x}",
+        ],
+        ids=["plain", "quote", "backslash", "non-ascii", "control", "format-chars"],
+    )
+    def test_bytes_equal_json_dumps(self, actor_id, losses):
+        report = self._report(actor_id, losses)
+        expected = reference_jsonl(actor_id, losses, [loss > 0.75 for loss in losses])
+        assert report.to_jsonl() == expected
+
+    def test_empty_report_writes_nothing(self):
+        assert self._report("u042", []).to_jsonl() == ""

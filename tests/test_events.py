@@ -143,6 +143,178 @@ class TestParseEvent:
         assert excinfo.value.line_number == 4
 
 
+def client_record(**client) -> dict:
+    return raw_record(client=client)
+
+
+# (record, the LogEvent fields it must give). Each case pins a path through
+# ``parse_record`` that the well-formed records above do not take.
+EDGE_RECORDS = {
+    "list-result": (raw_record(outcome={"result": ["SUCCESS"]}), {"outcome": Outcome.OTHER}),
+    "dict-result": (raw_record(outcome={"result": {"SUCCESS": 1}}), {"outcome": Outcome.OTHER}),
+    "string-outcome": (raw_record(outcome="SUCCESS"), {"outcome": Outcome.OTHER}),
+    "bool-coordinates": (
+        client_record(geographicalContext={"geolocation": {"lat": True, "lon": False}}),
+        {"latitude": 1.0, "longitude": 0.0},
+    ),
+    "int-coordinates": (
+        client_record(geographicalContext={"geolocation": {"lat": -90, "lon": 180}}),
+        {"latitude": -90.0, "longitude": 180.0},
+    ),
+    "longitude-out-of-range": (
+        client_record(geographicalContext={"geolocation": {"lat": 10.0, "lon": 180.5}}),
+        {"latitude": None, "longitude": None},
+    ),
+    "latitude-out-of-range": (
+        client_record(geographicalContext={"geolocation": {"lat": -90.01, "lon": 0.0}}),
+        {"latitude": None, "longitude": None},
+    ),
+    "nan-latitude": (
+        client_record(geographicalContext={"geolocation": {"lat": float("nan"), "lon": 0.0}}),
+        {"latitude": None, "longitude": None},
+    ),
+    "string-coordinates": (
+        client_record(geographicalContext={"geolocation": {"lat": "1", "lon": "2"}}),
+        {"latitude": None, "longitude": None},
+    ),
+    "one-coordinate": (
+        client_record(geographicalContext={"geolocation": {"lat": 1.0}}),
+        {"latitude": None, "longitude": None},
+    ),
+    "string-client": (
+        raw_record(client="Mac OS X"),
+        {"has_client_object": False, "client_os": "", "client_device": "", "latitude": None},
+    ),
+    "list-client": (
+        raw_record(client=[{"device": "Computer"}]),
+        {"has_client_object": False, "client_device": ""},
+    ),
+    "string-user-agent": (
+        client_record(userAgent="Mac OS X", device="Computer"),
+        {"has_client_object": True, "client_os": "", "client_device": "Computer"},
+    ),
+    "list-geolocation": (
+        client_record(geographicalContext={"geolocation": [39.1, -84.5]}),
+        {"has_client_object": True, "latitude": None, "longitude": None},
+    ),
+    "string-geographical-context": (
+        client_record(geographicalContext="Cincinnati"),
+        {"latitude": None, "longitude": None},
+    ),
+    "falsy-os-and-device": (
+        client_record(userAgent={"os": 0}, device=[]),
+        {"client_os": "", "client_device": ""},
+    ),
+    "false-os-and-empty-device": (
+        client_record(userAgent={"os": False}, device=""),
+        {"client_os": "", "client_device": ""},
+    ),
+    "non-string-os-and-device": (
+        client_record(userAgent={"os": 10}, device={"kind": "Computer"}),
+        {"client_os": "10", "client_device": "{'kind': 'Computer'}"},
+    ),
+    "target-id": (
+        raw_record(target=[{"type": "AppInstance", "id": "app-1", "alternateId": "alt-1"}]),
+        {"app_id": "app-1"},
+    ),
+    "target-alternate-id-only": (
+        raw_record(target=[{"type": "AppInstance", "alternateId": "alt-1"}]),
+        {"app_id": "alt-1"},
+    ),
+    "target-empty-id-falls-back": (
+        raw_record(target=[{"type": "AppInstance", "id": "", "alternateId": "alt-2"}]),
+        {"app_id": "alt-2"},
+    ),
+    "target-numeric-id": (
+        raw_record(target=[{"type": "AppInstance", "id": 7}]),
+        {"app_id": "7"},
+    ),
+    "target-first-app-wins": (
+        raw_record(target=[{"type": "AppInstance"}, {"type": "AppInstance", "id": "app-3"}]),
+        {"app_id": ""},
+    ),
+    "target-non-object-items": (
+        raw_record(target=["AppInstance", 3, None, {"type": "AppInstance", "id": "app-2"}]),
+        {"app_id": "app-2"},
+    ),
+    "target-not-a-list": (
+        raw_record(target={"type": "AppInstance", "id": "app-1"}),
+        {"app_id": ""},
+    ),
+    "stamp-offset": (
+        raw_record(published="2023-03-06T04:42:34-04:30"),
+        {"timestamp": datetime(2023, 3, 6, 9, 12, 34, tzinfo=timezone.utc)},
+    ),
+    "stamp-microseconds": (
+        raw_record(published="2023-03-06T09:12:34.999999Z"),
+        {"timestamp": datetime(2023, 3, 6, 9, 12, 34, tzinfo=timezone.utc)},
+    ),
+    "stamp-microseconds-and-offset": (
+        raw_record(published="2023-03-06T10:12:34.5+01:00"),
+        {"timestamp": datetime(2023, 3, 6, 9, 12, 34, tzinfo=timezone.utc)},
+    ),
+    "stamp-no-zone": (
+        raw_record(published="2023-03-06T09:12:34"),
+        {"timestamp": datetime(2023, 3, 6, 9, 12, 34, tzinfo=timezone.utc)},
+    ),
+    "stamp-padded": (
+        raw_record(published=" 2023-03-06T09:12:34Z\n"),
+        {"timestamp": datetime(2023, 3, 6, 9, 12, 34, tzinfo=timezone.utc)},
+    ),
+    "stamp-utc-offset": (
+        raw_record(published="2023-03-06T09:12:34+00:00"),
+        {"timestamp": datetime(2023, 3, 6, 9, 12, 34, tzinfo=timezone.utc)},
+    ),
+}
+
+
+class TestParseRecordEdges:
+    @pytest.mark.parametrize("case", sorted(EDGE_RECORDS))
+    def test_edge_record(self, case):
+        record, expected = EDGE_RECORDS[case]
+        event = parse_record(record)
+        for field, value in expected.items():
+            assert getattr(event, field) == value, field
+        assert event.timestamp.tzinfo is timezone.utc
+        assert event.timestamp.microsecond == 0
+        assert type(event.client_os) is str and type(event.client_device) is str
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"actor": {"id": ""}}, "line 3: missing actor.id"),
+            ({"actor": {"id": 42}}, "line 3: missing actor.id"),
+            ({"actor": "u042"}, "line 3: missing actor.id"),
+            ({"eventType": ["user.authentication.sso"]}, "line 3: missing eventType"),
+            ({"published": 1678093954}, "line 3: missing published timestamp"),
+            ({"published": ""}, "line 3: missing published timestamp"),
+            (
+                {"published": "2023-03-06T25:00:00Z"},
+                "line 3: bad timestamp '2023-03-06T25:00:00Z': "
+                "hour must be in 0..23",
+            ),
+            (
+                {"published": "yesterday"},
+                "line 3: bad timestamp 'yesterday': Invalid isoformat string: 'yesterday'",
+            ),
+            (
+                {"published": "2023-03-06T09:12:34ZZ"},
+                "line 3: bad timestamp '2023-03-06T09:12:34ZZ': "
+                "Invalid isoformat string: '2023-03-06T09:12:34Z+00:00'",
+            ),
+        ],
+        ids=[
+            "empty-actor", "numeric-actor", "string-actor", "list-event-type",
+            "numeric-stamp", "empty-stamp", "hour-25", "words", "double-zone",
+        ],
+    )
+    def test_edge_rejection(self, changes, message):
+        with pytest.raises(RecordRejectedError) as excinfo:
+            parse_record(raw_record(**changes), line_number=3)
+        assert str(excinfo.value) == message
+        assert excinfo.value.line_number == 3
+
+
 class TestFlatRoundTrip:
     def test_parse_serialize_parse_is_stable(self):
         event = parse_event(json.dumps(raw_record()))
@@ -198,6 +370,37 @@ class TestLoadEvents:
         events, stats = load_events(path)
         assert len(decoded) == stats.lines == 5
         assert (stats.parsed, stats.rejected) == (3, 2)  # no actor, not an object
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"timestamp": 123}, "timestamp must be a string, got int"),
+            ({"timestamp": None}, "timestamp must be a string, got NoneType"),
+            (
+                {"latitude": "1", "longitude": "2"},
+                "latitude must be a number or null, got str",
+            ),
+            ({"actor_id": 42}, "actor_id must be a string, got int"),
+            ({"event_type": ["x"]}, "event_type must be a string, got list"),
+            ({"app_id": 3}, "app_id must be a string, got int"),
+            ({"outcome": 1}, "outcome must be a string, got int"),
+        ],
+        ids=[
+            "int-timestamp", "null-timestamp", "string-coordinates", "int-actor",
+            "list-event-type", "int-app", "int-outcome",
+        ],
+    )
+    def test_flat_record_of_wrong_type_is_rejected(self, tmp_path, caplog, changes, reason):
+        flat = {"actor_id": "u1", "timestamp": "2023-03-06T09:12:34Z",
+                "event_type": "x", "outcome": "SUCCESS"}
+        good = json.dumps(flat)
+        path = tmp_path / "events.jsonl"
+        path.write_text(f"{good}\n{json.dumps({**flat, **changes})}\n{good}\n", encoding="utf-8")
+        events, stats = load_events(path)
+        assert (stats.lines, stats.parsed, stats.rejected) == (3, 2, 1)
+        assert len(events) == 2
+        (warning,) = [r.getMessage() for r in caplog.records if "rejected" in r.getMessage()]
+        assert warning == f"rejected record at line 2: {reason}"
 
     def test_malformed_line_is_fatal_with_offset(self, tmp_path):
         path = tmp_path / "events.jsonl"

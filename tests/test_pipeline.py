@@ -421,6 +421,38 @@ class TestScoreWorkflow:
         assert result.retrained == []
         assert str(newest) in caplog.text
 
+    @pytest.mark.parametrize("stored", ["same", "other", "no-hash", "no-metadata"])
+    def test_config_drift_warns_and_still_scores(
+        self, corpus_events, trained_registry, caplog, stored
+    ):
+        config = fast_config()
+        expected = run_score_workflow(corpus_events, config, trained_registry).reports
+        newest = trained_registry.entry_paths("u002")[-1]
+        document = json.loads(newest.read_bytes())
+        del document["checksum"]
+        assert document["metadata"]["config_hash"] == config.config_hash()
+        if stored == "other":
+            document["metadata"]["config_hash"] = "f" * 64
+        elif stored == "no-hash":
+            del document["metadata"]["config_hash"]
+        elif stored == "no-metadata":
+            del document["metadata"]
+        newest.write_bytes(_seal(document))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="loginwatch.pipeline"):
+            result = run_score_workflow(corpus_events, config, trained_registry)
+        drift = [r.getMessage() for r in caplog.records if "config drift" in r.getMessage()]
+        if stored == "other":
+            assert len(drift) == 1
+            assert drift[0].startswith("config drift for u002: ")
+            assert "f" * 64 in drift[0] and config.config_hash() in drift[0]
+        else:
+            assert drift == []
+        assert sorted(result.reports) == ["u001", "u002"]
+        for actor_id, report in result.reports.items():
+            assert np.array_equal(report.losses, expected[actor_id].losses)
+            assert np.array_equal(report.flagged, expected[actor_id].flagged)
+
     def test_empty_batch_gives_an_empty_result(self, corpus_events, trained_registry):
         password_changes = [
             dataclasses.replace(e, event_type="user.account.update_password")
