@@ -131,9 +131,13 @@ class LogEvent:
                 valid pair.
         """
         for key, (kinds, expected) in _FLAT_TYPES.items():
-            if key in record and not isinstance(record[key], kinds):
+            if key not in record:
+                continue
+            value = record[key]
+            # JSON true/false decode to bool, an int subclass, and fit no flat key
+            if isinstance(value, bool) or not isinstance(value, kinds):
                 raise RecordRejectedError(
-                    f"{key} must be {expected}, got {type(record[key]).__name__}"
+                    f"{key} must be {expected}, got {type(value).__name__}"
                 )
         return cls(
             actor_id=record["actor_id"],
@@ -194,17 +198,27 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: ``true``/``false`` decode to ``bool``, an ``int``, and are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _extract_location(geo) -> tuple[float | None, float | None]:
     """Coordinates of a ``geolocation`` node, or (None, None) if unusable."""
     if not isinstance(geo, dict):
         return None, None
     lat, lon = geo.get("lat"), geo.get("lon")
-    if not isinstance(lat, (int, float)) or not isinstance(lon, (int, float)):
+    if not _is_number(lat) or not _is_number(lon):
         return None, None
     # Out-of-range coordinates are unusable; keep the event, drop the location.
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         return None, None
     return float(lat), float(lon)
+
+
+def _string(value) -> str:
+    """``value`` if it is a string, else ``""``: a number or object is no client name."""
+    return value if isinstance(value, str) else ""
 
 
 def _extract_app_id(record: dict) -> str:
@@ -280,8 +294,8 @@ def parse_record(record, line_number: int | None = None) -> LogEvent:
     if has_client:
         agent = client.get("userAgent")
         if isinstance(agent, dict):
-            client_os = agent.get("os") or ""
-        client_device = client.get("device") or ""
+            client_os = _string(agent.get("os"))
+        client_device = _string(client.get("device"))
         context = client.get("geographicalContext")
         if isinstance(context, dict):
             latitude, longitude = _extract_location(context.get("geolocation"))
@@ -294,8 +308,8 @@ def parse_record(record, line_number: int | None = None) -> LogEvent:
         latitude=latitude,
         longitude=longitude,
         app_id=_extract_app_id(record),
-        client_os=str(client_os),
-        client_device=str(client_device),
+        client_os=client_os,
+        client_device=client_device,
         has_client_object=has_client,
     )
 

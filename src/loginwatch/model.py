@@ -16,8 +16,12 @@ single ``(input_dim, hidden_dim)`` head matrix, and the named arrays are
 views into ``theta``. The gradient has the same layout, so an SGD step is one
 vector update, and a batch step has no Python loop over features: the input
 is one gather from ``theta``, the per-feature dice sums are products with a
-fixed 0/1 ``(input_dim, features)`` segment matrix, and the embedding
-gradient is one ``np.bincount`` over the gather positions.
+fixed 0/1 ``(input_dim, features)`` segment matrix, the bias gradients are
+products with a row of ones, and the embedding gradient is one
+``np.bincount`` over the gather positions. A step's time is mostly
+elementwise arithmetic on its ``(actors, rows, width)`` arrays, so the step
+keeps the passes over them few: one exp per sigmoid, and each sigmoid's
+derivative read from the squares that the dice denominator already needs.
 
 There is one forward and one backward pass, written for a stack of actors
 (``_Stack``): every array carries a leading actor axis, so one matmul,
@@ -122,10 +126,11 @@ def _check_rows(rows) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument only, so neither branch overflows
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # One exp and one division; for x >= 0 these are the textbook steps. The
+    # clamp keeps exp finite (exp(700) is about 1e304), so nothing overflows
+    # and the result stays > 0 down to x = -700. (0.5 + 0.5*tanh(x/2) reaches
+    # 0 near x = -38, and a feature whose columns all did would get a 0/0 dice.)
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -700.0)))
 
 
 def _dense_shapes(hidden_dim: int, code_dim: int, width: int) -> list[tuple[int, ...]]:
@@ -232,9 +237,10 @@ class _Stack:
 
         p = _sigmoid(rec)
         g = _sigmoid(x)
-        overlap = (p * g) @ self.segments
-        denom = (p * p + g * g) @ self.segments
-        dissim = 1.0 - 2.0 * overlap / denom
+        pp, gg = p * p, g * g
+        denom = (pp + gg) @ self.segments
+        dice = 2.0 * ((p * g) @ self.segments) / denom
+        dissim = 1.0 - dice
 
         if self.loss_mode is LossMode.PRODUCT:
             safe = np.maximum(dissim, _EPS)
@@ -248,11 +254,12 @@ class _Stack:
             "a1": a1,
             "h": h,
             "a3": a3,
-            "rec": rec,
             "p": p,
             "g": g,
-            "overlap": overlap,
+            "pp": pp,
+            "gg": gg,
             "denom": denom,
+            "dice": dice,
             "dissim": dissim,
             "losses": losses,
         }
@@ -277,35 +284,33 @@ class _Stack:
             coef = row_weight[..., None] * self.weights
 
         # d(1 - dice)/dp = a*p - b*g and d(1 - dice)/dg = a*g - b*p for
-        # dice = 2*overlap/denom, with a and b per feature, spread to columns
-        # (a padded column belongs to no feature and gets 0)
-        overlap, denom = cache["overlap"], cache["denom"]
-        scale = coef / (denom * denom)
+        # dice = 2*overlap/denom, with b = 2/denom and a = b*dice per feature,
+        # scaled by coef and spread to columns (a padded column belongs to no
+        # feature and gets 0); a sigmoid s has derivative s - s*s
+        per_feature = 2.0 * coef / cache["denom"]
         spread = _transposed(self.segments)
-        a = (4.0 * overlap * scale) @ spread
-        b = (2.0 * denom * scale) @ spread
+        a = (per_feature * cache["dice"]) @ spread
+        b = per_feature @ spread
         p, g = cache["p"], cache["g"]
-        d_r = (a * p - b * g) * p * (1.0 - p)
-        d_emb_target = (a * g - b * p) * g * (1.0 - g)
+        d_r = (a * p - b * g) * (p - cache["pp"])
+        d_emb = (a * g - b * p) * (g - cache["gg"])
 
         x, a3, h, a1 = cache["x"], cache["a3"], cache["h"], cache["a1"]
         d_z3 = (d_r @ head) * (1.0 - a3 * a3)
         d_z2 = (d_z3 @ w3) * (1.0 - h * h)
         d_z1 = (d_z2 @ w2) * (1.0 - a1 * a1)
-        d_x = d_z1 @ w1
-
-        # Both embedding routes (input and reconstruction target) land on the
-        # entries the batch gathered; bincount sums repeated ones.
+        # Both embedding routes, the reconstruction target and the input,
+        # land on the entries the batch gathered; bincount sums repeated ones.
+        d_emb += d_z1 @ w1
         grad = np.bincount(
-            cache["pos"].ravel(),
-            weights=(d_x + d_emb_target).ravel(),
-            minlength=self.flat.size,
+            cache["pos"].ravel(), weights=d_emb.ravel(), minlength=self.flat.size
         )
+        ones = np.ones((1, x.shape[1]))  # bias gradients sum over rows, as a matmul
         dense = (  # w1 b1 w2 b2 w3 b3 head head_bias, in layout order
-            _transposed(d_z1) @ x, d_z1.sum(axis=1),
-            _transposed(d_z2) @ a1, d_z2.sum(axis=1),
-            _transposed(d_z3) @ h, d_z3.sum(axis=1),
-            _transposed(d_r) @ a3, d_r.sum(axis=1),
+            _transposed(d_z1) @ x, ones @ d_z1,
+            _transposed(d_z2) @ a1, ones @ d_z2,
+            _transposed(d_z3) @ h, ones @ d_z3,
+            _transposed(d_r) @ a3, ones @ d_r,
         )
         for span, part in zip(self.spans, dense):
             grad[span] = part.ravel()
@@ -495,26 +500,9 @@ class Autoencoder:
         """The forward cache of ``rows`` through this model's stack of one."""
         return self._stack.forward(self._positions(self._indices(rows))[None])
 
-    def forward(self, row) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Per-feature reconstructions and the input embeddings they target.
-
-        Returns:
-            (reconstructions, inputs): raw linear head outputs and the
-            embedding rows the event looked up, both keyed by feature name
-            with matching widths.
-        """
-        cache = self._run(np.asarray(row)[None])
-        rec = {name: cache["rec"][0, 0, cols].copy() for name, cols in self._feature_columns()}
-        emb = {name: cache["x"][0, 0, cols].copy() for name, cols in self._feature_columns()}
-        return rec, emb
-
     def losses(self, rows) -> np.ndarray:
         """Loss of every index row, in input order."""
         return self._run(rows)["losses"][0]
-
-    def event_loss(self, row) -> float:
-        """Combined weighted dice dissimilarity of one index row."""
-        return float(self.losses(np.asarray(row)[None])[0])
 
     # ------------------------------------------------------------------
     # persistence

@@ -155,7 +155,11 @@ EDGE_RECORDS = {
     "string-outcome": (raw_record(outcome="SUCCESS"), {"outcome": Outcome.OTHER}),
     "bool-coordinates": (
         client_record(geographicalContext={"geolocation": {"lat": True, "lon": False}}),
-        {"latitude": 1.0, "longitude": 0.0},
+        {"latitude": None, "longitude": None},
+    ),
+    "one-bool-coordinate": (
+        client_record(geographicalContext={"geolocation": {"lat": 10.0, "lon": True}}),
+        {"latitude": None, "longitude": None},
     ),
     "int-coordinates": (
         client_record(geographicalContext={"geolocation": {"lat": -90, "lon": 180}}),
@@ -211,7 +215,11 @@ EDGE_RECORDS = {
     ),
     "non-string-os-and-device": (
         client_record(userAgent={"os": 10}, device={"kind": "Computer"}),
-        {"client_os": "10", "client_device": "{'kind': 'Computer'}"},
+        {"client_os": "", "client_device": ""},
+    ),
+    "true-os-and-list-device": (
+        client_record(userAgent={"os": True}, device=["Computer"]),
+        {"client_os": "", "client_device": ""},
     ),
     "target-id": (
         raw_record(target=[{"type": "AppInstance", "id": "app-1", "alternateId": "alt-1"}]),
@@ -384,10 +392,20 @@ class TestLoadEvents:
             ({"event_type": ["x"]}, "event_type must be a string, got list"),
             ({"app_id": 3}, "app_id must be a string, got int"),
             ({"outcome": 1}, "outcome must be a string, got int"),
+            (
+                {"latitude": True, "longitude": False},
+                "latitude must be a number or null, got bool",
+            ),
+            (
+                {"latitude": 10.0, "longitude": True},
+                "longitude must be a number or null, got bool",
+            ),
+            ({"client_os": False}, "client_os must be a string, got bool"),
         ],
         ids=[
             "int-timestamp", "null-timestamp", "string-coordinates", "int-actor",
-            "list-event-type", "int-app", "int-outcome",
+            "list-event-type", "int-app", "int-outcome", "bool-coordinates",
+            "bool-longitude", "bool-os",
         ],
     )
     def test_flat_record_of_wrong_type_is_rejected(self, tmp_path, caplog, changes, reason):

@@ -5,9 +5,12 @@ from __future__ import annotations
 import base64
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loginwatch.encoding import FEATURE_ORDER, embedding_dim
 from loginwatch.model import (
@@ -20,6 +23,7 @@ from loginwatch.model import (
     _corner,
     _finite_differences,
     _relative_error,
+    _sigmoid,
     _Stack,
     dice_coefficient,
     gradient_check,
@@ -80,6 +84,26 @@ def oracle_dissim(rec_row: np.ndarray, emb_row: np.ndarray) -> float:
     overlap = sum(a * b for a, b in zip(p, g))
     denom = sum(a * a for a in p) + sum(b * b for b in g)
     return 1.0 - 2.0 * overlap / denom
+
+
+def reference_forward(model: Autoencoder, row) -> tuple[dict, dict]:
+    """Each feature's reconstruction and input embedding for one index row.
+
+    Recomputed one matrix-vector product at a time from the named views of
+    ``theta``, independently of the stacked forward pass.
+    """
+    views = model._views(model.theta)
+    emb = {name: views[name][int(index)] for name, index in zip(FEATURE_ORDER, row)}
+    x = np.concatenate([emb[name] for name in FEATURE_ORDER])
+    a1 = np.tanh(views["w1"] @ x + views["b1"])
+    h = np.tanh(views["w2"] @ a1 + views["b2"])
+    a3 = np.tanh(views["w3"] @ h + views["b3"])
+    out = views["head"] @ a3 + views["head_bias"]
+    rec, start = {}, 0
+    for name in FEATURE_ORDER:
+        rec[name] = out[start : start + emb[name].size]
+        start += emb[name].size
+    return rec, emb
 
 
 def theta_blob(values) -> str:
@@ -148,24 +172,47 @@ class TestDiceCoefficient:
             dice_coefficient(np.zeros(3), np.zeros(4))
 
 
+class TestSigmoid:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    @example([0.0, -0.0, 5e-324, -5e-324, 36.8, 37.0, 700.0, 1e308, -1e308])
+    @example([-699.9, -700.0, -700.1, -745.2, -800.0, -37.0, -1e-300])
+    def test_one_exp_form(self, values):
+        x = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow or 0/0 would warn
+            s = _sigmoid(x)
+        assert ((s >= 0.0) & (s <= 1.0)).all()
+        assert (s > 0.0).all()  # clamped at -700, so it never reaches 0
+        # x >= 0 takes the textbook form's exact steps; the same array shape
+        # keeps numpy's exp on the same code path for both
+        nonneg = x >= 0
+        textbook = 1.0 / (1.0 + np.exp(-np.where(nonneg, x, 0.0)))
+        assert np.array_equal(s[nonneg], textbook[nonneg])
+        for value, got in zip(x.tolist(), s.tolist()):
+            if -700.0 <= value < 0.0:
+                expected = 1.0 / (1.0 + math.exp(-value))
+                assert abs(got - expected) <= 4 * math.ulp(expected), value
+
+
 class TestForward:
     def test_event_loss_matches_scalar_recomputation(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=3)
         for row in random_rows(5, seed=9):
-            rec, emb = model.forward(row)
+            rec, emb = reference_forward(model, row)
             expected = sum(oracle_dissim(rec[n], emb[n]) for n in FEATURE_ORDER)
-            assert model.event_loss(row) == pytest.approx(expected, rel=1e-10)
+            assert model.losses(row[None])[0] == pytest.approx(expected, rel=1e-10)
 
     def test_product_mode_multiplies_dissimilarities(self):
         model = Autoencoder(
             "u1", SIZES, hidden_dim=6, code_dim=4, seed=3, loss_mode=LossMode.PRODUCT
         )
         row = random_rows(1, seed=4)[0]
-        rec, emb = model.forward(row)
+        rec, emb = reference_forward(model, row)
         expected = 1.0
         for name in FEATURE_ORDER:
             expected *= oracle_dissim(rec[name], emb[name])
-        assert model.event_loss(row) == pytest.approx(expected, rel=1e-9)
+        assert model.losses(row[None])[0] == pytest.approx(expected, rel=1e-9)
 
     def test_feature_weights_scale_sum_terms(self):
         weights = {"geohash": 2.0, "app_id": 0.5, "client_os": 0.0}
@@ -173,24 +220,27 @@ class TestForward:
             "u1", SIZES, hidden_dim=6, code_dim=4, seed=3, feature_weights=weights
         )
         row = random_rows(1, seed=4)[0]
-        rec, emb = model.forward(row)
+        rec, emb = reference_forward(model, row)
         expected = 0.0
         for name in FEATURE_ORDER:
             expected += weights.get(name, 1.0) * oracle_dissim(rec[name], emb[name])
-        assert model.event_loss(row) == pytest.approx(expected, rel=1e-10)
+        assert model.losses(row[None])[0] == pytest.approx(expected, rel=1e-10)
 
     def test_head_widths_match_embeddings(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=0)
-        rec, emb = model.forward(random_rows(1, seed=1)[0])
-        for name in FEATURE_ORDER:
-            assert rec[name].shape == emb[name].shape
-            assert rec[name].shape == (model._views(model.theta)[name].shape[1],)
+        views = model._views(model.theta)
+        widths = [views[name].shape[1] for name in FEATURE_ORDER]
+        assert model.input_dim == sum(widths)
+        assert views["head"].shape == (model.input_dim, model.hidden_dim)
+        assert views["head_bias"].shape == (model.input_dim,)
+        for (name, cols), width in zip(model._feature_columns(), widths):
+            assert cols.stop - cols.start == width, name
 
     def test_losses_matches_per_event_loop(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=7)
         rows = random_rows(40, seed=8)
         batched = model.losses(rows)
-        single = np.array([model.event_loss(row) for row in rows])
+        single = np.array([model.losses(row[None])[0] for row in rows])
         assert batched == pytest.approx(single, rel=1e-10)
 
     def test_losses_empty_input(self):
@@ -202,7 +252,7 @@ class TestForward:
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=0)
         row = [SIZES["geohash"] + 1, 0, 0, 0, 1, 1, 0, 0]  # in FEATURE_ORDER
         with pytest.raises(ValueError, match="geohash"):
-            model.event_loss(row)
+            model.losses([row])
 
     @pytest.mark.parametrize(
         "rows",
