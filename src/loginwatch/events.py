@@ -4,6 +4,14 @@ Raw input is JSON Lines in the Okta System Log shape (``actor.id``,
 ``eventType``, ``published``, ``outcome.result``, ``client.*``, ``target``).
 Parsing flattens each record into a :class:`LogEvent`; downstream stages only
 ever see the flattened form.
+
+A :class:`LogEvent` has slots and no instance ``__dict__``. Its five
+categorical strings (``actor_id``, ``event_type``, ``app_id``, ``client_os``,
+``client_device``) repeat across a log, so :func:`load_events` keeps one
+string object per distinct value for the length of the call and every event
+it returns holds that object; nothing is cached across calls. A loaded login
+then costs about 220 bytes: the event, its timestamp and its two
+coordinates.
 """
 
 from __future__ import annotations
@@ -70,7 +78,16 @@ _FLAT_TYPES = {
 }
 
 
-@dataclass(frozen=True)
+class _Strings(dict):
+    """One string object per distinct value: ``strings[s]`` is the first string
+    seen equal to ``s``, so events built through one table share their strings."""
+
+    def __missing__(self, key: str) -> str:
+        self[key] = key
+        return key
+
+
+@dataclass(frozen=True, slots=True)
 class LogEvent:
     """One flattened login event.
 
@@ -130,27 +147,32 @@ class LogEvent:
             ValueError: the outcome is unknown, or the coordinates are not a
                 valid pair.
         """
-        for key, (kinds, expected) in _FLAT_TYPES.items():
-            if key not in record:
-                continue
-            value = record[key]
-            # JSON true/false decode to bool, an int subclass, and fit no flat key
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise RecordRejectedError(
-                    f"{key} must be {expected}, got {type(value).__name__}"
-                )
-        return cls(
-            actor_id=record["actor_id"],
-            timestamp=parse_timestamp(record["timestamp"]),
-            event_type=record["event_type"],
-            outcome=Outcome(record["outcome"]),
-            latitude=record.get("latitude"),
-            longitude=record.get("longitude"),
-            app_id=record.get("app_id", ""),
-            client_os=record.get("client_os", ""),
-            client_device=record.get("client_device", ""),
-            has_client_object=bool(record.get("has_client_object", False)),
-        )
+        return _flat_event(record, _Strings())
+
+
+def _flat_event(record: dict, strings: _Strings) -> LogEvent:
+    """:meth:`LogEvent.from_flat_dict`, its strings taken from ``strings``."""
+    for key, (kinds, expected) in _FLAT_TYPES.items():
+        if key not in record:
+            continue
+        value = record[key]
+        # JSON true/false decode to bool, an int subclass, and fit no flat key
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise RecordRejectedError(
+                f"{key} must be {expected}, got {type(value).__name__}"
+            )
+    return LogEvent(
+        actor_id=strings[record["actor_id"]],
+        timestamp=parse_timestamp(record["timestamp"]),
+        event_type=strings[record["event_type"]],
+        outcome=Outcome(record["outcome"]),
+        latitude=record.get("latitude"),
+        longitude=record.get("longitude"),
+        app_id=strings[record.get("app_id", "")],
+        client_os=strings[record.get("client_os", "")],
+        client_device=strings[record.get("client_device", "")],
+        has_client_object=bool(record.get("has_client_object", False)),
+    )
 
 
 @dataclass(frozen=True)
@@ -191,7 +213,10 @@ def parse_timestamp(text: str) -> datetime:
         return ts  # already what the conversion below would make
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return ts.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError as exc:  # an offset that moves the instant past year 1 or 9999
+        raise RecordRejectedError(f"bad timestamp {text!r}: {exc}") from None
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -221,13 +246,24 @@ def _string(value) -> str:
     return value if isinstance(value, str) else ""
 
 
+def _app_key(value) -> str:
+    """A target's ``id`` or ``alternateId`` as an app id: a string as it is, a
+    JSON integer as its digits, any other value (``true``, an object, a list)
+    as ``""``, which counts as absent."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return ""
+
+
 def _extract_app_id(record: dict) -> str:
+    """The ``id`` of the first ``AppInstance`` target, else its ``alternateId``, else ``""``."""
     targets = record.get("target")
     if isinstance(targets, list):
         for item in targets:
             if isinstance(item, dict) and item.get("type") == "AppInstance":
-                app = item.get("id") or item.get("alternateId") or ""
-                return str(app)
+                return _app_key(item.get("id")) or _app_key(item.get("alternateId"))
     return ""
 
 
@@ -250,6 +286,10 @@ def _decode(line: str, line_number: int | None):
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedLineError(f"invalid JSON: {exc.msg}", line_number) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer longer than the int-to-str digit limit, or nesting deeper
+        # than the recursion limit: valid JSON that this interpreter cannot hold
+        raise MalformedLineError(f"undecodable JSON: {exc}", line_number) from None
 
 
 def parse_record(record, line_number: int | None = None) -> LogEvent:
@@ -259,6 +299,11 @@ def parse_record(record, line_number: int | None = None) -> LogEvent:
         MalformedLineError: ``record`` is not an object.
         RecordRejectedError: actor id, event type, or timestamp is missing.
     """
+    return _okta_event(record, line_number, _Strings())
+
+
+def _okta_event(record, line_number: int | None, strings: _Strings) -> LogEvent:
+    """:func:`parse_record`, its strings taken from ``strings``."""
     if not isinstance(record, dict):
         raise MalformedLineError("top-level value is not an object", line_number)
 
@@ -301,15 +346,15 @@ def parse_record(record, line_number: int | None = None) -> LogEvent:
             latitude, longitude = _extract_location(context.get("geolocation"))
 
     return LogEvent(
-        actor_id=actor_id,
+        actor_id=strings[actor_id],
         timestamp=timestamp,
-        event_type=event_type,
+        event_type=strings[event_type],
         outcome=outcome,
         latitude=latitude,
         longitude=longitude,
-        app_id=_extract_app_id(record),
-        client_os=client_os,
-        client_device=client_device,
+        app_id=strings[_extract_app_id(record)],
+        client_os=strings[client_os],
+        client_device=strings[client_device],
         has_client_object=has_client,
     )
 
@@ -329,19 +374,21 @@ def load_events(path: Path | str) -> tuple[list[LogEvent], IngestStats]:
     the two are distinguished per line by their identity keys, and each line
     is decoded once. Records missing required fields, and JSON values that
     are not objects, are counted in ``stats.rejected`` and skipped.
-    Lines that are not valid JSON raise :class:`MalformedLineError` with the
-    line offset.
+    Lines that are not valid JSON, or too deep or long for ``json.loads``,
+    raise :class:`MalformedLineError` with the line offset. Equal strings of the returned events are one object, shared
+    within this call only.
     """
     events: list[LogEvent] = []
     stats = IngestStats()
+    strings = _Strings()
     for number, line in iter_raw_lines(path):
         stats.lines += 1
         record = _decode(line, number)
         try:
             if isinstance(record, dict) and "actor_id" in record:
-                events.append(LogEvent.from_flat_dict(record))
+                events.append(_flat_event(record, strings))
             else:
-                events.append(parse_record(record, number))
+                events.append(_okta_event(record, number, strings))
         except (RecordRejectedError, KeyError, ValueError) as exc:
             logger.warning("rejected record at line %d: %s", number, exc)
             stats.rejected += 1

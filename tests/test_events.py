@@ -1,7 +1,9 @@
 """Ingestion, filtering, and time-feature tests."""
 
 import calendar
+import dataclasses
 import json
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
@@ -237,6 +239,20 @@ EDGE_RECORDS = {
         raw_record(target=[{"type": "AppInstance", "id": 7}]),
         {"app_id": "7"},
     ),
+    "target-object-id": (
+        raw_record(
+            target=[{"type": "AppInstance", "id": {"name": "crm"}, "alternateId": "alt-4"}]
+        ),
+        {"app_id": "alt-4"},
+    ),
+    "target-bool-id": (
+        raw_record(target=[{"type": "AppInstance", "id": True}]),
+        {"app_id": ""},
+    ),
+    "target-list-id": (
+        raw_record(target=[{"type": "AppInstance", "id": ["app-5"], "alternateId": False}]),
+        {"app_id": ""},
+    ),
     "target-first-app-wins": (
         raw_record(target=[{"type": "AppInstance"}, {"type": "AppInstance", "id": "app-3"}]),
         {"app_id": ""},
@@ -310,10 +326,19 @@ class TestParseRecordEdges:
                 "line 3: bad timestamp '2023-03-06T09:12:34ZZ': "
                 "Invalid isoformat string: '2023-03-06T09:12:34Z+00:00'",
             ),
+            (
+                {"published": "0001-01-01T00:30:00+01:00"},
+                "line 3: bad timestamp '0001-01-01T00:30:00+01:00': date value out of range",
+            ),
+            (
+                {"published": "9999-12-31T23:00:00-05:00"},
+                "line 3: bad timestamp '9999-12-31T23:00:00-05:00': date value out of range",
+            ),
         ],
         ids=[
             "empty-actor", "numeric-actor", "string-actor", "list-event-type",
             "numeric-stamp", "empty-stamp", "hour-25", "words", "double-zone",
+            "before-year-1", "after-year-9999",
         ],
     )
     def test_edge_rejection(self, changes, message):
@@ -427,6 +452,18 @@ class TestLoadEvents:
             load_events(path)
         assert excinfo.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "line", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["long-integer", "deep-nesting"]
+    )
+    def test_undecodable_line_is_fatal_with_offset(self, tmp_path, line):
+        # valid JSON, but past the int-to-str digit limit or the recursion limit
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(raw_record()) + f"\n{line}\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as excinfo:
+            load_events(path)
+        assert excinfo.value.line_number == 2
+        assert str(excinfo.value).startswith("line 2: undecodable JSON: ")
+
     def test_write_then_load(self, tmp_path):
         events = [parse_event(json.dumps(raw_record())) for _ in range(3)]
         path = tmp_path / "out.jsonl"
@@ -434,6 +471,86 @@ class TestLoadEvents:
         loaded, stats = load_events(path)
         assert loaded == events
         assert stats.rejected == 0
+
+
+STRING_FIELDS = ("actor_id", "event_type", "app_id", "client_os", "client_device")
+
+
+def write_lines(path, records) -> None:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+class TestCompactEvents:
+    """A loaded login shares its strings within the call and has no instance dict."""
+
+    @pytest.fixture(params=["raw", "flat"])
+    def two_logins(self, request, tmp_path):
+        records = [raw_record(), raw_record(published="2023-03-06T10:00:00Z")]
+        if request.param == "flat":
+            records = [parse_record(r).to_flat_dict() for r in records]
+        path = tmp_path / "events.jsonl"
+        write_lines(path, records)
+        return path
+
+    def test_equal_values_share_one_object_within_a_call(self, two_logins):
+        (first, second), _ = load_events(two_logins)
+        for field in STRING_FIELDS:
+            value = getattr(first, field)
+            assert len(value) > 1, field  # CPython shares "" and 1-character strings anyway
+            assert getattr(second, field) is value, field
+
+    def test_calls_share_no_string(self, two_logins):
+        first, _ = load_events(two_logins)
+        second, _ = load_events(two_logins)
+        assert second == first
+        for field in STRING_FIELDS:
+            assert getattr(second[0], field) is not getattr(first[0], field), field
+
+    def test_event_is_slotted_frozen_and_replaceable(self):
+        event = parse_record(raw_record())
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.app_id = "app-other"
+        moved = dataclasses.replace(event, latitude=0.0, longitude=0.0)
+        assert (moved.latitude, moved.longitude) == (0.0, 0.0)
+        assert moved.actor_id is event.actor_id and moved.timestamp == event.timestamp
+        assert event.latitude == pytest.approx(39.1031)
+        again = parse_record(raw_record())
+        assert again == event and hash(again) == hash(event) and moved != event
+
+    def test_loaded_login_keeps_under_300_bytes(self, tmp_path):
+        # Repeated actors, apps, clients and event types, distinct instants and
+        # places: each login keeps about 560 bytes when it holds a private copy
+        # of every string and an instance dict, and about 220 without.
+        event_types = sorted(ENTRY_EVENT_TYPES)
+        records = [
+            raw_record(
+                actor={"id": f"user-{i % 40:03d}", "type": "User"},
+                eventType=event_types[i % 2],
+                published=f"2023-03-{1 + i // 1000:02d}T{i % 24:02d}:{i % 60:02d}:00Z",
+                client={
+                    "userAgent": {"os": ("Mac OS X", "Windows", "iOS")[i % 3]},
+                    "device": ("Computer", "Mobile")[i % 2],
+                    "geographicalContext": {
+                        "geolocation": {"lat": -60.0 + i * 0.02, "lon": 120.0 - i * 0.03}
+                    },
+                },
+                target=[{"id": f"app-{i % 12:02d}", "type": "AppInstance"}],
+            )
+            for i in range(5000)
+        ]
+        path = tmp_path / "events.jsonl"
+        write_lines(path, records)
+        load_events(path)  # first-call imports and caches stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            events, stats = load_events(path)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert stats.parsed == len(events) == 5000
+        assert kept / len(events) < 300
 
 
 class TestFilterEntryEvents:
