@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from loginwatch.events import LogEvent, TimeFeatures, derive_time_features
+from loginwatch.events import LogEvent, hour_and_weekday
 from loginwatch.geo import geohash_encode
 
 # Embedding width never exceeds this, however large the vocabulary.
@@ -129,15 +129,12 @@ def encode_event(
     """
     if known_app not in (0, 1):
         raise ValueError(f"known_app must be 0 or 1, got {known_app}")
-    time_features = derive_time_features(event.timestamp, active_hours)
+    hour_value, weekday_value = hour_and_weekday(event.timestamp)
     if time_mode is TimeMode.COARSE:
-        if time_features.coarse_hour_flag is None:
+        if active_hours is None:
             raise ValueError("COARSE time mode requires active_hours")
-        hour_value = int(time_features.coarse_hour_flag)
-        weekday_value = 0 if time_features.is_weekend else 1
-    else:
-        hour_value = time_features.event_hour
-        weekday_value = time_features.weekday
+        hour_value = int(hour_value in active_hours)
+        weekday_value = 0 if weekday_value in (1, 7) else 1
 
     return (
         indices["geohash"].index_of(geohash_value(event, precision)),
@@ -190,4 +187,4 @@ def build_event_indices(
 
 def observed_hours(events: Iterable[LogEvent]) -> frozenset[int]:
     """Set of 1..24 hour levels appearing in a stream."""
-    return frozenset(derive_time_features(e.timestamp).event_hour for e in events)
+    return frozenset(hour_and_weekday(e.timestamp)[0] for e in events)

@@ -161,18 +161,35 @@ def _flat_event(record: dict, strings: _Strings) -> LogEvent:
             raise RecordRejectedError(
                 f"{key} must be {expected}, got {type(value).__name__}"
             )
+    actor_id, event_type = record["actor_id"], record["event_type"]
+    # empty names are missing ones, as on the raw path
+    if not actor_id:
+        raise RecordRejectedError("missing actor_id")
+    if not event_type:
+        raise RecordRejectedError("missing event_type")
     return LogEvent(
-        actor_id=strings[record["actor_id"]],
+        actor_id=strings[actor_id],
         timestamp=parse_timestamp(record["timestamp"]),
-        event_type=strings[record["event_type"]],
+        event_type=strings[event_type],
         outcome=Outcome(record["outcome"]),
-        latitude=record.get("latitude"),
-        longitude=record.get("longitude"),
+        latitude=_flat_coordinate(record, "latitude"),
+        longitude=_flat_coordinate(record, "longitude"),
         app_id=strings[record.get("app_id", "")],
         client_os=strings[record.get("client_os", "")],
         client_device=strings[record.get("client_device", "")],
         has_client_object=bool(record.get("has_client_object", False)),
     )
+
+
+def _flat_coordinate(record: dict, key: str) -> float | None:
+    """A flat coordinate as a float, so an integer one is written as the raw path writes it."""
+    value = record.get(key)
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise RecordRejectedError(f"{key} out of range") from None
 
 
 @dataclass(frozen=True)
@@ -423,23 +440,32 @@ def filter_entry_events(
     raise ValueError(f"unknown filter mode: {mode!r}")
 
 
+def hour_and_weekday(timestamp: datetime) -> tuple[int, int]:
+    """(hour level, weekday level) of a login instant in UTC.
+
+    The hour level is 1..24 with clock hour 0 mapping to 1; the weekday
+    level is 1..7 with Sunday = 1. A naive ``timestamp`` is read as local
+    time, as ``datetime.astimezone`` reads it.
+    """
+    if timestamp.tzinfo is not timezone.utc:
+        timestamp = timestamp.astimezone(timezone.utc)
+    return timestamp.hour + 1, timestamp.isoweekday() % 7 + 1
+
+
 def derive_time_features(
     timestamp: datetime, active_hours: frozenset[int] | set[int] | None = None
 ) -> TimeFeatures:
     """Compute calendar features for a login instant (UTC).
 
     ``weekday`` is 1..7 with Sunday = 1; ``event_hour`` is 1..24 with clock
-    hour 0 mapping to 1. When ``active_hours`` (a set of 1..24 hour values)
-    is given, ``coarse_hour_flag`` says whether the hour falls inside it.
+    hour 0 mapping to 1 (see :func:`hour_and_weekday`). When ``active_hours``
+    (a set of 1..24 hour values) is given, ``coarse_hour_flag`` says whether
+    the hour falls inside it.
     """
-    ts = timestamp.astimezone(timezone.utc)
-    event_hour = ts.hour + 1
-    weekday = (ts.weekday() + 1) % 7 + 1
-    is_weekend = weekday in (1, 7)
-    coarse = None if active_hours is None else (event_hour in active_hours)
+    event_hour, weekday = hour_and_weekday(timestamp)
     return TimeFeatures(
         event_hour=event_hour,
         weekday=weekday,
-        is_weekend=is_weekend,
-        coarse_hour_flag=coarse,
+        is_weekend=weekday in (1, 7),
+        coarse_hour_flag=None if active_hours is None else event_hour in active_hours,
     )

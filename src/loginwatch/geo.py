@@ -2,8 +2,16 @@
 
 Geohash here is the classic base32 Z-order encoding: longitude and latitude
 are bisected alternately starting with longitude, five bits per output
-character. Precision is measured in output characters; three characters give
-a cell of 1.40625 degrees per side, five characters roughly 5 km per side.
+character. Precision is measured in output characters, 1 to 12; three
+characters give a cell of 1.40625 degrees per side, five characters roughly
+5 km per side.
+
+The encoder does not bisect. It finds each axis's cell number by arithmetic,
+``int((lon + 180) / width)``, and then compares the coordinate once with the
+exact cell edge on each side, because the division can round across an edge.
+Up to 12 characters (30 bits per axis) every edge is a float64 exactly, so
+the cell is the one the bisection reaches. The two cell numbers are
+interleaved through a 256-entry bit-spread table.
 
 Distances are great-circle miles on a sphere of radius 3958.8 statute miles.
 """
@@ -17,6 +25,11 @@ GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
 _CHAR_TO_BITS = {char: index for index, char in enumerate(GEOHASH_ALPHABET)}
 
 EARTH_RADIUS_MILES = 3958.8
+
+# The standard geohash maximum. At 12 characters each axis has 30 bits, and
+# every cell edge, -180 + k * 360 / 2**30 or -90 + k * 180 / 2**30, is a
+# float64 exactly.
+MAX_GEOHASH_PRECISION = 12
 
 
 @dataclass(frozen=True)
@@ -43,13 +56,70 @@ class BoundingBox:
         return self.lon_max - self.lon_min
 
 
+def _spread_byte(value: int) -> int:
+    """``value``'s bit i moved to bit 2i, for an 8-bit ``value``."""
+    return sum(((value >> bit) & 1) << (2 * bit) for bit in range(8))
+
+
+_SPREAD = tuple(_spread_byte(value) for value in range(256))
+
+# Two geohash characters per 10-bit value.
+_PAIRS = tuple(
+    GEOHASH_ALPHABET[value >> 5] + GEOHASH_ALPHABET[value & 31] for value in range(1024)
+)
+
+
+def _spread(cell: int) -> int:
+    """``cell``'s bit i moved to bit 2i, for a cell number of up to 32 bits."""
+    return (
+        _SPREAD[cell & 255]
+        | _SPREAD[(cell >> 8) & 255] << 16
+        | _SPREAD[(cell >> 16) & 255] << 32
+        | _SPREAD[cell >> 24] << 48
+    )
+
+
+def _layout(precision: int) -> tuple:
+    """How :func:`geohash_encode` builds a geohash of ``precision`` characters.
+
+    Per axis: the cell width and the last cell number. Longitude takes the
+    first of every two bits, so it has the extra bit of an odd bit count,
+    and the last bit is latitude's exactly when the bit count is even: hence
+    the shift of each axis's spread bits. The characters are read off the
+    interleaved code as one leading character (odd precision) or pair, then
+    pairs.
+    """
+    bits = 5 * precision
+    lon_bits, lat_bits = (bits + 1) // 2, bits // 2
+    lon_shift = 1 - bits % 2
+    lead_table, lead_shift = (
+        (GEOHASH_ALPHABET, bits - 5) if precision % 2 else (_PAIRS, bits - 10)
+    )
+    return (
+        360.0 / (1 << lon_bits),
+        (1 << lon_bits) - 1,
+        lon_shift,
+        180.0 / (1 << lat_bits),
+        (1 << lat_bits) - 1,
+        1 - lon_shift,
+        lead_table,
+        lead_shift,
+        tuple(range(lead_shift - 10, -1, -10)),
+    )
+
+
+_LAYOUTS = {
+    precision: _layout(precision) for precision in range(1, MAX_GEOHASH_PRECISION + 1)
+}
+
+
 def geohash_encode(latitude: float, longitude: float, precision: int = 3) -> str:
     """Encode a coordinate to a geohash of ``precision`` characters.
 
     Args:
         latitude: degrees in [-90, 90].
         longitude: degrees in [-180, 180].
-        precision: number of output characters, >= 1.
+        precision: number of output characters, 1..12.
 
     Returns:
         The geohash string; its decoded bounding box contains the input point.
@@ -57,43 +127,46 @@ def geohash_encode(latitude: float, longitude: float, precision: int = 3) -> str
     Raises:
         ValueError: coordinate or precision out of range.
     """
-    if not precision >= 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
+    layout = _LAYOUTS.get(precision)
+    if layout is None:
+        raise ValueError(
+            f"precision must be in 1..{MAX_GEOHASH_PRECISION}, got {precision}"
+        )
     if not -90.0 <= latitude <= 90.0:
         raise ValueError(f"latitude out of range: {latitude}")
     if not -180.0 <= longitude <= 180.0:
         raise ValueError(f"longitude out of range: {longitude}")
+    (lon_width, lon_top, lon_shift, lat_width, lat_top, lat_shift,
+     lead_table, lead_shift, pair_shifts) = layout
 
-    lat_lo, lat_hi = -90.0, 90.0
-    lon_lo, lon_hi = -180.0, 180.0
-    chars: list[str] = []
-    bits = 0
-    bit_count = 0
-    even = True  # even bit positions split longitude
-    while len(chars) < precision:
-        if even:
-            mid = (lon_lo + lon_hi) / 2
-            if longitude >= mid:
-                bits = (bits << 1) | 1
-                lon_lo = mid
-            else:
-                bits <<= 1
-                lon_hi = mid
-        else:
-            mid = (lat_lo + lat_hi) / 2
-            if latitude >= mid:
-                bits = (bits << 1) | 1
-                lat_lo = mid
-            else:
-                bits <<= 1
-                lat_hi = mid
-        even = not even
-        bit_count += 1
-        if bit_count == 5:
-            chars.append(GEOHASH_ALPHABET[bits])
-            bits = 0
-            bit_count = 0
-    return "".join(chars)
+    # The division can round across a cell edge; the edges themselves are
+    # exact, so one comparison on each side puts the cell right. The top
+    # edge (180 or 90) belongs to the last cell.
+    lon_cell = int((longitude + 180.0) / lon_width)
+    edge = -180.0 + lon_cell * lon_width
+    if longitude < edge:
+        lon_cell -= 1
+    elif longitude >= edge + lon_width:
+        lon_cell += 1
+    if lon_cell > lon_top:
+        lon_cell = lon_top
+    lat_cell = int((latitude + 90.0) / lat_width)
+    edge = -90.0 + lat_cell * lat_width
+    if latitude < edge:
+        lat_cell -= 1
+    elif latitude >= edge + lat_width:
+        lat_cell += 1
+    if lat_cell > lat_top:
+        lat_cell = lat_top
+
+    if lon_top < 256:  # one byte per axis: precision 3 or less
+        code = _SPREAD[lon_cell] << lon_shift | _SPREAD[lat_cell] << lat_shift
+    else:
+        code = _spread(lon_cell) << lon_shift | _spread(lat_cell) << lat_shift
+    text = lead_table[code >> lead_shift]
+    for shift in pair_shifts:
+        text += _PAIRS[(code >> shift) & 1023]
+    return text
 
 
 def geohash_decode(code: str) -> BoundingBox:

@@ -22,6 +22,8 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
+from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -52,6 +54,7 @@ from loginwatch.encoding import (
     observed_hours,
 )
 from loginwatch.events import FilterMode, LogEvent, filter_entry_events
+from loginwatch.geo import MAX_GEOHASH_PRECISION
 from loginwatch.inject import InjectionKind, InjectionSpec, inject
 from loginwatch.model import (
     Autoencoder,
@@ -84,11 +87,36 @@ class WorkflowError(RuntimeError):
     """The workflow cannot proceed (for example, no eligible actors)."""
 
 
-def _check_keys(cls, data: Mapping, prefix: str = "") -> None:
-    """Refuse config keys that name no field of the dataclass ``cls``."""
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+def _json_type(default) -> tuple[type | tuple[type, ...], str]:
+    """The JSON type a config value must have, judged by its field's default."""
+    if isinstance(default, Enum):  # str Enums, named by their string values
+        return str, "a string"
+    if isinstance(default, float):
+        return (int, float), "a number"
+    if isinstance(default, int):
+        return int, "an integer"
+    if isinstance(default, list):
+        return list, "a list"
+    return Mapping, "an object"  # a nested config, or a table of weights
+
+
+def _check_config(cls, data: Mapping, prefix: str = "") -> None:
+    """Refuse config keys that name no field of the dataclass ``cls``, and
+    values whose JSON type does not fit their field."""
+    defaults = {
+        f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(cls)
+    }
+    unknown = set(data) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(prefix + key for key in unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(f'{prefix}{key}' for key in unknown)}")
+    for key, value in data.items():
+        kinds, expected = _json_type(defaults[key])
+        # JSON true/false decode to bool, an int subclass, and fit no config key
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(
+                f"config key {prefix}{key} must be {expected}, got {type(value).__name__}"
+            )
 
 
 @dataclass
@@ -114,8 +142,8 @@ class PipelineConfig:
     def __post_init__(self):
         self.filter_mode = FilterMode(self.filter_mode)
         self.time_mode = TimeMode(self.time_mode)
-        if self.geohash_precision < 1:
-            raise ValueError("geohash_precision must be >= 1")
+        if not 1 <= self.geohash_precision <= MAX_GEOHASH_PRECISION:
+            raise ValueError(f"geohash_precision must be in 1..{MAX_GEOHASH_PRECISION}")
         if not 0.0 < self.train_split < 1.0:
             raise ValueError("train_split must be in (0, 1)")
         if not 0.0 <= self.sample_fraction <= 1.0:
@@ -129,16 +157,30 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
-        _check_keys(cls, data)
+        """A config from its JSON object form.
+
+        Raises:
+            ValueError: a key names no setting, a value has the wrong JSON
+                type, or a setting is out of range.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"config must be an object, got {type(data).__name__}")
+        _check_config(cls, data)
         kwargs = dict(data)
-        if "train" in kwargs and isinstance(kwargs["train"], Mapping):
-            _check_keys(TrainConfig, kwargs["train"], prefix="train.")
+        if "train" in kwargs:
+            _check_config(TrainConfig, kwargs["train"], prefix="train.")
+            for name, weight in kwargs["train"].get("feature_weights", {}).items():
+                if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                    raise ValueError(
+                        f"config key train.feature_weights.{name} must be a number, "
+                        f"got {type(weight).__name__}"
+                    )
             kwargs["train"] = TrainConfig(**kwargs["train"])
         if "injections" in kwargs:
             for i, spec in enumerate(kwargs["injections"]):
                 if not isinstance(spec, Mapping):
                     raise ValueError(f"injections[{i}] must be an object")
-                _check_keys(InjectionSpec, spec, prefix=f"injections[{i}].")
+                _check_config(InjectionSpec, spec, prefix=f"injections[{i}].")
             kwargs["injections"] = [InjectionSpec(**spec) for spec in kwargs["injections"]]
         return cls(**kwargs)
 
@@ -265,18 +307,25 @@ def _encode_actor_events(
     actors = {event.actor_id for event in events}
     if len(actors) > 1:
         raise ValueError(f"dataset mixes actors: {sorted(actors)}")
-    rows = [
+    known_app = encoder.superset.known_app
+    indices = encoder.indices
+    precision = encoder.geohash_precision
+    time_mode = encoder.time_mode
+    active_hours = encoder.active_hours
+    rows = (
         encode_event(
             event,
-            encoder.superset.known_app(event.actor_id, event.app_id),
-            encoder.indices,
-            precision=encoder.geohash_precision,
-            time_mode=encoder.time_mode,
-            active_hours=encoder.active_hours,
+            known_app(event.actor_id, event.app_id),
+            indices,
+            precision=precision,
+            time_mode=time_mode,
+            active_hours=active_hours,
         )
         for event in events
-    ]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(FEATURE_ORDER))
+    )
+    width = len(FEATURE_ORDER)
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(events) * width)
+    return flat.reshape(len(events), width)
 
 
 @dataclass

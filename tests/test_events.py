@@ -4,9 +4,11 @@ import calendar
 import dataclasses
 import json
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loginwatch.events import (
     ENTRY_EVENT_TYPES,
@@ -17,6 +19,7 @@ from loginwatch.events import (
     RecordRejectedError,
     derive_time_features,
     filter_entry_events,
+    hour_and_weekday,
     load_events,
     parse_event,
     parse_record,
@@ -363,6 +366,16 @@ class TestFlatRoundTrip:
         again = LogEvent.from_flat_dict(json.loads(event.to_json_line()))
         assert again == event
 
+    def test_integer_coordinates_are_written_as_floats(self):
+        record = raw_record()
+        record["client"]["geographicalContext"]["geolocation"] = {"lat": 40, "lon": -75}
+        raw = parse_record(record)
+        flat = {**raw.to_flat_dict(), "latitude": 40, "longitude": -75}
+        event = LogEvent.from_flat_dict(flat)
+        assert type(event.latitude) is float and type(event.longitude) is float
+        assert event.to_json_line() == raw.to_json_line()
+        assert '"latitude": 40.0, "longitude": -75.0' in event.to_json_line()
+
     def test_coordinates_must_come_in_pairs(self):
         with pytest.raises(ValueError):
             LogEvent(
@@ -426,11 +439,12 @@ class TestLoadEvents:
                 "longitude must be a number or null, got bool",
             ),
             ({"client_os": False}, "client_os must be a string, got bool"),
+            ({"latitude": 10**400, "longitude": 0}, "latitude out of range"),
         ],
         ids=[
             "int-timestamp", "null-timestamp", "string-coordinates", "int-actor",
             "list-event-type", "int-app", "int-outcome", "bool-coordinates",
-            "bool-longitude", "bool-os",
+            "bool-longitude", "bool-os", "past-float-latitude",
         ],
     )
     def test_flat_record_of_wrong_type_is_rejected(self, tmp_path, caplog, changes, reason):
@@ -444,6 +458,21 @@ class TestLoadEvents:
         assert len(events) == 2
         (warning,) = [r.getMessage() for r in caplog.records if "rejected" in r.getMessage()]
         assert warning == f"rejected record at line 2: {reason}"
+
+    @pytest.mark.parametrize(
+        "key, reason",
+        [("actor_id", "missing actor_id"), ("event_type", "missing event_type")],
+    )
+    def test_flat_record_with_empty_name_is_rejected(self, tmp_path, key, reason):
+        # the raw path rejects an empty actor.id or eventType as missing
+        flat = {"actor_id": "u1", "timestamp": "2023-03-06T09:12:34Z",
+                "event_type": "x", "outcome": "SUCCESS", key: ""}
+        with pytest.raises(RecordRejectedError, match=reason):
+            LogEvent.from_flat_dict(flat)
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(flat) + "\n", encoding="utf-8")
+        events, stats = load_events(path)
+        assert (events, stats.rejected) == ([], 1)
 
     def test_malformed_line_is_fatal_with_offset(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -651,6 +680,26 @@ class TestTimeFeatures:
         assert derive_time_features(ts).coarse_hour_flag is None
         assert derive_time_features(ts, active_hours={10, 11}).coarse_hour_flag is True
         assert derive_time_features(ts, active_hours={9, 11}).coarse_hour_flag is False
+
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        st.datetimes(
+            min_value=datetime(1970, 1, 2),
+            max_value=datetime(2100, 1, 1),
+            timezones=st.none()
+            | st.just(timezone.utc)
+            | st.integers(-1439, 1439).map(lambda m: timezone(timedelta(minutes=m))),
+        )
+    )
+    @example(datetime(2023, 1, 1, 0, 0, 0, tzinfo=timezone.utc))
+    @example(datetime(2023, 1, 1, 23, 30, 0, tzinfo=timezone(timedelta(hours=-5))))
+    @example(datetime(2023, 1, 7, 23, 59, 59))
+    def test_hour_and_weekday_agrees_with_derive_time_features(self, ts):
+        features = derive_time_features(ts)
+        utc = ts.astimezone(timezone.utc)  # a naive instant is read as local time
+        oracle = (utc.hour + 1, (calendar.weekday(utc.year, utc.month, utc.day) + 1) % 7 + 1)
+        assert hour_and_weekday(ts) == (features.event_hour, features.weekday) == oracle
 
 
 class TestCoarseFlagValues:

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loginwatch.geo import (
     EARTH_RADIUS_MILES,
     GEOHASH_ALPHABET,
+    MAX_GEOHASH_PRECISION,
     displace,
     geohash_decode,
     geohash_encode,
@@ -51,6 +54,28 @@ def oracle_geohash(latitude: float, longitude: float, precision: int) -> str:
     return "".join(chars)
 
 
+def axis_values(low: float, bits: int):
+    """Coordinates on one axis: cell edges of ``bits`` bits and their float
+    neighbours, the axis ends and both zeros, and any value in range."""
+    cells = 1 << bits
+    edges = st.integers(0, cells).map(lambda k: low + k * (-2 * low) / cells)
+    nudged = st.tuples(edges, st.sampled_from([-1.0, 0.0, 1.0])).map(
+        lambda pair: math.nextafter(pair[0], pair[1] * math.inf) if pair[1] else pair[0]
+    )
+    specials = st.sampled_from([low, -low, 0.0, -0.0])
+    anywhere = st.floats(low, -low)
+    return (nudged | specials | anywhere).filter(lambda value: low <= value <= -low)
+
+
+@st.composite
+def geohash_cases(draw):
+    precision = draw(st.integers(1, MAX_GEOHASH_PRECISION))
+    bits = 5 * precision
+    latitude = draw(axis_values(-90.0, bits // 2))
+    longitude = draw(axis_values(-180.0, (bits + 1) // 2))
+    return latitude, longitude, precision
+
+
 class TestGeohashEncode:
     def test_alphabet(self):
         assert GEOHASH_ALPHABET == "0123456789bcdefghjkmnpqrstuvwxyz"
@@ -74,6 +99,18 @@ class TestGeohashEncode:
                 lat, lon, precision
             )
 
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(geohash_cases())
+    @example((90.0, 180.0, 12))
+    @example((-90.0, -180.0, 12))
+    @example((-0.0, -0.0, 5))
+    @example((math.nextafter(90.0, 0.0), math.nextafter(180.0, 0.0), 11))
+    def test_equals_oracle_on_cell_edges(self, case):
+        latitude, longitude, precision = case
+        assert geohash_encode(latitude, longitude, precision) == oracle_geohash(
+            latitude, longitude, precision
+        )
+
     def test_prefix_property(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
@@ -86,6 +123,8 @@ class TestGeohashEncode:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             geohash_encode(0, 0, 0)
+        with pytest.raises(ValueError, match=r"1\.\.12"):
+            geohash_encode(0, 0, 13)  # past the standard maximum
         with pytest.raises(ValueError):
             geohash_encode(91, 0, 3)
         with pytest.raises(ValueError):

@@ -12,6 +12,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loginwatch.apps import build_superset, login_frequencies
 from loginwatch.cli import main
@@ -25,6 +27,7 @@ from loginwatch.encoding import (
 from loginwatch.events import (
     LogEvent,
     Outcome,
+    derive_time_features,
     filter_entry_events,
     parse_event,
     write_events,
@@ -159,6 +162,13 @@ class TestEncodeActorEvents:
                 active_hours=encoder.active_hours,
             )
             assert tuple(row.tolist()) == expected
+            # the time columns, against the calendar features of the instant
+            features = derive_time_features(event.timestamp, encoder.active_hours)
+            if time_mode is TimeMode.COARSE:
+                time_columns = (int(features.coarse_hour_flag), int(not features.is_weekend))
+            else:
+                time_columns = (features.event_hour, features.weekday)
+            assert tuple(row[4:6].tolist()) == time_columns
 
     def test_no_events_give_an_empty_matrix(self):
         encoder = self._encoder(crafted_events("u1", 10))
@@ -170,6 +180,39 @@ class TestEncodeActorEvents:
         events = crafted_events("u1", 3) + crafted_events("u2", 3)
         with pytest.raises(ValueError, match="actors"):
             _encode_actor_events(events, self._encoder(events))
+
+
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+CONFIG_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["RAW", "COARSE", "CLIENT_INFO", "PRODUCT", "WEEKDAY"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# JSON objects whose keys are mostly setting names, at each level of the config.
+TRAIN_OBJECTS = st.dictionaries(
+    st.sampled_from(field_names(TrainConfig)),
+    CONFIG_VALUES | st.dictionaries(st.sampled_from(FEATURE_ORDER), CONFIG_VALUES, max_size=2),
+    max_size=3,
+)
+INJECTION_LISTS = st.lists(
+    st.dictionaries(st.sampled_from(field_names(InjectionSpec)), CONFIG_VALUES, max_size=3)
+    | CONFIG_VALUES,
+    max_size=2,
+)
+CONFIG_OBJECTS = st.dictionaries(
+    st.sampled_from(field_names(PipelineConfig)) | st.text(max_size=6),
+    CONFIG_VALUES | TRAIN_OBJECTS | INJECTION_LISTS,
+    max_size=4,
+)
 
 
 class TestPipelineConfig:
@@ -237,6 +280,46 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=message):
             PipelineConfig.from_dict({"injections": [{"kind": "LOCATION"}, entry]})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"min_events": "a"}, "config key min_events must be an integer, got str"),
+            ({"train": {"epochs": "x"}}, "config key train.epochs must be an integer, got str"),
+            (
+                {"geohash_precision": None},
+                "config key geohash_precision must be an integer, got NoneType",
+            ),
+            ({"train": 5}, "config key train must be an object, got int"),
+            ({"seed": True}, "config key seed must be an integer, got bool"),
+            (
+                {"train": {"feature_weights": {"geohash": "2"}}},
+                "config key train.feature_weights.geohash must be a number, got str",
+            ),
+            (
+                {"injections": [{"fraction": [0.1]}]},
+                r"config key injections\[0\].fraction must be a number, got list",
+            ),
+            ({"injections": "LOCATION"}, "config key injections must be a list, got str"),
+        ],
+        ids=[
+            "string-int", "string-train-int", "null-int", "int-train", "bool-int",
+            "string-weight", "list-fraction", "string-injections",
+        ],
+    )
+    def test_value_of_wrong_json_type_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_dict(data)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(CONFIG_OBJECTS)
+    def test_from_dict_returns_a_config_or_raises_value_error(self, data):
+        try:
+            config = PipelineConfig.from_dict(data)
+        except ValueError:
+            return
+        assert isinstance(config, PipelineConfig)
+        assert len(config.config_hash()) == 64
+
     def test_hash_tracks_content(self):
         assert fast_config().config_hash() == fast_config().config_hash()
         assert fast_config().config_hash() != fast_config(seed=4).config_hash()
@@ -246,6 +329,8 @@ class TestPipelineConfig:
             PipelineConfig(train_split=1.0)
         with pytest.raises(ValueError):
             PipelineConfig(geohash_precision=0)
+        with pytest.raises(ValueError, match="geohash_precision"):
+            PipelineConfig(geohash_precision=13)
         with pytest.raises(ValueError):
             PipelineConfig(min_events=1)
         with pytest.raises(ValueError):
