@@ -12,8 +12,6 @@ from loginwatch.events import (
     FilterMode,
     LogEvent,
     Outcome,
-    TimeFeatures,
-    derive_time_features,
     filter_entry_events,
     parse_event,
 )
@@ -22,8 +20,6 @@ __all__ = [
     "FilterMode",
     "LogEvent",
     "Outcome",
-    "TimeFeatures",
-    "derive_time_features",
     "filter_entry_events",
     "parse_event",
     "__version__",

@@ -3,7 +3,8 @@
 Subcommands mirror the pipeline stages: ``synth`` makes a corpus, ``ingest``
 flattens raw logs, ``profile`` builds app supersets, ``train`` fits and
 registers per-actor models, ``score`` runs stored models over new events,
-and ``report`` dumps per-actor threshold and loss curves as CSV.
+and ``report`` dumps per-actor threshold and loss curves as CSV, skipping
+(with a warning) an actor whose newest model is refused.
 
 Failures exit non-zero with a one-line JSON error object on stderr.
 """
@@ -31,7 +32,7 @@ from loginwatch.pipeline import (
     run_score_workflow,
     run_train_workflow,
 )
-from loginwatch.registry import ModelRegistry
+from loginwatch.registry import ModelRegistry, RegistryIntegrityError
 
 logger = logging.getLogger(__name__)
 
@@ -131,9 +132,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     registry = ModelRegistry(args.registry)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for actor_id in registry.actors():
-        entry = registry.load(actor_id)
+    actors = registry.actors()
+    written, unreadable = [], []
+    for actor_id in actors:
+        try:
+            entry = registry.load(actor_id)
+        except RegistryIntegrityError as exc:
+            logger.warning("cannot report %s: %s", actor_id, exc)
+            unreadable.append(actor_id)
+            continue
         curve_path = out_dir / f"f1_curve_{actor_id}.csv"
         with open(curve_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
@@ -148,7 +155,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             for epoch, value in enumerate(entry.model.epoch_losses, start=1):
                 writer.writerow([epoch, f"{value:.10f}"])
         written.extend([str(curve_path), str(loss_path)])
-    print(json.dumps({"actors": len(registry.actors()), "files": written}))
+    print(json.dumps({"actors": len(actors), "files": written, "unreadable": unreadable}))
     return 0
 
 

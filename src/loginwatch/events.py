@@ -192,22 +192,6 @@ def _flat_coordinate(record: dict, key: str) -> float | None:
         raise RecordRejectedError(f"{key} out of range") from None
 
 
-@dataclass(frozen=True)
-class TimeFeatures:
-    """Calendar features of a login instant.
-
-    ``event_hour`` runs 1..24 (clock hour 0 maps to 1) and ``weekday`` runs
-    1..7 with Sunday = 1, so both double as embedding indices downstream.
-    ``coarse_hour_flag`` is only populated when an actor's active-hour set is
-    supplied.
-    """
-
-    event_hour: int
-    weekday: int
-    is_weekend: bool
-    coarse_hour_flag: bool | None = None
-
-
 @dataclass
 class IngestStats:
     """Counters from reading one JSONL stream."""
@@ -450,22 +434,3 @@ def hour_and_weekday(timestamp: datetime) -> tuple[int, int]:
     if timestamp.tzinfo is not timezone.utc:
         timestamp = timestamp.astimezone(timezone.utc)
     return timestamp.hour + 1, timestamp.isoweekday() % 7 + 1
-
-
-def derive_time_features(
-    timestamp: datetime, active_hours: frozenset[int] | set[int] | None = None
-) -> TimeFeatures:
-    """Compute calendar features for a login instant (UTC).
-
-    ``weekday`` is 1..7 with Sunday = 1; ``event_hour`` is 1..24 with clock
-    hour 0 mapping to 1 (see :func:`hour_and_weekday`). When ``active_hours``
-    (a set of 1..24 hour values) is given, ``coarse_hour_flag`` says whether
-    the hour falls inside it.
-    """
-    event_hour, weekday = hour_and_weekday(timestamp)
-    return TimeFeatures(
-        event_hour=event_hour,
-        weekday=weekday,
-        is_weekend=weekday in (1, 7),
-        coarse_hour_flag=None if active_hours is None else event_hour in active_hours,
-    )

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from loginwatch.encoding import Label
-from loginwatch.events import LogEvent, derive_time_features
+from loginwatch.events import LogEvent, hour_and_weekday
 from loginwatch.geo import displace, geohash_encode
 
 DEFAULT_FRACTION = 0.1
@@ -72,17 +72,21 @@ def _displace_event(
 def _least_frequent_hour(events: Sequence[LogEvent]) -> int:
     counts = {hour: 0 for hour in range(1, 25)}
     for event in events:
-        counts[derive_time_features(event.timestamp).event_hour] += 1
+        counts[hour_and_weekday(event.timestamp)[0]] += 1
     return min(counts, key=lambda h: (counts[h], h))
+
+
+def _is_weekend(timestamp: datetime) -> bool:
+    return hour_and_weekday(timestamp)[1] in (1, 7)  # Sunday = 1, Saturday = 7
 
 
 def _shift_day_type(event: LogEvent) -> LogEvent:
     """Move the timestamp forward to the nearest opposite day type."""
-    start_weekend = derive_time_features(event.timestamp).is_weekend
+    start_weekend = _is_weekend(event.timestamp)
     moved = event.timestamp
     for _ in range(7):
         moved = moved + timedelta(days=1)
-        if derive_time_features(moved).is_weekend != start_weekend:
+        if _is_weekend(moved) != start_weekend:
             return dataclasses.replace(event, timestamp=moved)
     raise RuntimeError("no opposite day type within a week")  # unreachable
 
@@ -127,9 +131,7 @@ def inject(
         int(eligible[k]) for k in rng.choice(len(eligible), size=count, replace=False)
     )
 
-    observed_hours = frozenset(
-        derive_time_features(e.timestamp).event_hour for e in events
-    )
+    observed_hours = frozenset(hour_and_weekday(e.timestamp)[0] for e in events)
     rare_hour = None
     for position in chosen:
         event = events[position]

@@ -25,12 +25,16 @@ derivative read from the squares that the dice denominator already needs.
 
 There is one forward and one backward pass, written for a stack of actors
 (``_Stack``): every array carries a leading actor axis, so one matmul,
-sigmoid or ``bincount`` covers all of them. A model scores through a stack
-of one over its own ``theta``. ``train`` fits every job of a call in one
-such stack, the bank, whose narrower actors are padded to the widest
-``input_dim`` with columns that read a zero slot and belong to no feature,
-so their parameters stay exactly 0 and each actor's fit equals its fit
-alone up to float64 roundoff.
+sigmoid or ``bincount`` covers all of them. The stack is also the one
+parameter layout: built from each actor's feature sizes, it places the
+dense blocks, each actor's embedding tables and one zero slot, and gives
+each actor its gather positions and own-shape named views of any vector in
+its layout. A model is a stack of one, whose ``flat`` without the zero slot
+is its ``theta``. ``train`` fits every job of a call in a stack of many,
+the bank, whose narrower actors are padded to the widest ``input_dim`` with
+columns that read the zero slot and belong to no feature, so their
+parameters stay exactly 0 and each actor's fit equals its fit alone up to
+float64 roundoff.
 
 A stored model keeps ``theta`` whole, as base64 of its little-endian float64
 bytes, beside the scalars that fix its layout (``feature_sizes``,
@@ -44,12 +48,12 @@ patterns the model never learned reconstruct poorly and score high.
 from __future__ import annotations
 
 import base64
-import itertools
+import copy
 import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +63,9 @@ logger = logging.getLogger(__name__)
 
 _EPS = 1e-12
 _DENSE_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "head", "head_bias")
+# Row f is the segment row of a column of feature f; the last row, all 0, is
+# that of a padded column.
+_SEGMENT_ROWS = np.eye(len(FEATURE_ORDER) + 1, len(FEATURE_ORDER))
 
 
 class LossMode(str, Enum):
@@ -133,6 +140,18 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.maximum(x, -700.0)))
 
 
+def _checked_sizes(feature_sizes: Mapping[str, int]) -> dict[str, int]:
+    """One actor's largest index per feature, in ``FEATURE_ORDER``; each must be >= 1."""
+    missing = [name for name in FEATURE_ORDER if name not in feature_sizes]
+    if missing:
+        raise ValueError(f"feature_sizes missing {missing}")
+    sizes = {name: int(feature_sizes[name]) for name in FEATURE_ORDER}
+    for name, m in sizes.items():
+        if m < 1:
+            raise ValueError(f"feature_sizes[{name!r}] must be >= 1, got {m}")
+    return sizes
+
+
 def _dense_shapes(hidden_dim: int, code_dim: int, width: int) -> list[tuple[int, ...]]:
     """Shapes of one actor's ``w1 b1 w2 b2 w3 b3 head head_bias``."""
     return [
@@ -148,35 +167,99 @@ def _transposed(m: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """The dense parameters of several autoencoders as stacked views of one vector.
+    """The parameters of one or more autoencoders, laid out in one vector.
 
-    ``flat`` starts with one block per dense parameter, in ``_DENSE_KEYS``
-    order; a block holds that parameter of actor 0, then actor 1, and so on,
-    each ``width`` columns wide. Embedding tables follow, wherever the
-    gather positions say. A stack of one is exactly a model's ``theta``.
+    It is built from each actor's ``feature_sizes`` and the shared
+    ``hidden_dim``, ``code_dim``, ``loss_mode`` and feature weights, and it
+    is the only code that works out where a parameter sits. ``flat`` starts
+    with one block per dense parameter, in ``_DENSE_KEYS`` order; a block
+    holds that parameter of actor 0, then actor 1, and so on, each padded to
+    the widest ``input_dim``. Each actor's embedding tables follow in turn,
+    then one zero slot. A stack of one has no padding, so its ``flat``
+    without the zero slot is exactly a model's ``theta``.
 
-    ``params`` holds the blocks as ``(actors, *shape)`` views and ``spans``
-    where each sits in ``flat``; ``segments`` is ``(actors, width,
-    features)``, 1 where a column belongs to a feature; ``weights`` holds
-    the feature weights.
+    Column ``j`` of actor ``k``'s input reads
+    ``flat[idx[f] * dim + base]`` through that column's feature ``f``,
+    ``dim`` and ``base``. A padded column has dim 0 and the zero slot as its
+    base, and belongs to no feature, so it reads 0, its gradient is exactly
+    0 and it never moves.
+
+    ``params`` holds the dense blocks as ``(actors, *shape)`` views and
+    ``spans`` where each sits in ``flat``; ``segments`` is ``(actors,
+    width, features)``, 1 where a column belongs to a feature; ``weights``
+    holds the feature weights.
     """
 
     def __init__(
         self,
-        flat: np.ndarray,
-        params: tuple[np.ndarray, ...],
-        spans: tuple[slice, ...],
-        segments: np.ndarray,
-        weights: np.ndarray,
-        loss_mode: LossMode,
+        feature_sizes: Sequence[Mapping[str, int]],
+        hidden_dim: int,
+        code_dim: int,
+        loss_mode: LossMode = LossMode.SUM,
+        feature_weights: Mapping[str, float] | None = None,
     ):
-        self.flat = flat
-        self.params = params
-        self.spans = spans
-        self.segments = segments
-        self.weights = weights
-        self.loss_mode = loss_mode
-        w1, b1, w2, b2, w3, b3, head, head_bias = params
+        self.feature_sizes = [_checked_sizes(sizes) for sizes in feature_sizes]
+        if hidden_dim < 1 or code_dim < 1:
+            raise ValueError("hidden_dim and code_dim must be >= 1")
+        dims = [[embedding_dim(m) for m in sizes.values()] for sizes in self.feature_sizes]
+        self.input_dims = [sum(actor_dims) for actor_dims in dims]
+        for input_dim in self.input_dims:
+            if not code_dim < input_dim:
+                raise ValueError(f"code_dim {code_dim} must be < input_dim {input_dim}")
+        self.hidden_dim = hidden_dim
+        self.code_dim = code_dim
+        self.loss_mode = LossMode(loss_mode)
+        weights = dict(feature_weights or {})
+        self.feature_weights = {name: float(weights.get(name, 1.0)) for name in FEATURE_ORDER}
+        self.weights = np.array(list(self.feature_weights.values()))
+
+        actors, width = len(dims), max(self.input_dims)
+        # (start, shape, size) of each dense block, shape and size per actor
+        self._blocks: list[tuple[int, tuple[int, ...], int]] = []
+        offset = 0
+        for shape in _dense_shapes(hidden_dim, code_dim, width):
+            size = math.prod(shape)
+            self._blocks.append((offset, shape, size))
+            offset += actors * size
+        self._tables: list[list[tuple[int, int, int]]] = []  # per actor: (start, rows, dim)
+        for sizes, actor_dims in zip(self.feature_sizes, dims):
+            tables = []
+            for m, dim in zip(sizes.values(), actor_dims):
+                tables.append((offset, m + 1, dim))
+                offset += (m + 1) * dim
+            self._tables.append(tables)
+        self.zero = offset
+        self.flat = np.zeros(offset + 1)
+
+        # Column maps, one row per actor: each column's feature, dim and base,
+        # and the row of _SEGMENT_ROWS that says which feature it belongs to
+        # (a padded column: the last row, all 0).
+        feature, dim, base, segment = [], [], [], []
+        for tables, input_dim in zip(self._tables, self.input_dims):
+            for f, (start, _, d) in enumerate(tables):
+                feature += [f] * d
+                dim += [d] * d
+                base += range(start, start + d)
+                segment += [f] * d
+            pad = width - input_dim
+            feature += [0] * pad
+            dim += [0] * pad
+            base += [self.zero] * pad
+            segment += [len(FEATURE_ORDER)] * pad
+        maps = np.array(feature + dim + base + segment).reshape(4, actors, width)
+        self._col_feature, self._col_dim, self._col_base = maps[:3]
+        self.segments = _SEGMENT_ROWS[maps[3]]
+        self._max_index = np.array([list(sizes.values()) for sizes in self.feature_sizes])
+        self._bind(actors)
+
+    def _bind(self, actors: int) -> None:
+        """Point ``params``, ``spans`` and the layers at the first ``actors`` actors."""
+        spans, params = [], []
+        for start, shape, size in self._blocks:
+            spans.append(slice(start, start + actors * size))
+            params.append(self.flat[spans[-1]].reshape(actors, *shape))
+        self.spans, self.params = tuple(spans), tuple(params)
+        w1, b1, w2, b2, w3, b3, head, head_bias = self.params
         # each layer's weights as the forward pass multiplies by them, and
         # its bias broadcast over rows
         self._layers = (
@@ -186,40 +269,54 @@ class _Stack:
             (_transposed(head), head_bias[:, None]),
         )
 
-    @classmethod
-    def over(
-        cls,
-        flat: np.ndarray,
-        actors: int,
-        hidden_dim: int,
-        code_dim: int,
-        segments: np.ndarray,
-        weights: np.ndarray,
-        loss_mode: LossMode,
-    ) -> "_Stack":
-        """The stack of ``actors`` whose dense blocks start ``flat``."""
-        params, spans, offset = [], [], 0
-        for shape in _dense_shapes(hidden_dim, code_dim, segments.shape[1]):
-            size = actors * math.prod(shape)
-            params.append(flat[offset : offset + size].reshape(actors, *shape))
-            spans.append(slice(offset, offset + size))
-            offset += size
-        return cls(flat, tuple(params), tuple(spans), segments, weights, loss_mode)
-
     def lead(self, actors: int) -> "_Stack":
         """The first ``actors`` actors, as views; each block's share is a prefix of it."""
-        total = self.segments.shape[0]
-        return _Stack(
-            self.flat,
-            tuple(p[:actors] for p in self.params),
-            tuple(
-                slice(s.start, s.start + (s.stop - s.start) // total * actors)
-                for s in self.spans
-            ),
-            self.segments[:actors],
-            self.weights,
-            self.loss_mode,
-        )
+        lead = copy.copy(self)
+        lead.segments = self.segments[:actors]
+        lead._bind(actors)
+        return lead
+
+    def views(self, k: int, vector: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Actor ``k``'s parameters in their own shapes, as views of a layout vector.
+
+        ``vector`` is ``flat`` (the default), a model's ``theta`` or a
+        gradient. Keys are ``w1`` to ``b3``, ``head`` (every feature's head,
+        in feature order), ``head_bias`` and each feature name for its
+        embedding table: m + 1 rows, row 0 for out-of-vocabulary values.
+        Writing into a view writes the vector.
+        """
+        vector = self.flat if vector is None else vector
+        actors = len(self.feature_sizes)
+        own = _dense_shapes(self.hidden_dim, self.code_dim, self.input_dims[k])
+        views = {}
+        for key, (start, shape, size), own_shape in zip(_DENSE_KEYS, self._blocks, own):
+            block = vector[start : start + actors * size].reshape(actors, *shape)
+            views[key] = block[k][tuple(map(slice, own_shape))]
+        for name, (start, rows, dim) in zip(FEATURE_ORDER, self._tables[k]):
+            views[name] = vector[start : start + rows * dim].reshape(rows, dim)
+        return views
+
+    def clear(self, k: int) -> None:
+        """Set every parameter of actor ``k`` to 0."""
+        for view in self.views(k).values():
+            view[...] = 0.0
+
+    def positions(self, k: int, rows) -> np.ndarray:
+        """Where in ``flat`` each column of actor ``k``'s index rows reads from.
+
+        Raises:
+            ValueError: ``rows`` is not a 2-D integer array with 8 columns,
+                or holds an index outside its feature's size.
+        """
+        idx = _check_rows(rows)
+        bad = (idx < 0) | (idx > self._max_index[k])
+        if bad.any():
+            f, row = np.argwhere(bad.T)[0]  # first feature with a bad index
+            name = FEATURE_ORDER[f]
+            raise ValueError(
+                f"{name}: index {idx[row, f]} outside [0, {self.feature_sizes[k][name]}]"
+            )
+        return idx[:, self._col_feature[k]] * self._col_dim[k] + self._col_base[k]
 
     def forward(self, pos: np.ndarray) -> dict:
         """Run ``(actors, rows, width)`` gather positions through the network.
@@ -331,11 +428,11 @@ class Autoencoder:
     The event loss compares sigmoid(r_f) against sigmoid(e_f) per feature
     with the dice dissimilarity and combines features per ``loss_mode``.
 
-    ``theta`` holds every parameter; ``w1`` to ``b3``, ``head`` (the H_f
-    stacked in feature order) and ``head_bias`` (the c_f) are views into it,
-    and ``_views(theta)[name]`` is feature ``name``'s embedding table: m + 1
-    rows, row 0 for out-of-vocabulary values. Write parameters in place
-    (``view[...] = values``); rebinding an attribute detaches it.
+    A model is a stack of one: ``theta`` holds every parameter, as the
+    stack's ``flat`` without its zero slot, and ``_stack.views(0)`` names
+    them (``w1`` to ``b3``, ``head`` with the H_f stacked in feature order,
+    ``head_bias`` with the c_f, and one embedding table per feature). Write
+    parameters in place (``view[...] = values``).
     """
 
     def __init__(
@@ -349,8 +446,9 @@ class Autoencoder:
         loss_mode: LossMode = LossMode.SUM,
         feature_weights: Mapping[str, float] | None = None,
     ):
-        self._allocate(
-            actor_id, feature_sizes, hidden_dim, code_dim, loss_mode, feature_weights
+        self._adopt(
+            actor_id,
+            _Stack([feature_sizes], hidden_dim, code_dim, loss_mode, feature_weights),
         )
 
         # Initial values: one generator per embedding table (entries uniform
@@ -358,7 +456,7 @@ class Autoencoder:
         # order. Trained models and the acceptance figures depend on this
         # order; keep it.
         seeds = np.random.SeedSequence(seed).generate_state(len(FEATURE_ORDER) + 1)
-        views = self._views(self.theta)
+        views = self._stack.views(0)
         for name, child_seed in zip(FEATURE_ORDER, seeds):
             table = views[name]
             table[...] = np.random.default_rng(int(child_seed)).uniform(
@@ -367,142 +465,39 @@ class Autoencoder:
 
         rng = np.random.default_rng(int(seeds[-1]))
 
-        def glorot(fan_out: int, fan_in: int) -> np.ndarray:
+        def glorot(weights: np.ndarray) -> None:
+            fan_out, fan_in = weights.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+            weights[...] = rng.uniform(-limit, limit, size=weights.shape)
 
-        self.w1[...] = glorot(hidden_dim, self.input_dim)
-        self.w2[...] = glorot(code_dim, hidden_dim)
-        self.w3[...] = glorot(hidden_dim, code_dim)
-        for _, cols in self._feature_columns():
-            self.head[cols] = glorot(cols.stop - cols.start, hidden_dim)
+        glorot(views["w1"])
+        glorot(views["w2"])
+        glorot(views["w3"])
+        start = 0
+        for name in FEATURE_ORDER:
+            width = views[name].shape[1]
+            glorot(views["head"][start : start + width])
+            start += width
 
-    def _allocate(
-        self,
-        actor_id: str,
-        feature_sizes: Mapping[str, int],
-        hidden_dim: int,
-        code_dim: int,
-        loss_mode: LossMode,
-        feature_weights: Mapping[str, float] | None,
-    ) -> None:
-        """Validate the configuration and lay out a zero ``theta``."""
-        missing = [name for name in FEATURE_ORDER if name not in feature_sizes]
-        if missing:
-            raise ValueError(f"feature_sizes missing {missing}")
-        if hidden_dim < 1 or code_dim < 1:
-            raise ValueError("hidden_dim and code_dim must be >= 1")
-
+    def _adopt(self, actor_id: str, stack: _Stack) -> None:
+        """Take ``stack``, a stack of one, as this model's parameters."""
         self.actor_id = actor_id
-        self.loss_mode = LossMode(loss_mode)
-        self.feature_sizes = {name: int(feature_sizes[name]) for name in FEATURE_ORDER}
-        weights = dict(feature_weights or {})
-        self.feature_weights = {
-            name: float(weights.get(name, 1.0)) for name in FEATURE_ORDER
-        }
-        self._w_vec = np.array(
-            [self.feature_weights[name] for name in FEATURE_ORDER], dtype=float
-        )
-
-        sizes = [self.feature_sizes[name] for name in FEATURE_ORDER]
-        small = [name for name, m in zip(FEATURE_ORDER, sizes) if m < 1]
-        if small:
-            name = small[0]
-            raise ValueError(
-                f"feature_sizes[{name!r}] must be >= 1, got {self.feature_sizes[name]}"
-            )
-        dims = [embedding_dim(m) for m in sizes]
-        self.input_dim = sum(dims)
-        if not code_dim < self.input_dim:
-            raise ValueError(
-                f"code_dim {code_dim} must be < input_dim {self.input_dim}"
-            )
-        self.hidden_dim = hidden_dim
-        self.code_dim = code_dim
-
-        shapes = list(zip(_DENSE_KEYS, _dense_shapes(hidden_dim, code_dim, self.input_dim)))
-        shapes += [(name, (m + 1, dim)) for name, m, dim in zip(FEATURE_ORDER, sizes, dims)]
-        self._layout: list[tuple[str, slice, tuple[int, ...]]] = []
-        offset = 0
-        for key, shape in shapes:
-            size = math.prod(shape)
-            self._layout.append((key, slice(offset, offset + size), shape))
-            offset += size
-        self.theta = np.zeros(offset)
-        dense = self._layout[: len(_DENSE_KEYS)]
-        self._table_start = self._layout[len(_DENSE_KEYS)][1].start
-
-        # Column maps: column j of x is feature _col_feature[j]; an event with
-        # index row idx reads it from theta[idx[f] * _col_dim[j] + _col_base[j]].
-        self._col_start = [0, *itertools.accumulate(dims)]
-        self._col_feature = np.repeat(np.arange(len(FEATURE_ORDER)), dims)
-        self._col_dim = np.repeat(dims, dims)
-        table_start = np.array([span.start for _, span, _ in self._layout[-len(dims):]])
-        self._col_base = (
-            table_start[self._col_feature]
-            + np.arange(self.input_dim)
-            - np.array(self._col_start)[self._col_feature]
-        )
-        self._segments = np.zeros((self.input_dim, len(FEATURE_ORDER)))
-        self._segments[np.arange(self.input_dim), self._col_feature] = 1.0
-        self._max_index = np.array(sizes, dtype=np.int64)
-
-        views = [self.theta[span].reshape(shape) for _, span, shape in dense]
-        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.head, self.head_bias = views
-        self._stack = _Stack(
-            self.theta,
-            tuple(view[None] for view in views),
-            tuple(span for _, span, _ in dense),
-            self._segments[None],
-            self._w_vec,
-            self.loss_mode,
-        )
-
+        self._stack = stack
+        self.theta = stack.flat[: stack.zero]
+        self.feature_sizes = stack.feature_sizes[0]
+        self.feature_weights = stack.feature_weights
+        self.loss_mode = stack.loss_mode
+        self.hidden_dim = stack.hidden_dim
+        self.code_dim = stack.code_dim
+        self.input_dim = stack.input_dims[0]
         self.train_mu: float | None = None
         self.train_sigma: float | None = None
         self.chosen_n: float | None = None
         self.epoch_losses: list[float] = []
 
-    def _views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Named views of a parameter-layout vector (``theta`` or a gradient).
-
-        Keys are ``w1`` to ``b3``, ``head``, ``head_bias`` and each feature
-        name for its embedding table.
-        """
-        return {key: vector[span].reshape(shape) for key, span, shape in self._layout}
-
-    def _feature_columns(self) -> Iterator[tuple[str, slice]]:
-        """Each feature's columns in x, in the reconstruction and in ``head``."""
-        for f, name in enumerate(FEATURE_ORDER):
-            yield name, slice(self._col_start[f], self._col_start[f + 1])
-
-    # ------------------------------------------------------------------
-    # forward
-    # ------------------------------------------------------------------
-
-    def _indices(self, rows) -> np.ndarray:
-        rows = _check_rows(rows)
-        bad = (rows < 0) | (rows > self._max_index)
-        if bad.any():
-            f, row = np.argwhere(bad.T)[0]  # first feature with a bad index
-            name = FEATURE_ORDER[f]
-            raise ValueError(
-                f"{name}: index {rows[row, f]} outside "
-                f"[0, {self.feature_sizes[name]}]"
-            )
-        return rows
-
-    def _positions(self, idx: np.ndarray) -> np.ndarray:
-        """Where in ``theta`` each column of each checked index row reads from."""
-        return idx[:, self._col_feature] * self._col_dim + self._col_base
-
-    def _run(self, rows) -> dict:
-        """The forward cache of ``rows`` through this model's stack of one."""
-        return self._stack.forward(self._positions(self._indices(rows))[None])
-
     def losses(self, rows) -> np.ndarray:
         """Loss of every index row, in input order."""
-        return self._run(rows)["losses"][0]
+        return self._stack.forward(self._stack.positions(0, rows)[None])["losses"][0]
 
     # ------------------------------------------------------------------
     # persistence
@@ -540,13 +535,15 @@ class Autoencoder:
                 ``code_dim`` imply.
         """
         model = cls.__new__(cls)
-        model._allocate(
+        model._adopt(
             state["actor_id"],
-            state["feature_sizes"],
-            state["hidden_dim"],
-            state["code_dim"],
-            LossMode(state["loss_mode"]),
-            state["feature_weights"],
+            _Stack(
+                [state["feature_sizes"]],
+                state["hidden_dim"],
+                state["code_dim"],
+                LossMode(state["loss_mode"]),
+                state["feature_weights"],
+            ),
         )
         try:
             blob = base64.b64decode(state["theta"], validate=True)
@@ -563,70 +560,6 @@ class Autoencoder:
         model.chosen_n = state.get("chosen_n")
         model.epoch_losses = list(state.get("epoch_losses", []))
         return model
-
-
-def _corner(param: np.ndarray) -> tuple[slice, ...]:
-    """Where ``param`` sits in its zero-padded, wider copy."""
-    return tuple(slice(0, n) for n in param.shape)
-
-
-class _Bank:
-    """The parameters of several models, stacked for one training loop.
-
-    ``stack.flat`` holds the dense blocks of every model, padded to the
-    widest ``input_dim`` with zeros, then each model's embedding tables in
-    turn, then one zero slot. A narrower model's padded columns gather the
-    zero slot and belong to no feature, so their gradient is exactly 0 and
-    the padding never moves.
-    """
-
-    def __init__(self, models: Sequence[Autoencoder]):
-        self.models = list(models)
-        first = self.models[0]
-        width = max(model.input_dim for model in self.models)
-        segments = np.zeros((len(self.models), width, len(FEATURE_ORDER)))
-        for k, model in enumerate(self.models):
-            segments[k, : model.input_dim] = model._segments
-        dense = sum(
-            len(self.models) * math.prod(shape)
-            for shape in _dense_shapes(first.hidden_dim, first.code_dim, width)
-        )
-        self._tables: list[slice] = []
-        offset = dense
-        for model in self.models:
-            size = model.theta.size - model._table_start
-            self._tables.append(slice(offset, offset + size))
-            offset += size
-        self.zero = offset
-        self.stack = _Stack.over(
-            np.zeros(offset + 1), len(self.models), first.hidden_dim, first.code_dim,
-            segments, first._w_vec, first.loss_mode,
-        )
-        for k, model in enumerate(self.models):
-            for stacked, own in zip(self.stack.params, model._stack.params):
-                stacked[k][_corner(own[0])] = own[0]
-            self.stack.flat[self._tables[k]] = model.theta[model._table_start :]
-
-    def positions(self, k: int, idx: np.ndarray) -> np.ndarray:
-        """Gather positions in ``stack.flat`` of model ``k``'s checked index rows."""
-        model = self.models[k]
-        pos = np.full((idx.shape[0], self.stack.segments.shape[1]), self.zero)
-        shift = self._tables[k].start - model._table_start
-        pos[:, : model.input_dim] = model._positions(idx) + shift
-        return pos
-
-    def clear(self, k: int) -> None:
-        """Set every parameter of model ``k`` to 0."""
-        for stacked in self.stack.params:
-            stacked[k] = 0.0
-        self.stack.flat[self._tables[k]] = 0.0
-
-    def store(self) -> None:
-        """Copy the stacked parameters back into each model's ``theta``."""
-        for k, model in enumerate(self.models):
-            for stacked, own in zip(self.stack.params, model._stack.params):
-                own[0] = stacked[k][_corner(own[0])]
-            model.theta[model._table_start :] = self.stack.flat[self._tables[k]]
 
 
 @dataclass(frozen=True)
@@ -652,10 +585,12 @@ def train(
     Every job gets the model, seed, per-epoch permutation stream, batch
     count and per-batch mean loss it would get alone, so its fit equals a
     one-job ``train`` up to float64 roundoff; the jobs only share the
-    numpy calls. Jobs are stacked by row count, most first, so batch ``b``
-    of an epoch runs on a leading slice of the stack: only the jobs that
-    still have rows. A batch that is short for some of them pads their
-    rows with weight 0.
+    numpy calls. The jobs share one ``_Stack``, the bank: each model starts
+    as its own stack of one, is copied in through the bank's views of its
+    actor and, once trained, copied back out the same way. Jobs are stacked
+    by row count, most first, so batch ``b`` of an epoch runs on a leading
+    slice of the stack: only the jobs that still have rows. A batch that is
+    short for some of them pads their rows with weight 0.
 
     Embedding rows are parameters: each step updates them together with the
     layer weights. After the last epoch a model's ``train_mu`` and
@@ -678,24 +613,30 @@ def train(
         rows = _check_rows(job.rows)
         if rows.shape[0] == 0:
             raise ValueError(f"dataset of {job.actor_id!r} is empty")
-        model = Autoencoder(
-            job.actor_id,
-            job.feature_sizes,
-            hidden_dim=config.hidden_dim,
-            code_dim=config.code_dim,
-            seed=job.seed,
-            loss_mode=config.loss_mode,
-            feature_weights=config.feature_weights,
+        models.append(
+            Autoencoder(
+                job.actor_id,
+                job.feature_sizes,
+                hidden_dim=config.hidden_dim,
+                code_dim=config.code_dim,
+                seed=job.seed,
+                loss_mode=config.loss_mode,
+                feature_weights=config.feature_weights,
+            )
         )
-        models.append(model)
-        indices.append(model._indices(rows))
+        indices.append(rows)
     if not models:
         return []
 
     # From here on, k counts actors in stack order: most rows, so most batches, first.
     size = config.batch_size
     order = sorted(range(len(models)), key=lambda j: -len(indices[j]))
-    bank = _Bank([models[j] for j in order])
+    bank = _Stack(
+        [models[j].feature_sizes for j in order],
+        config.hidden_dim, config.code_dim, config.loss_mode, config.feature_weights,
+    )
+    for k, j in enumerate(order):
+        _copy(bank.views(k), models[j]._stack.views(0))
     counts = np.array([len(indices[j]) for j in order])
     batches = -(-counts // size)
     rngs = [
@@ -704,9 +645,10 @@ def train(
     ]
 
     # Every actor's gather positions, then one padding row of zero slots.
+    width = bank.segments.shape[1]
     table = np.concatenate(
         [bank.positions(k, indices[j]) for k, j in enumerate(order)]
-        + [np.full((1, bank.stack.segments.shape[1]), bank.zero)]
+        + [np.full((1, width), bank.zero)]
     )
     first_row = np.concatenate([[0], np.cumsum(counts)])
     # epoch_rows[k] is actor k's epoch: its permuted table rows, then the
@@ -719,11 +661,11 @@ def train(
         live = np.clip(counts - b * size, 0, size)[: np.count_nonzero(batches > b), None]
         real = (np.arange(live.max()) < live).astype(float)
         columns = slice(b * size, b * size + real.shape[1])
-        steps.append((bank.stack.lead(len(live)), columns, real / live, real))
+        steps.append((bank.lead(len(live)), columns, real / live, real))
 
     errors: dict[int, TrainingDivergedError] = {}
     loss_sums = np.zeros((config.epochs, len(order)))
-    flat = bank.stack.flat
+    flat = bank.flat
     for epoch in range(config.epochs):
         for k, rng in enumerate(rngs):
             epoch_rows[k, : counts[k]] = first_row[k] + rng.permutation(counts[k])
@@ -745,19 +687,25 @@ def train(
             loss_sums[epoch, : len(sums)] += sums
             flat -= config.learning_rate * stack.gradient(cache, weight)
 
-    bank.store()
     results: dict[int, Autoencoder | TrainingDivergedError] = {}
     for k, j in enumerate(order):
         if k in errors:
             results[j] = errors[k]
             continue
         model = models[j]
+        _copy(model._stack.views(0), bank.views(k))
         model.epoch_losses = (loss_sums[:, k] / counts[k]).tolist()
         final_losses = model.losses(indices[j])
         model.train_mu = float(final_losses.mean())
         model.train_sigma = float(final_losses.std())
         results[j] = model
     return [results[j] for j in range(len(models))]
+
+
+def _copy(target: Mapping[str, np.ndarray], source: Mapping[str, np.ndarray]) -> None:
+    """Write each of ``source``'s named views into ``target``'s view of that name."""
+    for key, view in target.items():
+        view[...] = source[key]
 
 
 def _finite_differences(
@@ -800,6 +748,6 @@ def gradient_check(model: Autoencoder, row, epsilon: float = 1e-5) -> float:
     keeps float64 roundoff in the difference quotient (about 1e-11 at
     the default epsilon) from dominating near-zero gradient entries.
     """
-    pos = model._positions(model._indices(np.asarray(row)[None]))[None]
+    pos = model._stack.positions(0, np.asarray(row)[None])[None]
     analytic, numeric = _finite_differences(model._stack, pos, np.ones((1, 1)), epsilon)
     return float(_relative_error(analytic, numeric).max())

@@ -9,7 +9,9 @@ before it, so ``load`` checks the stored bytes and then parses them once.
 Model parameters sit in it as one base64 ``theta`` blob (format version 3).
 A file that fails the check or carries another version, the spaced
 version-1 and the per-key version-2 layouts included, is refused; retraining
-the actor replaces it. Writes go through a temp file, an
+the actor replaces it. The checksum is not a signature, so a resealed file
+whose content could not score (see ``RegistryEntry.from_document``) is
+refused the same way. Writes go through a temp file, an
 ``fsync`` and an atomic rename.
 """
 
@@ -25,7 +27,8 @@ from enum import Enum
 from pathlib import Path
 
 from loginwatch.apps import AppSuperset
-from loginwatch.encoding import StringIndex, TimeMode
+from loginwatch.encoding import StringIndex, TimeMode, feature_sizes
+from loginwatch.geo import MAX_GEOHASH_PRECISION
 from loginwatch.model import Autoencoder
 
 logger = logging.getLogger(__name__)
@@ -103,10 +106,32 @@ class EncoderState:
             active_hours=frozenset(data["active_hours"]),
             indices={
                 name: StringIndex(feature_name=name, values=tuple(values))
-                for name, values in data["indices"].items()
+                for name, values in _object(data, "indices").items()
             },
-            superset=AppSuperset(data["superset"]),
+            superset=AppSuperset(_object(data, "superset")),
         )
+
+    def check_feeds(self, model: Autoencoder) -> None:
+        """Refuse an encoder whose rows ``model`` cannot score.
+
+        Raises:
+            ValueError: the geohash precision is outside
+                1..``MAX_GEOHASH_PRECISION``, or the encoder can give an index
+                past the model's size for some feature. A model with more
+                levels than the encoder only keeps rows no event reads.
+        """
+        if not 1 <= self.geohash_precision <= MAX_GEOHASH_PRECISION:
+            raise ValueError(
+                f"geohash_precision must be in 1..{MAX_GEOHASH_PRECISION}, "
+                f"got {self.geohash_precision}"
+            )
+        sizes = feature_sizes(self.indices, self.time_mode)
+        for name, size in sizes.items():
+            if size > model.feature_sizes[name]:
+                raise ValueError(
+                    f"the encoder gives {name} indices up to {size}, "
+                    f"the model holds {model.feature_sizes[name]}"
+                )
 
 
 @dataclass
@@ -135,15 +160,38 @@ class RegistryEntry:
 
     @classmethod
     def from_document(cls, document: dict) -> "RegistryEntry":
+        """Rebuild an entry that can score, from ``to_document`` output.
+
+        Raises:
+            KeyError, TypeError, ValueError: a member is missing or of the
+                wrong type, the model does not rebuild or lacks its threshold
+                statistics, or the encoder cannot feed it.
+        """
+        model = Autoencoder.from_state(document["model"])
+        for name in ("train_mu", "train_sigma", "chosen_n"):
+            if not isinstance(getattr(model, name), float):
+                raise TypeError(f"model {name} must be a float, got {getattr(model, name)!r}")
+        if model.chosen_n < 0:
+            raise ValueError(f"model chosen_n must be >= 0, got {model.chosen_n}")
+        encoder = EncoderState.from_dict(document["encoder"])
+        encoder.check_feeds(model)
         return cls(
             actor_id=document["actor_id"],
-            model=Autoencoder.from_state(document["model"]),
-            encoder=EncoderState.from_dict(document["encoder"]),
+            model=model,
+            encoder=encoder,
             status=EntryStatus(document["status"]),
-            metrics=document["metrics"],
-            metadata=document.get("metadata", {}),
+            metrics=_object(document, "metrics"),
+            metadata=_object(document, "metadata") if "metadata" in document else {},
             created_at=document["created_at"],
         )
+
+
+def _object(data: dict, key: str) -> dict:
+    """``data[key]``, which must be a JSON object."""
+    value = data[key]
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be an object, got {type(value).__name__}")
+    return value
 
 
 def _trailer(head: bytes) -> bytes:
@@ -224,8 +272,9 @@ class ModelRegistry:
         Raises:
             RegistryNotFoundError: no saved model for the actor.
             RegistryIntegrityError: the newest document is corrupt, or its
-                sealed content does not rebuild a model (a missing member, a
-                ``theta`` of the wrong length).
+                sealed content does not rebuild an entry that can score (a
+                missing member, a ``theta`` of the wrong length, an encoder
+                that cannot feed its model).
         """
         paths = self.entry_paths(actor_id)
         if not paths:

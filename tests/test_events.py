@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loginwatch.encoding import FEATURE_ORDER, TimeMode, build_event_indices, encode_event
 from loginwatch.events import (
     ENTRY_EVENT_TYPES,
     FilterMode,
@@ -17,7 +18,6 @@ from loginwatch.events import (
     MalformedLineError,
     Outcome,
     RecordRejectedError,
-    derive_time_features,
     filter_entry_events,
     hour_and_weekday,
     load_events,
@@ -626,61 +626,64 @@ class TestFilterEntryEvents:
         assert len(kept) == 3
 
 
+def coarse_time_columns(ts: datetime, active_hours) -> tuple[int, int]:
+    """The hour and weekday columns of a login at ``ts`` in COARSE time mode."""
+    event = LogEvent(
+        actor_id="u1", timestamp=ts, event_type="user.authentication.sso",
+        outcome=Outcome.SUCCESS,
+    )
+    row = encode_event(
+        event, 0, build_event_indices([event]), time_mode=TimeMode.COARSE,
+        active_hours=active_hours,
+    )
+    return row[FEATURE_ORDER.index("event_hour")], row[FEATURE_ORDER.index("weekday")]
+
+
 class TestTimeFeatures:
     def test_weekday_matches_calendar_oracle(self):
         # calendar.weekday: Monday=0 .. Sunday=6. Remap to Sunday=1 .. Saturday=7.
         for day in range(1, 29):
             ts = datetime(2023, 6, day, 12, 0, 0, tzinfo=timezone.utc)
             oracle = (calendar.weekday(2023, 6, day) + 1) % 7 + 1
-            features = derive_time_features(ts)
-            assert features.weekday == oracle
-            assert features.is_weekend == (oracle in (1, 7))
+            assert hour_and_weekday(ts)[1] == oracle
+            # COARSE mode flags a weekday (not Sunday or Saturday) with 1
+            assert coarse_time_columns(ts, {13})[1] == int(oracle not in (1, 7))
 
     def test_known_sunday(self):
         # 2023-01-01 was a Sunday.
         assert calendar.weekday(2023, 1, 1) == 6
-        features = derive_time_features(
-            datetime(2023, 1, 1, 8, 0, 0, tzinfo=timezone.utc)
-        )
-        assert features.weekday == 1
-        assert features.is_weekend is True
+        sunday = datetime(2023, 1, 1, 8, 0, 0, tzinfo=timezone.utc)
+        assert hour_and_weekday(sunday) == (9, 1)
+        assert coarse_time_columns(sunday, {9})[1] == 0
 
     def test_known_monday(self):
-        features = derive_time_features(
-            datetime(2023, 1, 2, 8, 0, 0, tzinfo=timezone.utc)
-        )
-        assert features.weekday == 2
-        assert features.is_weekend is False
+        monday = datetime(2023, 1, 2, 8, 0, 0, tzinfo=timezone.utc)
+        assert hour_and_weekday(monday) == (9, 2)
+        assert coarse_time_columns(monday, {9})[1] == 1
 
     def test_saturday_is_seven(self):
-        features = derive_time_features(
-            datetime(2023, 1, 7, 8, 0, 0, tzinfo=timezone.utc)
-        )
-        assert features.weekday == 7
-        assert features.is_weekend is True
+        saturday = datetime(2023, 1, 7, 8, 0, 0, tzinfo=timezone.utc)
+        assert hour_and_weekday(saturday) == (9, 7)
+        assert coarse_time_columns(saturday, {9})[1] == 0
 
     def test_hour_range_shifted_by_one(self):
-        midnight = derive_time_features(
-            datetime(2023, 5, 4, 0, 0, 0, tzinfo=timezone.utc)
-        )
-        assert midnight.event_hour == 1
-        last = derive_time_features(
-            datetime(2023, 5, 4, 23, 59, 59, tzinfo=timezone.utc)
-        )
-        assert last.event_hour == 24
+        midnight = hour_and_weekday(datetime(2023, 5, 4, 0, 0, 0, tzinfo=timezone.utc))
+        assert midnight[0] == 1
+        last = hour_and_weekday(datetime(2023, 5, 4, 23, 59, 59, tzinfo=timezone.utc))
+        assert last[0] == 24
 
     def test_all_hours_in_range(self):
         for hour in range(24):
             ts = datetime(2023, 5, 4, hour, 30, 0, tzinfo=timezone.utc)
-            assert 1 <= derive_time_features(ts).event_hour <= 24
+            assert 1 <= hour_and_weekday(ts)[0] <= 24
 
     def test_coarse_flag_only_with_active_hours(self):
         # clock hour 9 UTC is event_hour 10
         ts = datetime(2023, 5, 4, 9, 0, 0, tzinfo=timezone.utc)
-        assert derive_time_features(ts).coarse_hour_flag is None
-        assert derive_time_features(ts, active_hours={10, 11}).coarse_hour_flag is True
-        assert derive_time_features(ts, active_hours={9, 11}).coarse_hour_flag is False
-
+        with pytest.raises(ValueError, match="active_hours"):
+            coarse_time_columns(ts, None)
+        assert coarse_time_columns(ts, {10, 11})[0] == 1
+        assert coarse_time_columns(ts, {9, 11})[0] == 0
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
@@ -695,21 +698,18 @@ class TestTimeFeatures:
     @example(datetime(2023, 1, 1, 0, 0, 0, tzinfo=timezone.utc))
     @example(datetime(2023, 1, 1, 23, 30, 0, tzinfo=timezone(timedelta(hours=-5))))
     @example(datetime(2023, 1, 7, 23, 59, 59))
-    def test_hour_and_weekday_agrees_with_derive_time_features(self, ts):
-        features = derive_time_features(ts)
+    def test_hour_and_weekday_agrees_with_calendar_oracle(self, ts):
         utc = ts.astimezone(timezone.utc)  # a naive instant is read as local time
         oracle = (utc.hour + 1, (calendar.weekday(utc.year, utc.month, utc.day) + 1) % 7 + 1)
-        assert hour_and_weekday(ts) == (features.event_hour, features.weekday) == oracle
+        assert hour_and_weekday(ts) == oracle
 
 
 class TestCoarseFlagValues:
     def test_flag_true_when_hour_observed(self):
         ts = datetime(2023, 5, 4, 9, 0, 0, tzinfo=timezone.utc)  # event_hour 10
-        features = derive_time_features(ts, active_hours={10, 11})
-        assert features.event_hour == 10
-        assert features.coarse_hour_flag is True
+        assert hour_and_weekday(ts)[0] == 10
+        assert coarse_time_columns(ts, {10, 11})[0] == 1
 
     def test_flag_false_when_hour_unobserved(self):
         ts = datetime(2023, 5, 4, 2, 0, 0, tzinfo=timezone.utc)  # event_hour 3
-        features = derive_time_features(ts, active_hours={10, 11})
-        assert features.coarse_hour_flag is False
+        assert coarse_time_columns(ts, {10, 11})[0] == 0

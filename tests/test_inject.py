@@ -8,7 +8,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from loginwatch.encoding import Label
-from loginwatch.events import LogEvent, Outcome, derive_time_features, parse_event
+from loginwatch.events import LogEvent, Outcome, hour_and_weekday, parse_event
 from loginwatch.geo import geohash_encode, haversine_miles
 from loginwatch.inject import InjectionKind, InjectionSpec, inject
 from loginwatch.synth import generate_actor_profile, generate_logins
@@ -141,13 +141,13 @@ class TestEventHourInjection:
     def test_moves_to_unobserved_hour(self):
         # all inputs sit at hours 9..17 (event-hour 10..18)
         events = [located_event(i, hour=9 + i % 9) for i in range(60)]
-        observed = {derive_time_features(e.timestamp).event_hour for e in events}
+        observed = {hour_and_weekday(e.timestamp)[0] for e in events}
         mutated, labels = inject(
             events, InjectionSpec(kind=InjectionKind.EVENT_HOUR, fraction=0.2), 1
         )
         for new, label in zip(mutated, labels):
             if label is Label.INJECTED:
-                assert derive_time_features(new.timestamp).event_hour not in observed
+                assert hour_and_weekday(new.timestamp)[0] not in observed
 
     def test_preserves_minute_second_and_date(self):
         events = [located_event(i) for i in range(40)]
@@ -182,14 +182,14 @@ class TestEventHourInjection:
                 sum(
                     1
                     for e in events
-                    if derive_time_features(e.timestamp).event_hour == h
+                    if hour_and_weekday(e.timestamp)[0] == h
                 ),
                 h,
             ),
         )
         for new, label in zip(mutated, labels):
             if label is Label.INJECTED:
-                assert derive_time_features(new.timestamp).event_hour == rare
+                assert hour_and_weekday(new.timestamp)[0] == rare
 
 
 class TestWeekdayInjection:
@@ -201,9 +201,10 @@ class TestWeekdayInjection:
         for original, new, label in zip(events, mutated, labels):
             if label is not Label.INJECTED:
                 continue
-            before = derive_time_features(original.timestamp)
-            after = derive_time_features(new.timestamp)
-            assert after.is_weekend != before.is_weekend
+            # a weekend is weekday level 1 (Sunday) or 7 (Saturday)
+            before = hour_and_weekday(original.timestamp)[1] in (1, 7)
+            after = hour_and_weekday(new.timestamp)[1] in (1, 7)
+            assert after != before
             assert new.timestamp > original.timestamp
             assert new.timestamp - original.timestamp <= timedelta(days=7)
             assert new.timestamp.time() == original.timestamp.time()

@@ -19,8 +19,7 @@ from loginwatch.model import (
     TrainConfig,
     TrainingDivergedError,
     TrainJob,
-    _Bank,
-    _corner,
+    _copy,
     _finite_differences,
     _relative_error,
     _sigmoid,
@@ -70,9 +69,25 @@ def fit(
     return model
 
 
+def views(model: Autoencoder, vector=None) -> dict:
+    """Named views of ``model``'s parameters in ``vector`` (default: its own)."""
+    return model._stack.views(0, vector)
+
+
+def feature_columns(model: Autoencoder) -> dict[str, slice]:
+    """Each feature's columns in x, in the reconstruction and in ``head``."""
+    tables = views(model)
+    columns, start = {}, 0
+    for name in FEATURE_ORDER:
+        width = tables[name].shape[1]
+        columns[name] = slice(start, start + width)
+        start += width
+    return columns
+
+
 def analytic_gradient(model: Autoencoder, rows) -> np.ndarray:
-    """Gradient of the mean loss of ``rows``, in the layout of ``theta``."""
-    pos = model._positions(model._indices(rows))[None]
+    """Gradient of the mean loss of ``rows``, in the layout of the model's stack."""
+    pos = model._stack.positions(0, rows)[None]
     weight = np.full(pos.shape[:2], 1.0 / pos.shape[1])
     return model._stack.gradient(model._stack.forward(pos), weight)
 
@@ -92,13 +107,13 @@ def reference_forward(model: Autoencoder, row) -> tuple[dict, dict]:
     Recomputed one matrix-vector product at a time from the named views of
     ``theta``, independently of the stacked forward pass.
     """
-    views = model._views(model.theta)
-    emb = {name: views[name][int(index)] for name, index in zip(FEATURE_ORDER, row)}
+    params = views(model)
+    emb = {name: params[name][int(index)] for name, index in zip(FEATURE_ORDER, row)}
     x = np.concatenate([emb[name] for name in FEATURE_ORDER])
-    a1 = np.tanh(views["w1"] @ x + views["b1"])
-    h = np.tanh(views["w2"] @ a1 + views["b2"])
-    a3 = np.tanh(views["w3"] @ h + views["b3"])
-    out = views["head"] @ a3 + views["head_bias"]
+    a1 = np.tanh(params["w1"] @ x + params["b1"])
+    h = np.tanh(params["w2"] @ a1 + params["b2"])
+    a3 = np.tanh(params["w3"] @ h + params["b3"])
+    out = params["head"] @ a3 + params["head_bias"]
     rec, start = {}, 0
     for name in FEATURE_ORDER:
         rec[name] = out[start : start + emb[name].size]
@@ -118,16 +133,15 @@ def parameter_span(model: Autoencoder, key: str) -> slice:
     ``head_biases.<feature>`` or ``embeddings.<feature>`` for one feature's
     block.
     """
-    spans = {name: span for name, span, _ in model._layout}
+    where = views(model, np.arange(model.theta.size))  # each entry's own position
     part, _, feature = key.partition(".")
     if not feature:
-        return spans[key]
-    if part == "embeddings":
-        return spans[feature]
-    cols = dict(model._feature_columns())[feature]
-    width = model.hidden_dim if part == "heads" else 1
-    start = spans["head" if part == "heads" else "head_bias"].start
-    return slice(start + cols.start * width, start + cols.stop * width)
+        at = where[key]
+    elif part == "embeddings":
+        at = where[feature]
+    else:
+        at = where["head" if part == "heads" else "head_bias"][feature_columns(model)[feature]]
+    return slice(int(at.min()), int(at.max()) + 1)
 
 
 def spliced_blob(model: Autoencoder, key: str, value) -> str:
@@ -228,13 +242,13 @@ class TestForward:
 
     def test_head_widths_match_embeddings(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=0)
-        views = model._views(model.theta)
-        widths = [views[name].shape[1] for name in FEATURE_ORDER]
+        params = views(model)
+        widths = [params[name].shape[1] for name in FEATURE_ORDER]
         assert model.input_dim == sum(widths)
-        assert views["head"].shape == (model.input_dim, model.hidden_dim)
-        assert views["head_bias"].shape == (model.input_dim,)
-        for (name, cols), width in zip(model._feature_columns(), widths):
-            assert cols.stop - cols.start == width, name
+        assert params["head"].shape == (model.input_dim, model.hidden_dim)
+        assert params["head_bias"].shape == (model.input_dim,)
+        # each feature owns as many columns of the input and the heads as its table is wide
+        assert model._stack.segments[0].sum(axis=0).tolist() == widths
 
     def test_losses_matches_per_event_loop(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=7)
@@ -291,15 +305,15 @@ class TestConstruction:
     def test_embedding_tables_have_oov_rows(self):
         model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=0)
         for name in FEATURE_ORDER:
-            table = model._views(model.theta)[name]
+            table = views(model)[name]
             assert table.shape == (SIZES[name] + 1, embedding_dim(SIZES[name]))
             assert np.all(np.abs(table) <= 0.05)
 
     def test_embedding_init_range_and_determinism(self):
         def tables(seed: int) -> np.ndarray:
             model = Autoencoder("u1", SIZES, hidden_dim=6, code_dim=4, seed=seed)
-            views = model._views(model.theta)
-            return np.concatenate([views[name].ravel() for name in FEATURE_ORDER])
+            params = views(model)
+            return np.concatenate([params[name].ravel() for name in FEATURE_ORDER])
 
         a, b, c = tables(11), tables(11), tables(12)
         assert np.array_equal(a, b)
@@ -346,7 +360,7 @@ class TestGradients:
     def test_untouched_embedding_rows_get_zero_gradient(self):
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=6)
         row = random_rows(1, seed=60)[0]
-        grads = model._views(analytic_gradient(model, row[None]))
+        grads = views(model, analytic_gradient(model, row[None]))
         for name, used in zip(FEATURE_ORDER, row):
             table = grads[name]
             for row in range(table.shape[0]):
@@ -361,8 +375,8 @@ class TestGradients:
             feature_weights={"client_os": 0.0},
         )
         row = random_rows(1, seed=70)[0]
-        grads = model._views(analytic_gradient(model, row[None]))
-        cols = dict(model._feature_columns())["client_os"]
+        grads = views(model, analytic_gradient(model, row[None]))
+        cols = feature_columns(model)["client_os"]
         assert np.all(grads["head"][cols] == 0.0)
         assert np.all(grads["head_bias"][cols] == 0.0)
         # the feature still feeds the encoder, so its embedding gradient survives
@@ -506,23 +520,21 @@ class TestBank:
     def test_gradient_matches_finite_differences_and_padding_gets_none(self):
         wide = Autoencoder("wide", WIDE_SIZES, hidden_dim=5, code_dim=3, seed=1)
         coarse = Autoencoder("coarse", COARSE_SIZES, hidden_dim=5, code_dim=3, seed=2)
-        bank = _Bank([wide, coarse])
-        stack = bank.stack
+        stack = _Stack([WIDE_SIZES, COARSE_SIZES], hidden_dim=5, code_dim=3)
+        for k, model in enumerate((wide, coarse)):
+            _copy(stack.views(k), views(model))
         # two rows for the wide job; one for the coarse job beside a padding row
-        pos = np.full((2, 2, wide.input_dim), bank.zero)
-        pos[0] = bank.positions(0, rows_within(WIDE_SIZES, 2, seed=5))
-        pos[1, :1] = bank.positions(1, rows_within(COARSE_SIZES, 1, seed=6))
+        pos = np.full((2, 2, wide.input_dim), stack.zero)
+        pos[0] = stack.positions(0, rows_within(WIDE_SIZES, 2, seed=5))
+        pos[1, :1] = stack.positions(1, rows_within(COARSE_SIZES, 1, seed=6))
         weight = np.array([[0.5, 0.5], [1.0, 0.0]])
         analytic, numeric = _finite_differences(stack, pos, weight)
 
-        # which job owns each entry of the bank; padding and the zero slot own none
+        # which job owns each entry of the stack; padding and the zero slot own none
         owner = np.full(stack.flat.size, -1)
-        for k, model in enumerate(bank.models):
-            for span, stacked, own in zip(stack.spans, stack.params, model._stack.params):
-                block = owner[span].reshape(stacked.shape)
-                block[k][_corner(own[0])] = k
-                owner[span] = block.ravel()
-            owner[bank._tables[k]] = k
+        for k in (0, 1):
+            for view in stack.views(k, owner).values():
+                view[...] = k
         assert np.count_nonzero(owner == -1) == (
             5 * (31 - 13) * 2 + (31 - 13) + 1  # w1 columns, head rows, head_bias, zero slot
         )
@@ -532,6 +544,43 @@ class TestBank:
             assert errors[owner == k].max() < 1e-4
         assert np.all(analytic[owner == -1] == 0.0)
         assert np.all(numeric[owner == -1] == 0.0)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.fixed_dictionaries({name: st.integers(1, 60) for name in FEATURE_ORDER}),
+            min_size=2,
+            max_size=4,
+        ),
+        st.sampled_from(list(LossMode)),
+    )
+    def test_shared_stack_equals_stacks_of_one(self, sizes, mode):
+        weights = {"outcome": 2.0, "weekday": 0.5}
+        models = [
+            Autoencoder(f"u{k}", actor_sizes, hidden_dim=5, code_dim=3, seed=k,
+                        loss_mode=mode, feature_weights=weights)
+            for k, actor_sizes in enumerate(sizes)
+        ]
+        stack = _Stack(sizes, 5, 3, mode, weights)
+        for k, model in enumerate(models):
+            _copy(stack.views(k), views(model))
+        rows = [rows_within(actor_sizes, 6, seed=k) for k, actor_sizes in enumerate(sizes)]
+        pos = np.stack([stack.positions(k, actor_rows) for k, actor_rows in enumerate(rows)])
+        cache = stack.forward(pos)
+        for k, model in enumerate(models):
+            assert np.allclose(cache["losses"][k], model.losses(rows[k]), rtol=0.0, atol=1e-12)
+
+        owned = np.zeros(stack.flat.size, dtype=bool)
+        for k in range(len(models)):
+            for view in stack.views(k, owned).values():
+                view[...] = True
+        width = max(model.input_dim for model in models)
+        # per narrower actor: w1 columns, head rows and head_bias entries; then the zero slot
+        padding = sum((width - model.input_dim) * (2 * 5 + 1) for model in models) + 1
+        assert np.count_nonzero(~owned) == padding
+        gradient = stack.gradient(cache, np.full(pos.shape[:2], 1.0 / 6))
+        assert np.all(gradient[~owned] == 0.0)
+        assert np.all(stack.flat[~owned] == 0.0)
 
 
 class TestTrainConfig:
@@ -646,7 +695,7 @@ class TestPersistence:
         one = Autoencoder("u1", {**SIZES, "geohash": 1}, hidden_dim=5, code_dim=3, seed=0)
         state = one.to_state()
         state["feature_sizes"]["geohash"] = size
-        table = one._views(one.theta)["geohash"]
+        table = views(one)["geohash"]
         state["theta"] = spliced_blob(one, "embeddings.geohash", table[:1])
         with pytest.raises(ValueError, match="geohash"):
             Autoencoder.from_state(state)
@@ -672,10 +721,10 @@ class TestPersistence:
         assert len(blob) == 8 * size
         # little-endian float64, in the in-memory layout, bit for bit
         assert blob == model.theta.astype("<f8").tobytes()
-        views = model._views(np.frombuffer(blob, "<f8"))
+        stored = views(model, np.frombuffer(blob, "<f8"))
         for name, dim in dims.items():
-            assert views[name].shape == (SIZES[name] + 1, dim)
-            assert np.array_equal(views[name], model._views(model.theta)[name])
+            assert stored[name].shape == (SIZES[name] + 1, dim)
+            assert np.array_equal(stored[name], views(model)[name])
 
     @pytest.mark.parametrize("mode", list(LossMode))
     def test_from_state_reproduces_losses_exactly(self, mode):

@@ -27,8 +27,8 @@ from loginwatch.encoding import (
 from loginwatch.events import (
     LogEvent,
     Outcome,
-    derive_time_features,
     filter_entry_events,
+    hour_and_weekday,
     parse_event,
     write_events,
 )
@@ -163,11 +163,11 @@ class TestEncodeActorEvents:
             )
             assert tuple(row.tolist()) == expected
             # the time columns, against the calendar features of the instant
-            features = derive_time_features(event.timestamp, encoder.active_hours)
+            hour, weekday = hour_and_weekday(event.timestamp)
             if time_mode is TimeMode.COARSE:
-                time_columns = (int(features.coarse_hour_flag), int(not features.is_weekend))
+                time_columns = (int(hour in encoder.active_hours), int(weekday not in (1, 7)))
             else:
-                time_columns = (features.event_hour, features.weekday)
+                time_columns = (hour, weekday)
             assert tuple(row[4:6].tolist()) == time_columns
 
     def test_no_events_give_an_empty_matrix(self):
@@ -506,6 +506,27 @@ class TestScoreWorkflow:
         assert result.retrained == []
         assert str(newest) in caplog.text
 
+    @pytest.mark.parametrize("damage", ["extra_vocabulary", "precision_13"])
+    def test_encoder_that_cannot_feed_its_model_leaves_other_actors_scored(
+        self, corpus_events, trained_registry, damage, caplog
+    ):
+        # a resealed document passes its checksum, so only the fit check stops it
+        newest = trained_registry.entry_paths("u002")[-1]
+        document = json.loads(newest.read_bytes())
+        del document["checksum"]
+        if damage == "extra_vocabulary":
+            # five values that sort first push every known app past the model's table
+            apps = document["encoder"]["indices"]["app_id"]
+            apps[:0] = ["!0", "!1", "!2", "!3", "!4"]
+        else:
+            document["encoder"]["geohash_precision"] = 13
+        newest.write_bytes(_seal(document))
+        with caplog.at_level(logging.WARNING, logger="loginwatch.pipeline"):
+            result = run_score_workflow(corpus_events, fast_config(), trained_registry)
+        assert sorted(result.reports) == ["u001"]
+        assert result.unscorable == ["u002"]
+        assert str(newest) in caplog.text
+
     @pytest.mark.parametrize("stored", ["same", "other", "no-hash", "no-metadata"])
     def test_config_drift_warns_and_still_scores(
         self, corpus_events, trained_registry, caplog, stored
@@ -767,6 +788,28 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "UnsafeActorIdError"
         assert not (reports / "f1_curve_a\\b.csv").exists()
+
+    def test_report_skips_a_refused_model(self, tmp_path, capsys, caplog):
+        registry = tmp_path / "registry"
+        config = fast_config(train=TrainConfig(epochs=2))
+        events = crafted_events("u1", 120) + crafted_events("u2", 120)
+        run_train_workflow(events, config, ModelRegistry(registry))
+        refused = ModelRegistry(registry).entry_paths("u1")[-1]
+        refused.write_bytes(b"")
+        reports = tmp_path / "reports"
+        with caplog.at_level(logging.WARNING, logger="loginwatch.cli"):
+            code = main(["report", "--registry", str(registry), "--out-dir", str(reports)])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert printed["actors"] == 2
+        assert printed["unreadable"] == ["u1"]
+        assert printed["files"] == [
+            str(reports / "f1_curve_u2.csv"), str(reports / "loss_epochs_u2.csv")
+        ]
+        assert sorted(p.name for p in reports.iterdir()) == [
+            "f1_curve_u2.csv", "loss_epochs_u2.csv"
+        ]
+        assert str(refused) in caplog.text
 
     def test_failure_exits_nonzero_with_json_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"

@@ -5,13 +5,19 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import tempfile
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from loginwatch.apps import AppSuperset
 from loginwatch.encoding import FEATURE_ORDER, TimeMode, build_index
+from loginwatch.events import LogEvent, Outcome
 from loginwatch.model import Autoencoder, TrainConfig
+from loginwatch.pipeline import PipelineConfig, run_score_workflow
 from loginwatch.registry import (
     EncoderState,
     EntryStatus,
@@ -23,7 +29,7 @@ from loginwatch.registry import (
     _seal,
 )
 
-from test_model import SIZES, fit, random_rows
+from test_model import SIZES, feature_columns, fit, random_rows
 
 GOLDEN_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry"
 
@@ -242,14 +248,130 @@ def hostile_payload(sealed: bytes, damage: str) -> bytes:
 def version_2_document(document: dict) -> dict:
     """``document`` in the version-2 layout: one JSON array per parameter."""
     model = Autoencoder.from_state(document["model"])
-    views = model._views(model.theta)
-    columns = list(model._feature_columns())
+    views = model._stack.views(0)
+    columns = feature_columns(model).items()
     state = {key: value for key, value in document["model"].items() if key != "theta"}
     state.update({key: views[key].tolist() for key in ("w1", "b1", "w2", "b2", "w3", "b3")})
     state["embeddings"] = {name: views[name].tolist() for name in FEATURE_ORDER}
-    state["heads"] = {name: model.head[cols].tolist() for name, cols in columns}
-    state["head_biases"] = {name: model.head_bias[cols].tolist() for name, cols in columns}
+    state["heads"] = {name: views["head"][cols].tolist() for name, cols in columns}
+    state["head_biases"] = {name: views["head_bias"][cols].tolist() for name, cols in columns}
     return {**document, "version": 2, "model": state}
+
+
+def live_events(actor: str = "u1") -> list[LogEvent]:
+    """A few sign-on events of ``actor``, some with values no vocabulary holds."""
+    start = datetime(2023, 3, 4, 5, 0, 0, tzinfo=timezone.utc)
+    places = [(40.7, -74.0), (51.5, -0.1), (None, None)]
+    return [
+        LogEvent(
+            actor_id=actor,
+            timestamp=start + timedelta(hours=7 * i),
+            event_type="user.authentication.sso",
+            outcome=Outcome.SUCCESS if i % 3 else Outcome.FAILURE,
+            latitude=places[i % 3][0],
+            longitude=places[i % 3][1],
+            app_id=["mail", "docs", "new-app"][i % 3],
+            client_os=["Linux", "Windows"][i % 2],
+            client_device="Computer",
+        )
+        for i in range(6)
+    ]
+
+
+def document_paths(value, path: tuple = ()) -> list[tuple]:
+    """The path of every member and item of a JSON value, the value itself first."""
+    paths = [path]
+    if isinstance(value, dict):
+        for key, item in value.items():
+            paths += document_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            paths += document_paths(item, path + (i,))
+    return paths
+
+
+def mutated(document: dict, path: tuple, action: str, value) -> dict:
+    """A copy of ``document`` with the member or item at ``path`` replaced,
+    deleted, or (for a list) given ``value`` as a new first item."""
+    document = json.loads(json.dumps(document))
+    parent = document
+    for step in path[:-1]:
+        parent = parent[step]
+    target = parent[path[-1]]
+    if action == "insert" and isinstance(target, list):
+        target.insert(0, value)
+    elif action == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 30)
+    | st.floats(-1e3, 1e3)
+    | st.text("ab0!", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+class TestStoredDocumentProperties:
+    """Whatever the stored bytes, a document hurts only its own actor."""
+
+    @pytest.fixture(scope="class")
+    def sealed(self) -> bytes:
+        return _seal(make_entry().to_document())
+
+    @settings(
+        derandomize=True, database=None, max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_truncated_or_changed_byte_refused(self, sealed, tmp_path, data):
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = sealed[: data.draw(st.integers(0, len(sealed) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(sealed) - 1), label="at")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != sealed[at]), label="byte")
+            damaged = sealed[:at] + bytes([byte]) + sealed[at + 1 :]
+        path = tmp_path / "u1" / "20230101T000000.000000Z.model"
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(damaged)
+        with pytest.raises(RegistryIntegrityError):
+            ModelRegistry(tmp_path).load("u1")
+
+    @settings(
+        derandomize=True, database=None, max_examples=120, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_mutated_and_resealed_document_loads_and_scores_or_is_refused(
+        self, sealed, tmp_path, data
+    ):
+        document = json.loads(sealed)
+        del document["checksum"]
+        paths = [p for p in document_paths(document) if p and p != ("version",)]
+        path = data.draw(st.sampled_from(paths), label="path")
+        action = data.draw(st.sampled_from(["replace", "delete", "insert"]), label="action")
+        value = data.draw(JSON_VALUES, label="value")
+        registry_dir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+        target = registry_dir / "u1" / "20230101T000000.000000Z.model"
+        target.parent.mkdir()
+        target.write_bytes(_seal(mutated(document, path, action, value)))
+        registry = ModelRegistry(registry_dir)
+        try:
+            registry.load("u1")
+        except RegistryIntegrityError:
+            loaded = False
+        else:
+            loaded = True
+        result = run_score_workflow(live_events(), PipelineConfig(), registry)
+        assert ("u1" in result.reports) == loaded
+        assert result.unscorable == ([] if loaded else ["u1"])
 
 
 class TestSealedFormat:

@@ -9,7 +9,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from loginwatch.events import derive_time_features, load_events, parse_event
+from loginwatch.events import hour_and_weekday, load_events, parse_event
 from loginwatch.geo import geohash_encode, haversine_miles
 from loginwatch.synth import (
     APP_POOL,
@@ -112,8 +112,7 @@ class TestGenerateLogins:
         profile = manual_profile(active_hours=frozenset(range(9, 18)), rng_seed=5)
         for record in generate_logins(profile, days=40):
             event = parse_event(json.dumps(record), 1)
-            features = derive_time_features(event.timestamp)
-            assert features.event_hour in profile.active_hours
+            assert hour_and_weekday(event.timestamp)[0] in profile.active_hours
 
     def test_daily_volume_tracks_rates(self):
         profile = manual_profile(weekday_rate=20.0, weekend_rate=4.0, rng_seed=123)
