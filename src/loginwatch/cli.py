@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages: ``synth`` makes a corpus, ``ingest``
 flattens raw logs, ``profile`` builds app supersets, ``train`` fits and
 registers per-actor models, ``score`` runs stored models over new events,
 and ``report`` dumps per-actor threshold and loss curves as CSV, skipping
-(with a warning) an actor whose newest model is refused.
+(with a warning) an actor whose newest model is refused or whose stored
+F1 curve is not a list of numbers.
 
 Failures exit non-zero with a one-line JSON error object on stderr.
 """
@@ -27,6 +28,7 @@ from loginwatch.events import (
     load_events,
     write_events,
 )
+from loginwatch.model import is_number_list
 from loginwatch.pipeline import (
     PipelineConfig,
     run_score_workflow,
@@ -137,6 +139,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for actor_id in actors:
         try:
             entry = registry.load(actor_id)
+            curve = entry.metrics.get("f1_curve", [])
+            if not is_number_list(curve):  # metrics are free-form in a document
+                newest = registry.entry_paths(actor_id)[-1]
+                raise RegistryIntegrityError(f"{newest} holds an f1_curve that is not numbers")
         except RegistryIntegrityError as exc:
             logger.warning("cannot report %s: %s", actor_id, exc)
             unreadable.append(actor_id)
@@ -145,15 +151,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         with open(curve_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["n", "f1"])
-            curve = entry.metrics.get("f1_curve", [])
-            for i, value in enumerate(curve):
-                writer.writerow([f"{i / 10:.1f}", f"{value:.6f}"])
+            writer.writerows([f"{i / 10:.1f}", f"{value:.6f}"] for i, value in enumerate(curve))
         loss_path = out_dir / f"loss_epochs_{actor_id}.csv"
         with open(loss_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["epoch", "mean_loss"])
-            for epoch, value in enumerate(entry.model.epoch_losses, start=1):
-                writer.writerow([epoch, f"{value:.10f}"])
+            losses = enumerate(entry.model.epoch_losses, start=1)
+            writer.writerows([epoch, f"{value:.10f}"] for epoch, value in losses)
         written.extend([str(curve_path), str(loss_path)])
     print(json.dumps({"actors": len(actors), "files": written, "unreadable": unreadable}))
     return 0

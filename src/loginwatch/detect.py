@@ -7,6 +7,7 @@ sweeping a fixed grid and keeping the best F1 against injected ground truth.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from loginwatch.encoding import Label
 from loginwatch.model import Autoencoder
 
 # n runs 0.0 .. 10.0 in steps of 0.1, inclusive.
@@ -52,7 +52,7 @@ class Confusion:
     tn: int
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,7 @@ class SweepResult:
     f1_curve: tuple[float, ...]  # one value per grid point
 
     def to_dict(self) -> dict:
-        return {
-            "best_n": self.best_n,
-            "best_f1": self.best_f1,
-            "confusion": self.confusion.to_dict(),
-            "f1_curve": list(self.f1_curve),
-        }
+        return {**dataclasses.asdict(self), "f1_curve": list(self.f1_curve)}
 
 
 @dataclass
@@ -162,31 +157,35 @@ def f1_score(tp: int, fp: int, fn: int) -> float:
     return 2.0 * tp / (2.0 * tp + fp + fn)
 
 
-def injected_mask(labels: Sequence[Label]) -> np.ndarray:
-    """Which events of a validation set are injected.
+def check_injected(injected: np.ndarray, count: int) -> None:
+    """Refuse an ``injected`` vector that a sweep over ``count`` losses cannot use.
 
     Raises:
+        ValueError: ``injected`` is not a bool array of ``count`` entries.
         DegenerateValidationError: the set is empty, or lacks injected or
             normal events, so no threshold sweep can run on it.
     """
-    if not len(labels):
+    if not isinstance(injected, np.ndarray) or injected.dtype != bool or injected.ndim != 1:
+        got = getattr(injected, "dtype", type(injected).__name__)
+        raise ValueError(f"injected must be a 1-d numpy bool array, got {got}")
+    if len(injected) != count:
+        raise ValueError(f"{count} losses but {len(injected)} injected flags")
+    if not count:
         raise DegenerateValidationError("validation set is empty")
-    injected = np.array([label is Label.INJECTED for label in labels], dtype=bool)
     if not injected.any() or injected.all():
         raise DegenerateValidationError(
             "sweep needs at least one injected and one normal event"
         )
-    return injected
 
 
 def sweep_threshold(
-    losses: Sequence[float], labels: Sequence[Label], stats: LossStats
+    losses: Sequence[float], injected: np.ndarray, stats: LossStats
 ) -> SweepResult:
-    """Grid-search n over 0.0..10.0 (step 0.1) for the best F1.
+    """Grid-search n over 0.0..10.0 (step 0.1) for the best F1, all points at once.
 
     Args:
         losses: loss of every event of a labelled validation set.
-        labels: the label of each of those events, in the same order.
+        injected: bool vector, True where that event was injected.
         stats: training-loss statistics supplying mu and sigma.
 
     Returns:
@@ -194,36 +193,25 @@ def sweep_threshold(
         its F1 and confusion, and the full F1 curve over the grid.
 
     Raises:
-        ValueError: ``losses`` and ``labels`` differ in length.
+        ValueError: ``injected`` is not a bool array as long as ``losses``.
         DegenerateValidationError: the set lacks injected or normal events.
     """
     losses = np.asarray(losses, dtype=float)
-    if len(losses) != len(labels):
-        raise ValueError(f"{len(losses)} losses but {len(labels)} labels")
-    injected = injected_mask(labels)
-
-    positives = int(injected.sum())
-    curve: list[float] = []
-    best_index = 0
-    best_f1 = -1.0
-    best_confusion = Confusion(0, 0, 0, 0)
-    for i, n in enumerate(SWEEP_GRID):
-        flagged = losses > stats.mu + n * stats.sigma
-        tp = int((flagged & injected).sum())
-        fp = int((flagged & ~injected).sum())
-        fn = positives - tp
-        tn = int((~flagged & ~injected).sum())
-        value = f1_score(tp, fp, fn) if (tp or fp or fn) else 0.0
-        curve.append(value)
-        if value >= best_f1:  # >= pushes ties toward the largest n
-            best_f1 = value
-            best_index = i
-            best_confusion = Confusion(tp=tp, fp=fp, fn=fn, tn=tn)
+    check_injected(injected, len(losses))
+    flagged = losses > (stats.mu + np.array(SWEEP_GRID) * stats.sigma)[:, None]
+    positives = int(np.count_nonzero(injected))
+    tp = np.count_nonzero(flagged[:, injected], axis=1)
+    fp = np.count_nonzero(flagged, axis=1) - tp
+    fn = positives - tp
+    tn = len(losses) - positives - fp
+    # F1 as f1_score gives it, and 0.0 where nothing injected was flagged
+    f1 = np.divide(2 * tp, 2 * tp + fp + fn, out=np.zeros(len(SWEEP_GRID)), where=tp > 0)
+    best = len(SWEEP_GRID) - 1 - int(np.argmax(f1[::-1]))  # ties go to the largest n
     return SweepResult(
-        best_n=SWEEP_GRID[best_index],
-        best_f1=best_f1,
-        confusion=best_confusion,
-        f1_curve=tuple(curve),
+        best_n=SWEEP_GRID[best],
+        best_f1=float(f1[best]),
+        confusion=Confusion(*(int(count[best]) for count in (tp, fp, fn, tn))),
+        f1_curve=tuple(f1.tolist()),
     )
 
 

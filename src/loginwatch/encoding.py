@@ -8,7 +8,7 @@ as 0/1. Each feature later owns an embedding table of (levels + 1) rows in
 the model, so index 0 always resolves to a trainable out-of-vocabulary row.
 
 An encoded event is a row of 8 ints in ``FEATURE_ORDER``; a stream is an
-``(N, 8)`` int64 matrix of them, with any labels in a vector beside it.
+``(N, 8)`` int64 matrix of them.
 """
 
 from __future__ import annotations
@@ -48,13 +48,6 @@ class TimeMode(str, Enum):
 
     RAW = "RAW"
     COARSE = "COARSE"
-
-
-class Label(str, Enum):
-    """Ground-truth marker of a validation event, kept beside its row."""
-
-    NORMAL = "NORMAL"
-    INJECTED = "INJECTED"
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from loginwatch.encoding import Label
 from loginwatch.events import LogEvent, hour_and_weekday
 from loginwatch.geo import displace, geohash_encode
 
@@ -26,6 +25,13 @@ DEFAULT_FRACTION = 0.1
 DEFAULT_DISTANCE_MILES = 1000.0
 _GEOHASH_GUARD_PRECISION = 3
 _MAX_BEARING_TRIES = 64
+
+
+class Label(str, Enum):
+    """Ground-truth marker of a validation event: injected or left as it was."""
+
+    NORMAL = "NORMAL"
+    INJECTED = "INJECTED"
 
 
 class InjectionKind(str, Enum):

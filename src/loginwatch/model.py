@@ -121,6 +121,11 @@ def dice_coefficient(p: np.ndarray, g: np.ndarray) -> float:
     return float(2.0 * np.dot(p, g) / denom)
 
 
+def is_number_list(value) -> bool:
+    """Whether a decoded JSON value is a list of numbers (``true`` is not one)."""
+    return isinstance(value, list) and all(type(v) in (int, float) for v in value)
+
+
 def _check_rows(rows) -> np.ndarray:
     """``rows`` as int64; anything but a 2-D integer array with 8 columns is refused."""
     rows = np.asarray(rows)
@@ -532,7 +537,8 @@ class Autoencoder:
         Raises:
             ValueError: ``theta`` is not base64, or its length differs from
                 the one that ``feature_sizes``, ``hidden_dim`` and
-                ``code_dim`` imply.
+                ``code_dim`` imply, or ``epoch_losses`` is not a list of
+                numbers.
         """
         model = cls.__new__(cls)
         model._adopt(
@@ -558,7 +564,9 @@ class Autoencoder:
         model.train_mu = state.get("train_mu")
         model.train_sigma = state.get("train_sigma")
         model.chosen_n = state.get("chosen_n")
-        model.epoch_losses = list(state.get("epoch_losses", []))
+        model.epoch_losses = state.get("epoch_losses", [])
+        if not is_number_list(model.epoch_losses):
+            raise ValueError("epoch_losses must be a list of numbers")
         return model
 
 

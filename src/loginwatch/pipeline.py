@@ -39,14 +39,13 @@ from loginwatch.detect import (
     DetectionReport,
     LossStats,
     SweepResult,
-    injected_mask,
+    check_injected,
     score_events,
     sweep_threshold,
 )
 from loginwatch.encoding import (
     DEFAULT_GEOHASH_PRECISION,
     FEATURE_ORDER,
-    Label,
     TimeMode,
     build_event_indices,
     encode_event,
@@ -55,7 +54,7 @@ from loginwatch.encoding import (
 )
 from loginwatch.events import FilterMode, LogEvent, filter_entry_events
 from loginwatch.geo import MAX_GEOHASH_PRECISION
-from loginwatch.inject import InjectionKind, InjectionSpec, inject
+from loginwatch.inject import InjectionKind, InjectionSpec, Label, inject
 from loginwatch.model import (
     Autoencoder,
     TrainConfig,
@@ -239,6 +238,11 @@ def _dataset_hash(events: Sequence[LogEvent]) -> str:
     return digest.hexdigest()
 
 
+# The metrics members a train summary repeats, per actor and per injection kind.
+_SWEEP_KEYS = ("best_f1", "best_n", "confusion")
+_SIZE_KEYS = ("train_size", "sample_size", "val_size")
+
+
 @dataclass
 class ActorTrainReport:
     """Per-actor outcome of the train workflow."""
@@ -270,24 +274,15 @@ class TrainWorkflowResult:
                 skipped[report.actor_id] = report.skipped_reason
                 continue
             entry = report.entry
-            model = entry.model
+            metrics = entry.metrics
             actors[report.actor_id] = {
+                **{key: metrics[key] for key in _SWEEP_KEYS + _SIZE_KEYS},
                 "status": entry.status.value,
-                "best_f1": entry.metrics["best_f1"],
-                "best_n": entry.metrics["best_n"],
-                "confusion": entry.metrics["confusion"],
-                "train_size": entry.metrics["train_size"],
-                "sample_size": entry.metrics["sample_size"],
-                "val_size": entry.metrics["val_size"],
-                "train_mu": model.train_mu,
-                "train_sigma": model.train_sigma,
+                "train_mu": entry.model.train_mu,
+                "train_sigma": entry.model.train_sigma,
                 "per_kind": {
-                    kind: {
-                        "best_f1": result["best_f1"],
-                        "best_n": result["best_n"],
-                        "confusion": result["confusion"],
-                    }
-                    for kind, result in entry.metrics["per_kind"].items()
+                    kind: {key: result[key] for key in _SWEEP_KEYS}
+                    for kind, result in metrics["per_kind"].items()
                 },
             }
         return {
@@ -339,7 +334,7 @@ class _PreparedActor:
     train_size: int
     val_size: int
     dataset_hash: str
-    validation: list[tuple[str, np.ndarray, list[Label]]]  # (kind, rows, labels)
+    validation: list[tuple[str, np.ndarray, np.ndarray]]  # (kind, rows, injected)
 
 
 def _prepare_actor(
@@ -396,11 +391,12 @@ def _prepare_actor(
         seed = _actor_seed(config.seed, actor_id, f"inject:{spec.kind.value}")
         try:
             mutated, labels = inject(val_part, spec, seed)
-            injected_mask(labels)
+            injected = np.array([label is Label.INJECTED for label in labels], dtype=bool)
+            check_injected(injected, len(mutated))
         except ValueError as exc:  # too few eligible events, or DegenerateValidationError
             return None, f"cannot validate: {exc}"
         validation.append(
-            (spec.kind.value, _encode_actor_events(mutated, encoder), labels)
+            (spec.kind.value, _encode_actor_events(mutated, encoder), injected)
         )
 
     job = TrainJob(
@@ -438,8 +434,8 @@ def _finish_actor(
 
     stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=actor.sample_size)
     per_kind: dict[str, SweepResult] = {
-        kind: sweep_threshold(model.losses(rows), labels, stats)
-        for kind, rows, labels in actor.validation
+        kind: sweep_threshold(model.losses(rows), injected, stats)
+        for kind, rows, injected in actor.validation
     }
 
     primary = per_kind[config.injections[0].kind.value]
@@ -450,10 +446,7 @@ def _finish_actor(
         else EntryStatus.NEEDS_RETRAIN
     )
     metrics = {
-        "best_f1": primary.best_f1,
-        "best_n": primary.best_n,
-        "confusion": primary.confusion.to_dict(),
-        "f1_curve": list(primary.f1_curve),
+        **primary.to_dict(),
         "per_kind": {kind: result.to_dict() for kind, result in per_kind.items()},
         "train_size": actor.train_size,
         "sample_size": actor.sample_size,

@@ -274,7 +274,7 @@ class ModelRegistry:
             RegistryIntegrityError: the newest document is corrupt, or its
                 sealed content does not rebuild an entry that can score (a
                 missing member, a ``theta`` of the wrong length, an encoder
-                that cannot feed its model).
+                that cannot feed its model), or it names another actor.
         """
         paths = self.entry_paths(actor_id)
         if not paths:
@@ -282,12 +282,19 @@ class ModelRegistry:
         newest = paths[-1]  # names sort chronologically
         document = _unseal(newest)
         try:
-            return RegistryEntry.from_document(document)
+            entry = RegistryEntry.from_document(document)
         except (KeyError, TypeError, ValueError) as exc:
             raise RegistryIntegrityError(
                 f"{newest} passed its checksum but does not hold a valid model "
                 f"({type(exc).__name__}: {exc}); retrain the actor to replace it"
             ) from exc
+        # the checksum does not cover the path: a file copied from another actor passes it
+        if entry.actor_id != actor_id or entry.model.actor_id != actor_id:
+            raise RegistryIntegrityError(
+                f"{newest} names actor {entry.actor_id!r} (model {entry.model.actor_id!r}), "
+                f"not {actor_id!r}; retrain the actor to replace it"
+            )
+        return entry
 
     def actors(self) -> list[str]:
         if not self.root.is_dir():

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loginwatch.detect import (
     SWEEP_GRID,
@@ -21,7 +23,7 @@ from loginwatch.detect import (
     score_events,
     sweep_threshold,
 )
-from loginwatch.encoding import Label
+from loginwatch.inject import Label
 from loginwatch.model import TrainConfig
 
 from test_model import SIZES, fit, random_rows
@@ -111,25 +113,41 @@ class TestF1Score:
 
 
 def brute_force_sweep(scored, stats):
-    """Independent sweep: recompute each grid point with scalar code."""
-    best_n, best_f1 = None, -1.0
+    """Independent sweep: recompute each grid point with scalar code.
+
+    ``scored`` holds (loss, injected) pairs. Returns the best n, its F1 and
+    (tp, fp, fn, tn), and the F1 at every grid point.
+    """
+    best_n, best_f1, best_counts, curve = None, -1.0, None, []
     for n in [round(i * 0.1, 1) for i in range(101)]:
-        tp = fp = fn = 0
-        for loss, label in scored:
+        tp = fp = fn = tn = 0
+        for loss, injected in scored:
             flagged = loss > stats.mu + n * stats.sigma
-            if flagged and label is Label.INJECTED:
+            if flagged and injected:
                 tp += 1
             elif flagged:
                 fp += 1
-            elif label is Label.INJECTED:
+            elif injected:
                 fn += 1
+            else:
+                tn += 1
         if tp == 0:
             value = 0.0
         else:
             value = 2 * tp / (2 * tp + fp + fn)
+        curve.append(value)
         if value >= best_f1:
-            best_f1, best_n = value, n
-    return best_n, best_f1
+            best_f1, best_n, best_counts = value, n, (tp, fp, fn, tn)
+    return best_n, best_f1, best_counts, curve
+
+
+def flags(normal: int, injected: int) -> np.ndarray:
+    """``normal`` False entries followed by ``injected`` True ones."""
+    return np.array([False] * normal + [True] * injected, dtype=bool)
+
+
+# a few repeated values, so that losses tie with each other and with thresholds
+SWEEP_LOSSES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]) | st.floats(0.0, 5.0)
 
 
 class TestSweep:
@@ -144,8 +162,7 @@ class TestSweep:
         # so the tie rule must land on the top of the grid
         stats = loss_stats([1.0] * 50)
         losses = [1.0] * 50 + [100.0] * 5
-        labels = [Label.NORMAL] * 50 + [Label.INJECTED] * 5
-        result = sweep_threshold(losses, labels, stats)
+        result = sweep_threshold(losses, flags(50, 5), stats)
         assert result.best_f1 == 1.0
         assert result.best_n == 10.0
         assert result.confusion.tp == 5
@@ -160,35 +177,77 @@ class TestSweep:
         losses = [float(rng.exponential(0.05)) for _ in range(200)] + [
             float(rng.exponential(0.05) + 0.1) for _ in range(20)
         ]
-        labels = [Label.NORMAL] * 200 + [Label.INJECTED] * 20
-        result = sweep_threshold(losses, labels, stats)
-        oracle_n, oracle_f1 = brute_force_sweep(list(zip(losses, labels)), stats)
+        injected = flags(200, 20)
+        result = sweep_threshold(losses, injected, stats)
+        oracle_n, oracle_f1, _, _ = brute_force_sweep(list(zip(losses, injected)), stats)
         assert result.best_f1 == pytest.approx(oracle_f1)
         assert result.best_n == pytest.approx(oracle_n)
 
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_brute_force_with_ties_and_zero_sigma(self, data):
+        losses = data.draw(st.lists(SWEEP_LOSSES, min_size=2, max_size=30), label="losses")
+        count = data.draw(st.integers(1, min(3, len(losses) - 1)), label="count")
+        where = data.draw(
+            st.lists(
+                st.integers(0, len(losses) - 1), min_size=count, max_size=count, unique=True
+            ),
+            label="where",
+        )
+        injected = np.zeros(len(losses), dtype=bool)
+        injected[where] = True
+        stats = LossStats(
+            mu=data.draw(st.sampled_from([0.5, 1.0]) | st.floats(0.0, 2.0), label="mu"),
+            sigma=data.draw(st.just(0.0) | st.floats(0.0, 1.0), label="sigma"),
+            count=10,
+        )
+        result = sweep_threshold(losses, injected, stats)
+        best_n, best_f1, counts, curve = brute_force_sweep(list(zip(losses, injected)), stats)
+        assert (result.best_n, result.best_f1) == (best_n, best_f1)
+        c = result.confusion
+        assert (c.tp, c.fp, c.fn, c.tn) == counts
+        assert all(type(v) is int for v in (c.tp, c.fp, c.fn, c.tn))
+        assert result.f1_curve == tuple(curve)
+        assert all(type(v) is float for v in result.f1_curve)
+
     def test_curve_covers_grid(self):
         stats = loss_stats([1.0, 1.1, 0.9])
-        result = sweep_threshold([0.9, 5.0], [Label.NORMAL, Label.INJECTED], stats)
+        result = sweep_threshold([0.9, 5.0], flags(1, 1), stats)
         assert len(result.f1_curve) == 101
         assert result.f1_curve[0] == result.best_f1 == 1.0
 
     def test_all_normal_rejected(self):
         stats = loss_stats([1.0])
         with pytest.raises(DegenerateValidationError):
-            sweep_threshold([1.0], [Label.NORMAL], stats)
+            sweep_threshold([1.0], flags(1, 0), stats)
 
     def test_all_injected_rejected(self):
         stats = loss_stats([1.0])
         with pytest.raises(DegenerateValidationError):
-            sweep_threshold([1.0], [Label.INJECTED], stats)
+            sweep_threshold([1.0], flags(0, 1), stats)
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateValidationError):
-            sweep_threshold([], [], loss_stats([1.0]))
+            sweep_threshold([], flags(0, 0), loss_stats([1.0]))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="2 losses but 1 labels"):
-            sweep_threshold([1.0, 2.0], [Label.INJECTED], loss_stats([1.0]))
+        with pytest.raises(ValueError, match="2 losses but 1 injected flags"):
+            sweep_threshold([1.0, 2.0], flags(0, 1), loss_stats([1.0]))
+
+    @pytest.mark.parametrize(
+        "injected",
+        [
+            [Label.NORMAL, Label.INJECTED],  # non-empty strings, each truthy
+            [False, True],
+            np.array([0, 1]),
+            np.array([[False, True]]),
+        ],
+        ids=["labels", "list", "int-array", "2-d"],
+    )
+    def test_anything_but_a_bool_vector_refused(self, injected):
+        with pytest.raises(ValueError, match="1-d numpy bool array") as caught:
+            sweep_threshold([0.9, 5.0], injected, loss_stats([1.0, 1.1, 0.9]))
+        assert not isinstance(caught.value, DegenerateValidationError)
 
     def test_shuffled_labels_score_poorly(self):
         # negative control: random labels on one loss distribution can't
@@ -196,9 +255,9 @@ class TestSweep:
         rng = np.random.default_rng(17)
         losses = rng.exponential(0.05, size=400)
         stats = loss_stats(losses)
-        labels = [Label.INJECTED] * 40 + [Label.NORMAL] * 360
-        rng.shuffle(labels)
-        result = sweep_threshold(losses, labels, stats)
+        injected = flags(360, 40)
+        rng.shuffle(injected)
+        result = sweep_threshold(losses, injected, stats)
         assert result.best_f1 < 0.4
 
 

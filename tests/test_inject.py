@@ -7,10 +7,9 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from loginwatch.encoding import Label
 from loginwatch.events import LogEvent, Outcome, hour_and_weekday, parse_event
 from loginwatch.geo import geohash_encode, haversine_miles
-from loginwatch.inject import InjectionKind, InjectionSpec, inject
+from loginwatch.inject import InjectionKind, InjectionSpec, Label, inject
 from loginwatch.synth import generate_actor_profile, generate_logins
 
 

@@ -484,13 +484,17 @@ class TestScoreWorkflow:
         assert sorted(result.unscorable) == sorted(["../victim", absolute])
         assert result.reports == {}
 
-    @pytest.mark.parametrize("damage", ["emptied", "version_2_sealed", "theta_cut_sealed"])
+    @pytest.mark.parametrize(
+        "damage", ["emptied", "version_2_sealed", "theta_cut_sealed", "copied_from_u001"]
+    )
     def test_corrupt_newest_model_leaves_other_actors_scored(
         self, corpus_events, trained_registry, damage, caplog
     ):
         newest = trained_registry.entry_paths("u002")[-1]
         if damage == "emptied":
             newest.write_bytes(b"")
+        elif damage == "copied_from_u001":  # passes its checksum, names u001
+            newest.write_bytes(trained_registry.entry_paths("u001")[-1].read_bytes())
         else:
             document = json.loads(newest.read_bytes())
             del document["checksum"]
@@ -810,6 +814,62 @@ class TestCli:
             "f1_curve_u2.csv", "loss_epochs_u2.csv"
         ]
         assert str(refused) in caplog.text
+
+    def test_document_filed_under_another_actor_is_refused(self, tmp_path, capsys, caplog):
+        registry = tmp_path / "registry"
+        events = crafted_events("u1", 120) + crafted_events("u2", 120)
+        config = fast_config(train=TrainConfig(epochs=2))
+        run_train_workflow(events, config, ModelRegistry(registry))
+        copied = ModelRegistry(registry).entry_paths("u2")[-1]
+        copied.write_bytes(ModelRegistry(registry).entry_paths("u1")[-1].read_bytes())
+        live = tmp_path / "live.jsonl"
+        write_events(events, live)
+        scores = tmp_path / "scores.jsonl"
+        reports = tmp_path / "reports"
+        with caplog.at_level(logging.WARNING):
+            assert main(["score", "--input", str(live), "--registry", str(registry),
+                         "--out", str(scores)]) == 0
+            scored = json.loads(capsys.readouterr().out)
+            assert main(["report", "--registry", str(registry), "--out-dir", str(reports)]) == 0
+            reported = json.loads(capsys.readouterr().out)
+        assert scored["unscorable"] == ["u2"]
+        assert sorted(scored["actors"]) == ["u1"]
+        records = [json.loads(line) for line in scores.read_text().splitlines()]
+        assert len(records) == 120
+        assert {r["actor_id"] for r in records} == {"u1"}
+        assert reported["unreadable"] == ["u2"]
+        assert sorted(p.name for p in reports.iterdir()) == [
+            "f1_curve_u1.csv", "loss_epochs_u1.csv"
+        ]
+        assert str(copied) in caplog.text
+
+    @pytest.mark.parametrize("damage", ["curve_value", "epoch_losses_string"])
+    def test_report_skips_a_model_whose_curve_is_not_numbers(
+        self, tmp_path, capsys, caplog, damage
+    ):
+        # metrics are free-form, and a resealed document passes its checksum
+        registry = tmp_path / "registry"
+        events = crafted_events("u1", 120) + crafted_events("u2", 120)
+        config = fast_config(train=TrainConfig(epochs=2))
+        run_train_workflow(events, config, ModelRegistry(registry))
+        damaged = ModelRegistry(registry).entry_paths("u1")[-1]
+        document = json.loads(damaged.read_bytes())
+        del document["checksum"]
+        if damage == "curve_value":
+            document["metrics"]["f1_curve"] = [0.5, "x"]
+        else:
+            document["model"]["epoch_losses"] = "0.25"
+        damaged.write_bytes(_seal(document))
+        reports = tmp_path / "reports"
+        with caplog.at_level(logging.WARNING, logger="loginwatch.cli"):
+            code = main(["report", "--registry", str(registry), "--out-dir", str(reports)])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert printed["unreadable"] == ["u1"]
+        assert sorted(p.name for p in reports.iterdir()) == [
+            "f1_curve_u2.csv", "loss_epochs_u2.csv"
+        ]
+        assert str(damaged) in caplog.text
 
     def test_failure_exits_nonzero_with_json_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"

@@ -203,6 +203,27 @@ class TestIntegrity:
         assert str(path) in str(caught.value)
         assert "retrain" in str(caught.value)
 
+    @pytest.mark.parametrize("where", ["copied", "document_resealed", "model_resealed"])
+    def test_document_of_another_actor_refused(self, tmp_path, where):
+        # the checksum does not cover the path, so a copied file passes it
+        registry = ModelRegistry(tmp_path)
+        registry.save(make_entry("u1"))
+        path = registry.save(make_entry("u2", seed=1))
+        if where == "copied":
+            path.write_bytes(registry.entry_paths("u1")[-1].read_bytes())
+        else:
+            document = json.loads(path.read_bytes())
+            del document["checksum"]
+            if where == "document_resealed":
+                document["actor_id"] = "u1"
+            else:
+                document["model"]["actor_id"] = "u1"
+            path.write_bytes(_seal(document))
+        with pytest.raises(RegistryIntegrityError, match="not 'u2'") as caught:
+            registry.load("u2")
+        assert str(path) in str(caught.value)
+        assert registry.load("u1").actor_id == "u1"
+
     def test_no_temp_files_left_behind(self, tmp_path):
         registry = ModelRegistry(tmp_path)
         registry.save(make_entry())
