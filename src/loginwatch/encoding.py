@@ -1,24 +1,31 @@
 """Categorical encoding of login events for the autoencoder.
 
-String-valued features are mapped through per-feature lookup tables whose
-indices start at 1; index 0 is reserved for values never seen when the table
-was built. Time features pass through as their own level numbers (hour 1..24,
-weekday 1..7 with Sunday = 1), and the unknown-app indicator passes through
-as 0/1. Each feature later owns an embedding table of (levels + 1) rows in
-the model, so index 0 always resolves to a trainable out-of-vocabulary row.
+String-valued features are mapped through per-feature vocabularies, plain
+dicts whose indices start at 1; index 0 is reserved for values never seen
+when the vocabulary was built. Time features pass through as their own level
+numbers (hour 1..24, weekday 1..7 with Sunday = 1), and the unknown-app
+indicator passes through as 0/1. Each feature later owns an embedding table
+of (levels + 1) rows in the model, so index 0 always resolves to a trainable
+out-of-vocabulary row.
 
-An encoded event is a row of 8 ints in ``FEATURE_ORDER``; a stream is an
-``(N, 8)`` int64 matrix of them.
+``EncoderState`` holds everything that decides how a login becomes a row:
+the vocabularies, the app superset behind the known-app bit, the time mode
+with the actor's active hours, and the geohash precision. It is learned from
+an actor's training side, stored beside the model (``to_dict`` and
+``from_dict``), and applied by ``encode_event(event, encoder)``. An encoded
+event is a row of 8 ints in ``FEATURE_ORDER``; a stream is an ``(N, 8)``
+int64 matrix of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
+from loginwatch.apps import AppSuperset
 from loginwatch.events import LogEvent, hour_and_weekday
-from loginwatch.geo import geohash_encode
+from loginwatch.geo import MAX_GEOHASH_PRECISION, geohash_encode
 
 # Embedding width never exceeds this, however large the vocabulary.
 MAX_EMBEDDING_DIM = 50
@@ -50,34 +57,11 @@ class TimeMode(str, Enum):
     COARSE = "COARSE"
 
 
-@dataclass(frozen=True)
-class StringIndex:
-    """Deterministic value-to-index table for one feature.
-
-    Distinct values sort by their UTF-8 byte order and take indices 1..m.
-    Unseen values map to 0.
-    """
-
-    feature_name: str
-    values: tuple[str, ...]
-    _lookup: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._lookup.update({value: i + 1 for i, value in enumerate(self.values)})
-
-    @property
-    def size(self) -> int:
-        """Number of known levels (excludes the OOV index 0)."""
-        return len(self.values)
-
-    def index_of(self, value: str) -> int:
-        return self._lookup.get(value, 0)
-
-
-def build_index(values: Iterable[str], feature_name: str) -> StringIndex:
-    """Build a StringIndex over the distinct values of a training column."""
+def build_index(values: Iterable[str]) -> dict[str, int]:
+    """The vocabulary of a training column: each distinct value, in UTF-8
+    byte order, mapped to 1..m."""
     distinct = sorted(set(values), key=lambda v: v.encode("utf-8"))
-    return StringIndex(feature_name=feature_name, values=tuple(distinct))
+    return {value: i for i, value in enumerate(distinct, 1)}
 
 
 def embedding_dim(vocab_size: int) -> int:
@@ -97,76 +81,136 @@ def geohash_value(event: LogEvent, precision: int) -> str:
     return geohash_encode(event.latitude, event.longitude, precision)
 
 
-def encode_event(
-    event: LogEvent,
-    known_app: int,
-    indices: Mapping[str, StringIndex],
-    *,
-    precision: int = DEFAULT_GEOHASH_PRECISION,
-    time_mode: TimeMode = TimeMode.RAW,
-    active_hours: frozenset[int] | set[int] | None = None,
-) -> tuple[int, ...]:
+def is_string_list(value) -> bool:
+    """Whether a decoded JSON value is a list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def json_object(data: dict, key: str) -> dict:
+    """``data[key]``, which must be a JSON object."""
+    value = data[key]
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be an object, got {type(value).__name__}")
+    return value
+
+
+@dataclass
+class EncoderState:
+    """Everything needed to encode live events exactly as during training.
+
+    ``indices`` holds one vocabulary per string feature: a plain dict from
+    each value to its index, 1..m in UTF-8 byte order (see ``build_index``).
+    Its length is the feature's size and its keys, in order, are what a
+    stored document keeps.
+    """
+
+    geohash_precision: int
+    time_mode: TimeMode
+    active_hours: frozenset[int]
+    indices: dict[str, dict[str, int]]
+    superset: AppSuperset
+
+    def feature_sizes(self) -> dict[str, int]:
+        """Largest valid index per feature, in model feature order.
+
+        String features report their vocabulary size; passthrough features
+        report the top of their fixed ranges (hour 24, weekday 7, indicator
+        1), or 1 for the binary COARSE forms.
+        """
+        coarse = self.time_mode is TimeMode.COARSE
+        return {
+            "geohash": len(self.indices["geohash"]),
+            "app_id": len(self.indices["app_id"]),
+            "known_app": 1,
+            "outcome": len(self.indices["outcome"]),
+            "event_hour": 1 if coarse else 24,
+            "weekday": 1 if coarse else 7,
+            "client_os": len(self.indices["client_os"]),
+            "client_device": len(self.indices["client_device"]),
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            "geohash_precision": self.geohash_precision,
+            "time_mode": self.time_mode.value,
+            "active_hours": sorted(self.active_hours),
+            "indices": {name: list(index) for name, index in self.indices.items()},
+            "superset": {
+                actor: sorted(self.superset.apps_for(actor))
+                for actor in self.superset.actors()
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EncoderState":
+        """Rebuild an encoder from ``to_dict`` output.
+
+        Raises:
+            KeyError, TypeError, ValueError: a member is missing or is not
+                what ``to_dict`` writes: a precision that is not an int in
+                1..``MAX_GEOHASH_PRECISION``, active hours that are not ints
+                in 1..24, a vocabulary that is not a list of distinct strings
+                (a repeat would give an index past the vocabulary's size), or
+                a superset that is not an object of string lists.
+        """
+        precision = data["geohash_precision"]
+        if type(precision) is not int or not 1 <= precision <= MAX_GEOHASH_PRECISION:
+            raise ValueError(
+                f"geohash_precision must be an int in 1..{MAX_GEOHASH_PRECISION}, "
+                f"got {precision!r:.40}"
+            )
+        hours = data["active_hours"]
+        if not isinstance(hours, list) or not all(
+            type(h) is int and 1 <= h <= 24 for h in hours
+        ):
+            raise ValueError(f"active_hours must be a list of ints in 1..24, got {hours!r:.40}")
+        indices = {}
+        for name, values in json_object(data, "indices").items():
+            if not is_string_list(values) or len(set(values)) != len(values):
+                raise ValueError(f"indices.{name} must be a list of distinct strings")
+            indices[name] = {value: i for i, value in enumerate(values, 1)}
+        superset = json_object(data, "superset")
+        if not all(is_string_list(apps) for apps in superset.values()):
+            raise ValueError("superset must be an object of string lists")
+        return cls(
+            geohash_precision=precision,
+            time_mode=TimeMode(data["time_mode"]),
+            active_hours=frozenset(hours),
+            indices=indices,
+            superset=AppSuperset(superset),
+        )
+
+
+def encode_event(event: LogEvent, encoder: EncoderState) -> tuple[int, ...]:
     """Map one event to its row of per-feature indices, in ``FEATURE_ORDER``.
 
-    String features (geohash cell, app id, outcome, client os, client device)
-    go through ``indices``; values unseen at table-build time land on 0. Time
-    features pass through per ``time_mode``; COARSE requires ``active_hours``.
-
-    Args:
-        event: the flattened event.
-        known_app: unknown-app indicator for (actor, app), 0 or 1.
-        indices: StringIndex per string feature name.
-        precision: geohash characters for the location feature.
-        time_mode: RAW or COARSE time granularity.
-        active_hours: the actor's observed hour set; required for COARSE.
+    String features (geohash cell at the encoder's precision, app id,
+    outcome, client os, client device) go through the encoder's
+    vocabularies; values unseen when they were built land on 0. The
+    known-app bit comes from the encoder's superset. Time features pass
+    through per the encoder's time mode; COARSE reads its active hours.
     """
-    if known_app not in (0, 1):
-        raise ValueError(f"known_app must be 0 or 1, got {known_app}")
     hour_value, weekday_value = hour_and_weekday(event.timestamp)
-    if time_mode is TimeMode.COARSE:
-        if active_hours is None:
-            raise ValueError("COARSE time mode requires active_hours")
-        hour_value = int(hour_value in active_hours)
+    if encoder.time_mode is TimeMode.COARSE:
+        hour_value = int(hour_value in encoder.active_hours)
         weekday_value = 0 if weekday_value in (1, 7) else 1
-
+    indices = encoder.indices
     return (
-        indices["geohash"].index_of(geohash_value(event, precision)),
-        indices["app_id"].index_of(event.app_id),
-        known_app,
-        indices["outcome"].index_of(event.outcome.value),
+        indices["geohash"].get(geohash_value(event, encoder.geohash_precision), 0),
+        indices["app_id"].get(event.app_id, 0),
+        encoder.superset.known_app(event.actor_id, event.app_id),
+        indices["outcome"].get(event.outcome.value, 0),
         hour_value,
         weekday_value,
-        indices["client_os"].index_of(event.client_os),
-        indices["client_device"].index_of(event.client_device),
+        indices["client_os"].get(event.client_os, 0),
+        indices["client_device"].get(event.client_device, 0),
     )
-
-
-def feature_sizes(
-    indices: Mapping[str, StringIndex], time_mode: TimeMode = TimeMode.RAW
-) -> dict[str, int]:
-    """Largest valid index per feature, in model feature order.
-
-    String features report their table size; passthrough features report the
-    top of their fixed ranges (hour 24, weekday 7, indicator 1), or 1 for the
-    binary COARSE forms.
-    """
-    coarse = time_mode is TimeMode.COARSE
-    return {
-        "geohash": indices["geohash"].size,
-        "app_id": indices["app_id"].size,
-        "known_app": 1,
-        "outcome": indices["outcome"].size,
-        "event_hour": 1 if coarse else 24,
-        "weekday": 1 if coarse else 7,
-        "client_os": indices["client_os"].size,
-        "client_device": indices["client_device"].size,
-    }
 
 
 def build_event_indices(
     events: Iterable[LogEvent], precision: int = DEFAULT_GEOHASH_PRECISION
-) -> dict[str, StringIndex]:
-    """Build every string-feature index table from a training stream."""
+) -> dict[str, dict[str, int]]:
+    """Build every string-feature vocabulary from a training stream."""
     events = list(events)
     columns: dict[str, list[str]] = {
         "geohash": [geohash_value(e, precision) for e in events],
@@ -175,7 +219,7 @@ def build_event_indices(
         "client_os": [e.client_os for e in events],
         "client_device": [e.client_device for e in events],
     }
-    return {name: build_index(values, name) for name, values in columns.items()}
+    return {name: build_index(values) for name, values in columns.items()}
 
 
 def observed_hours(events: Iterable[LogEvent]) -> frozenset[int]:

@@ -376,8 +376,8 @@ def load_events(path: Path | str) -> tuple[list[LogEvent], IngestStats]:
     is decoded once. Records missing required fields, and JSON values that
     are not objects, are counted in ``stats.rejected`` and skipped.
     Lines that are not valid JSON, or too deep or long for ``json.loads``,
-    raise :class:`MalformedLineError` with the line offset. Equal strings of the returned events are one object, shared
-    within this call only.
+    raise :class:`MalformedLineError` with the line offset. Equal strings
+    of the returned events are one object, shared within this call only.
     """
     events: list[LogEvent] = []
     stats = IngestStats()

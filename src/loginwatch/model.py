@@ -100,6 +100,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         self.loss_mode = LossMode(self.loss_mode)
         for name, weight in self.feature_weights.items():
+            if name not in FEATURE_ORDER:
+                raise ValueError(f"feature weight {name!r} names no feature of {FEATURE_ORDER}")
             if weight < 0:
                 raise ValueError(f"feature weight {name} must be >= 0, got {weight}")
 
@@ -146,14 +148,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _checked_sizes(feature_sizes: Mapping[str, int]) -> dict[str, int]:
-    """One actor's largest index per feature, in ``FEATURE_ORDER``; each must be >= 1."""
+    """One actor's largest index per feature, in ``FEATURE_ORDER``; each must
+    be an integer >= 1 (a stored ``Infinity`` is not one)."""
     missing = [name for name in FEATURE_ORDER if name not in feature_sizes]
     if missing:
         raise ValueError(f"feature_sizes missing {missing}")
-    sizes = {name: int(feature_sizes[name]) for name in FEATURE_ORDER}
-    for name, m in sizes.items():
-        if m < 1:
-            raise ValueError(f"feature_sizes[{name!r}] must be >= 1, got {m}")
+    sizes = {}
+    for name in FEATURE_ORDER:
+        m = feature_sizes[name]
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"feature_sizes[{name!r}] must be an integer >= 1, got {m!r:.40}")
+        sizes[name] = int(m)
     return sizes
 
 
@@ -192,7 +197,9 @@ class _Stack:
     ``params`` holds the dense blocks as ``(actors, *shape)`` views and
     ``spans`` where each sits in ``flat``; ``segments`` is ``(actors,
     width, features)``, 1 where a column belongs to a feature; ``weights``
-    holds the feature weights.
+    holds the feature weights. ``stored_bytes``, when given, is the length
+    of a stored ``theta`` for a stack of one; a layout of any other size is
+    refused before ``flat`` is allocated.
     """
 
     def __init__(
@@ -202,6 +209,7 @@ class _Stack:
         code_dim: int,
         loss_mode: LossMode = LossMode.SUM,
         feature_weights: Mapping[str, float] | None = None,
+        stored_bytes: int | None = None,
     ):
         self.feature_sizes = [_checked_sizes(sizes) for sizes in feature_sizes]
         if hidden_dim < 1 or code_dim < 1:
@@ -233,6 +241,12 @@ class _Stack:
                 tables.append((offset, m + 1, dim))
                 offset += (m + 1) * dim
             self._tables.append(tables)
+        # a stored size can be far too large to allocate, so compare first
+        if stored_bytes is not None and stored_bytes != 8 * offset:
+            raise ValueError(
+                f"theta length mismatch: stored {stored_bytes} bytes, expected "
+                f"{offset} float64 values ({8 * offset} bytes)"
+            )
         self.zero = offset
         self.flat = np.zeros(offset + 1)
 
@@ -537,9 +551,14 @@ class Autoencoder:
         Raises:
             ValueError: ``theta`` is not base64, or its length differs from
                 the one that ``feature_sizes``, ``hidden_dim`` and
-                ``code_dim`` imply, or ``epoch_losses`` is not a list of
-                numbers.
+                ``code_dim`` imply (checked before the layout is allocated,
+                so a huge stored size costs nothing), or ``epoch_losses`` is
+                not a list of numbers.
         """
+        try:
+            blob = base64.b64decode(state["theta"], validate=True)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"theta is not base64: {exc}") from None
         model = cls.__new__(cls)
         model._adopt(
             state["actor_id"],
@@ -549,17 +568,9 @@ class Autoencoder:
                 state["code_dim"],
                 LossMode(state["loss_mode"]),
                 state["feature_weights"],
+                stored_bytes=len(blob),
             ),
         )
-        try:
-            blob = base64.b64decode(state["theta"], validate=True)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"theta is not base64: {exc}") from None
-        if len(blob) != 8 * model.theta.size:
-            raise ValueError(
-                f"theta length mismatch: stored {len(blob)} bytes, expected "
-                f"{model.theta.size} float64 values ({8 * model.theta.size} bytes)"
-            )
         model.theta[...] = np.frombuffer(blob, "<f8")
         model.train_mu = state.get("train_mu")
         model.train_sigma = state.get("train_sigma")

@@ -46,10 +46,10 @@ from loginwatch.detect import (
 from loginwatch.encoding import (
     DEFAULT_GEOHASH_PRECISION,
     FEATURE_ORDER,
+    EncoderState,
     TimeMode,
     build_event_indices,
     encode_event,
-    feature_sizes,
     observed_hours,
 )
 from loginwatch.events import FilterMode, LogEvent, filter_entry_events
@@ -63,7 +63,6 @@ from loginwatch.model import (
     train,
 )
 from loginwatch.registry import (
-    EncoderState,
     EntryStatus,
     ModelRegistry,
     RegistryEntry,
@@ -302,22 +301,7 @@ def _encode_actor_events(
     actors = {event.actor_id for event in events}
     if len(actors) > 1:
         raise ValueError(f"dataset mixes actors: {sorted(actors)}")
-    known_app = encoder.superset.known_app
-    indices = encoder.indices
-    precision = encoder.geohash_precision
-    time_mode = encoder.time_mode
-    active_hours = encoder.active_hours
-    rows = (
-        encode_event(
-            event,
-            known_app(event.actor_id, event.app_id),
-            indices,
-            precision=precision,
-            time_mode=time_mode,
-            active_hours=active_hours,
-        )
-        for event in events
-    )
+    rows = (encode_event(event, encoder) for event in events)
     width = len(FEATURE_ORDER)
     flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(events) * width)
     return flat.reshape(len(events), width)
@@ -364,17 +348,14 @@ def _prepare_actor(
     if not train_part or not val_part:
         return None, "time split produced an empty partition"
 
-    indices = build_event_indices(train_part, config.geohash_precision)
-    active_hours = observed_hours(train_part)
-    superset = build_superset(
-        login_frequencies(train_part, config.wilson_z), config.superset_threshold
-    )
     encoder = EncoderState(
         geohash_precision=config.geohash_precision,
         time_mode=config.time_mode,
-        active_hours=active_hours,
-        indices=indices,
-        superset=superset,
+        indices=build_event_indices(train_part, config.geohash_precision),
+        active_hours=observed_hours(train_part),
+        superset=build_superset(
+            login_frequencies(train_part, config.wilson_z), config.superset_threshold
+        ),
     )
 
     sample = stratified_sample(
@@ -402,7 +383,7 @@ def _prepare_actor(
     job = TrainJob(
         actor_id,
         _encode_actor_events(sample, encoder),
-        feature_sizes(indices, config.time_mode),
+        encoder.feature_sizes(),
         _actor_seed(config.seed, actor_id, "train"),
     )
     prepared = _PreparedActor(

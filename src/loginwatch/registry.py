@@ -1,17 +1,19 @@
 """File-based model registry.
 
 One directory per actor; each save writes one self-contained, versioned
-``<created_at>.model`` document (model parameters, vocabularies, the app
-superset, threshold statistics, validation metrics), and an actor's history
-is its set of ``.model`` files. A document is sealed: compact sorted-key JSON
-whose last member, ``"checksum":"<64 hex>"``, is the sha256 of every byte
-before it, so ``load`` checks the stored bytes and then parses them once.
-Model parameters sit in it as one base64 ``theta`` blob (format version 3).
-A file that fails the check or carries another version, the spaced
-version-1 and the per-key version-2 layouts included, is refused; retraining
-the actor replaces it. The checksum is not a signature, so a resealed file
-whose content could not score (see ``RegistryEntry.from_document``) is
-refused the same way. Writes go through a temp file, an
+``<created_at>.model`` document (model parameters, the encoder that feeds
+them as ``encoding.EncoderState.to_dict`` writes it, threshold statistics,
+validation metrics), and an actor's history is its set of ``.model`` files.
+A document is sealed: compact sorted-key JSON whose last member,
+``"checksum":"<64 hex>"``, is the sha256 of every byte before it, so
+``load`` checks the stored bytes and then parses them once. Model
+parameters sit in it as one base64 ``theta`` blob (format version 3). A
+file that fails the check or carries another version, the spaced version-1
+and the per-key version-2 layouts included, is refused; retraining the
+actor replaces it. The checksum is not a signature, so a resealed file
+whose content could not score is refused the same way: a malformed model
+or encoder member, or an encoder that can give an index past its model's
+sizes (``RegistryEntry.from_document``). Writes go through a temp file, an
 ``fsync`` and an atomic rename.
 """
 
@@ -26,9 +28,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from loginwatch.apps import AppSuperset
-from loginwatch.encoding import StringIndex, TimeMode, feature_sizes
-from loginwatch.geo import MAX_GEOHASH_PRECISION
+from loginwatch.encoding import EncoderState, json_object
 from loginwatch.model import Autoencoder
 
 logger = logging.getLogger(__name__)
@@ -75,66 +75,6 @@ def check_actor_id(actor_id: str) -> str:
 
 
 @dataclass
-class EncoderState:
-    """Everything needed to encode live events exactly as during training."""
-
-    geohash_precision: int
-    time_mode: TimeMode
-    active_hours: frozenset[int]
-    indices: dict[str, StringIndex]
-    superset: AppSuperset
-
-    def to_dict(self) -> dict:
-        return {
-            "geohash_precision": self.geohash_precision,
-            "time_mode": self.time_mode.value,
-            "active_hours": sorted(self.active_hours),
-            "indices": {
-                name: list(index.values) for name, index in self.indices.items()
-            },
-            "superset": {
-                actor: sorted(self.superset.apps_for(actor))
-                for actor in self.superset.actors()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EncoderState":
-        return cls(
-            geohash_precision=int(data["geohash_precision"]),
-            time_mode=TimeMode(data["time_mode"]),
-            active_hours=frozenset(data["active_hours"]),
-            indices={
-                name: StringIndex(feature_name=name, values=tuple(values))
-                for name, values in _object(data, "indices").items()
-            },
-            superset=AppSuperset(_object(data, "superset")),
-        )
-
-    def check_feeds(self, model: Autoencoder) -> None:
-        """Refuse an encoder whose rows ``model`` cannot score.
-
-        Raises:
-            ValueError: the geohash precision is outside
-                1..``MAX_GEOHASH_PRECISION``, or the encoder can give an index
-                past the model's size for some feature. A model with more
-                levels than the encoder only keeps rows no event reads.
-        """
-        if not 1 <= self.geohash_precision <= MAX_GEOHASH_PRECISION:
-            raise ValueError(
-                f"geohash_precision must be in 1..{MAX_GEOHASH_PRECISION}, "
-                f"got {self.geohash_precision}"
-            )
-        sizes = feature_sizes(self.indices, self.time_mode)
-        for name, size in sizes.items():
-            if size > model.feature_sizes[name]:
-                raise ValueError(
-                    f"the encoder gives {name} indices up to {size}, "
-                    f"the model holds {model.feature_sizes[name]}"
-                )
-
-
-@dataclass
 class RegistryEntry:
     """One saved model with its encoder state and validation metrics."""
 
@@ -174,24 +114,22 @@ class RegistryEntry:
         if model.chosen_n < 0:
             raise ValueError(f"model chosen_n must be >= 0, got {model.chosen_n}")
         encoder = EncoderState.from_dict(document["encoder"])
-        encoder.check_feeds(model)
+        # a model with more levels than the encoder only keeps rows no event reads
+        for name, size in encoder.feature_sizes().items():
+            if size > model.feature_sizes[name]:
+                raise ValueError(
+                    f"the encoder gives {name} indices up to {size}, "
+                    f"the model holds {model.feature_sizes[name]}"
+                )
         return cls(
             actor_id=document["actor_id"],
             model=model,
             encoder=encoder,
             status=EntryStatus(document["status"]),
-            metrics=_object(document, "metrics"),
-            metadata=_object(document, "metadata") if "metadata" in document else {},
+            metrics=json_object(document, "metrics"),
+            metadata=json_object(document, "metadata") if "metadata" in document else {},
             created_at=document["created_at"],
         )
-
-
-def _object(data: dict, key: str) -> dict:
-    """``data[key]``, which must be a JSON object."""
-    value = data[key]
-    if not isinstance(value, dict):
-        raise TypeError(f"{key} must be an object, got {type(value).__name__}")
-    return value
 
 
 def _trailer(head: bytes) -> bytes:

@@ -23,10 +23,10 @@ from loginwatch.detect import (
     sweep_threshold,
 )
 from loginwatch.encoding import (
+    EncoderState,
     TimeMode,
     build_event_indices,
     encode_event,
-    feature_sizes,
     observed_hours,
 )
 from loginwatch.events import parse_event
@@ -87,23 +87,17 @@ def test_single_actor_perfect_separation(capsys):
         parse_event(json.dumps(r), 1) for r in generate_logins(profile, days=180)
     ]
     train_part, val_part = stream[:-1260], stream[-1260:]
-    indices = build_event_indices(train_part, 3)
-    hours = observed_hours(train_part)
-    superset = build_superset(login_frequencies(train_part))
-    sizes = feature_sizes(indices, TimeMode.RAW)
+    encoder = EncoderState(
+        geohash_precision=3,
+        time_mode=TimeMode.RAW,
+        active_hours=observed_hours(train_part),
+        indices=build_event_indices(train_part, 3),
+        superset=build_superset(login_frequencies(train_part)),
+    )
+    sizes = encoder.feature_sizes()
 
     def encode(evts):
-        rows = [
-            encode_event(
-                e,
-                superset.known_app(e.actor_id, e.app_id),
-                indices,
-                precision=3,
-                active_hours=hours,
-            )
-            for e in evts
-        ]
-        return np.array(rows, dtype=np.int64)
+        return np.array([encode_event(e, encoder) for e in evts], dtype=np.int64)
 
     sample = stratified_sample(train_part, 0.1, 10, seed=1234)
     config = TrainConfig(**ACCEPT_TRAIN)

@@ -183,7 +183,7 @@ class TestSweep:
         assert result.best_f1 == pytest.approx(oracle_f1)
         assert result.best_n == pytest.approx(oracle_n)
 
-    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.data())
     def test_equals_brute_force_with_ties_and_zero_sigma(self, data):
         losses = data.draw(st.lists(SWEEP_LOSSES, min_size=2, max_size=30), label="losses")

@@ -1,4 +1,4 @@
-"""Tests for string index tables, embedding sizing, and event encoding."""
+"""Tests for vocabularies, embedding sizing, the encoder and event encoding."""
 
 from __future__ import annotations
 
@@ -7,15 +7,16 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from loginwatch.apps import AppSuperset
 from loginwatch.encoding import (
     FEATURE_ORDER,
     MAX_EMBEDDING_DIM,
+    EncoderState,
     TimeMode,
     build_event_indices,
     build_index,
     embedding_dim,
     encode_event,
-    feature_sizes,
     geohash_value,
     observed_hours,
 )
@@ -47,29 +48,29 @@ def make_event(
 
 
 class TestStringIndex:
+    """``build_index``: a plain dict from each distinct value to 1..m."""
+
     def test_indices_start_at_one_in_byte_order(self):
-        index = build_index(["beta", "alpha", "beta", "gamma"], "app_id")
-        assert index.size == 3
-        assert index.index_of("alpha") == 1
-        assert index.index_of("beta") == 2
-        assert index.index_of("gamma") == 3
+        index = build_index(["beta", "alpha", "beta", "gamma"])
+        assert index == {"alpha": 1, "beta": 2, "gamma": 3}
+        assert list(index) == ["alpha", "beta", "gamma"]
 
     def test_unseen_maps_to_zero(self):
-        index = build_index(["a"], "app_id")
-        assert index.index_of("never") == 0
-        assert index.index_of("") == 0
+        index = build_index(["a"])
+        assert index.get("never", 0) == 0
+        assert index.get("", 0) == 0
 
     def test_byte_order_puts_uppercase_first(self):
         # "Z" (0x5a) sorts before "a" (0x61) in UTF-8 bytes
-        index = build_index(["a", "Z"], "client_os")
-        assert index.index_of("Z") == 1
-        assert index.index_of("a") == 2
+        index = build_index(["a", "Z"])
+        assert index["Z"] == 1
+        assert index["a"] == 2
 
     def test_empty_string_is_a_real_level(self):
         # missing locations encode as "" and must stay distinguishable from OOV
-        index = build_index(["", "gbs"], "geohash")
-        assert index.index_of("") == 1
-        assert index.index_of("gbs") == 2
+        index = build_index(["", "gbs"])
+        assert index[""] == 1
+        assert index["gbs"] == 2
 
 
 class TestEmbeddingDim:
@@ -90,18 +91,29 @@ class TestEmbeddingDim:
             embedding_dim(0)
 
 
-def encode(event, known_app, indices, **kwargs) -> dict[str, int]:
+def make_encoder(
+    events, time_mode=TimeMode.RAW, active_hours=frozenset(), known_apps=("mail",)
+) -> EncoderState:
+    """An encoder with vocabularies from ``events`` at precision 3, in which
+    actor u1 knows ``known_apps``."""
+    return EncoderState(
+        geohash_precision=3,
+        time_mode=time_mode,
+        active_hours=frozenset(active_hours),
+        indices=build_event_indices(events),
+        superset=AppSuperset({"u1": known_apps}),
+    )
+
+
+def encode(event, encoder) -> dict[str, int]:
     """``encode_event``'s row, keyed by feature name."""
-    return dict(zip(FEATURE_ORDER, encode_event(event, known_app, indices, **kwargs)))
+    return dict(zip(FEATURE_ORDER, encode_event(event, encoder)))
 
 
 class TestEncodeEvent:
-    def _indices(self, events):
-        return build_event_indices(events)
-
     def test_raw_time_mode_passthrough(self):
         event = make_event(ts=datetime(2023, 6, 7, 14, 30, 0, tzinfo=timezone.utc))
-        row = encode_event(event, 0, self._indices([event]))
+        row = encode_event(event, make_encoder([event]))
         assert len(row) == len(FEATURE_ORDER)
         assert all(type(value) is int for value in row)
         encoded = dict(zip(FEATURE_ORDER, row))
@@ -112,9 +124,9 @@ class TestEncodeEvent:
 
     def test_string_features_hit_their_tables(self):
         event = make_event()
-        indices = self._indices([event])
-        encoded = encode(event, 1, indices)
-        assert encoded["geohash"] == indices["geohash"].index_of(geohash_value(event, 3))
+        encoder = make_encoder([event], known_apps=())
+        encoded = encode(event, encoder)
+        assert encoded["geohash"] == encoder.indices["geohash"][geohash_value(event, 3)]
         assert encoded["app_id"] == 1
         assert encoded["outcome"] == 1
         assert encoded["client_os"] == 1
@@ -124,7 +136,7 @@ class TestEncodeEvent:
     def test_unseen_values_land_on_oov(self):
         train = make_event(app="mail", os_name="Mac OS X")
         val = make_event(lat=-33.9, lon=151.2, app="exotic", os_name="BeOS")
-        encoded = encode(val, 1, self._indices([train]))
+        encoded = encode(val, make_encoder([train]))
         assert encoded["geohash"] == 0
         assert encoded["app_id"] == 0
         assert encoded["client_os"] == 0
@@ -132,39 +144,29 @@ class TestEncodeEvent:
     def test_coarse_mode_folds_to_binary(self):
         # Saturday 2023-06-10, hour 22 -> event_hour 23
         weekend = make_event(ts=datetime(2023, 6, 10, 22, 0, 0, tzinfo=timezone.utc))
-        indices = self._indices([weekend])
-        encoded = encode(
-            weekend, 0, indices, time_mode=TimeMode.COARSE, active_hours={10, 11}
-        )
+        encoded = encode(weekend, make_encoder([weekend], TimeMode.COARSE, {10, 11}))
         assert encoded["weekday"] == 0
         assert encoded["event_hour"] == 0
-        in_hours = encode(
-            weekend, 0, indices, time_mode=TimeMode.COARSE, active_hours={23}
-        )
+        in_hours = encode(weekend, make_encoder([weekend], TimeMode.COARSE, {23}))
         assert in_hours["event_hour"] == 1
 
     def test_coarse_weekday_one_on_weekdays(self):
         monday = make_event(ts=datetime(2023, 6, 12, 9, 0, 0, tzinfo=timezone.utc))
-        encoded = encode(
-            monday, 0, self._indices([monday]), time_mode=TimeMode.COARSE, active_hours={10}
-        )
+        encoded = encode(monday, make_encoder([monday], TimeMode.COARSE, {10}))
         assert encoded["weekday"] == 1
 
-    def test_coarse_requires_active_hours(self):
-        event = make_event()
-        with pytest.raises(ValueError, match="active_hours"):
-            encode_event(event, 0, self._indices([event]), time_mode=TimeMode.COARSE)
-
-    def test_known_app_must_be_binary(self):
-        event = make_event()
-        with pytest.raises(ValueError):
-            encode_event(event, 2, self._indices([event]))
+    def test_known_app_bit_comes_from_the_superset(self):
+        encoder = make_encoder([make_event()], known_apps=("mail",))
+        assert encode(make_event(app="mail"), encoder)["known_app"] == 0
+        assert encode(make_event(app="docs"), encoder)["known_app"] == 1
+        # an actor without a profile knows no app
+        assert encode(make_event(actor="u2", app="mail"), encoder)["known_app"] == 1
 
     def test_missing_location_encodes_empty_cell(self):
         event = make_event(lat=None, lon=None)
         assert geohash_value(event, 3) == ""
-        indices = self._indices([event])
-        assert encode(event, 0, indices)["geohash"] == indices["geohash"].index_of("")
+        encoder = make_encoder([event])
+        assert encode(event, encoder)["geohash"] == encoder.indices["geohash"][""]
 
     def test_indices_within_feature_sizes(self):
         rng = np.random.default_rng(5)
@@ -181,16 +183,16 @@ class TestEncodeEvent:
             )
             for _ in range(200)
         ]
-        indices = self._indices(events)
-        sizes = feature_sizes(indices)
+        encoder = make_encoder(events, known_apps=("mail", "docs"))
+        sizes = encoder.feature_sizes()
         for event in events:
-            row = encode_event(event, int(rng.integers(0, 2)), indices)
+            row = encode_event(event, encoder)
             for name, value in zip(FEATURE_ORDER, row):
                 assert 0 <= value <= sizes[name], name
 
     def test_feature_indices_order(self):
         event = make_event()
-        values = encode_event(event, 1, self._indices([event]))
+        values = encode_event(event, make_encoder([event], known_apps=()))
         assert len(values) == len(FEATURE_ORDER)
         assert values[FEATURE_ORDER.index("known_app")] == 1
 
@@ -198,7 +200,7 @@ class TestEncodeEvent:
 class TestFeatureSizes:
     def test_raw_sizes(self):
         events = [make_event(app="mail"), make_event(app="docs", outcome=Outcome.FAILURE)]
-        sizes = feature_sizes(build_event_indices(events))
+        sizes = make_encoder(events).feature_sizes()
         assert sizes["event_hour"] == 24
         assert sizes["weekday"] == 7
         assert sizes["known_app"] == 1
@@ -208,7 +210,7 @@ class TestFeatureSizes:
 
     def test_coarse_sizes(self):
         events = [make_event()]
-        sizes = feature_sizes(build_event_indices(events), TimeMode.COARSE)
+        sizes = make_encoder(events, TimeMode.COARSE).feature_sizes()
         assert sizes["event_hour"] == 1
         assert sizes["weekday"] == 1
 

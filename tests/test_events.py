@@ -10,7 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loginwatch.encoding import FEATURE_ORDER, TimeMode, build_event_indices, encode_event
+from loginwatch.apps import AppSuperset
+from loginwatch.encoding import (
+    FEATURE_ORDER,
+    EncoderState,
+    TimeMode,
+    build_event_indices,
+    encode_event,
+)
 from loginwatch.events import (
     ENTRY_EVENT_TYPES,
     FilterMode,
@@ -632,10 +639,14 @@ def coarse_time_columns(ts: datetime, active_hours) -> tuple[int, int]:
         actor_id="u1", timestamp=ts, event_type="user.authentication.sso",
         outcome=Outcome.SUCCESS,
     )
-    row = encode_event(
-        event, 0, build_event_indices([event]), time_mode=TimeMode.COARSE,
-        active_hours=active_hours,
+    encoder = EncoderState(
+        geohash_precision=3,
+        time_mode=TimeMode.COARSE,
+        active_hours=frozenset(active_hours),
+        indices=build_event_indices([event]),
+        superset=AppSuperset({}),
     )
+    row = encode_event(event, encoder)
     return row[FEATURE_ORDER.index("event_hour")], row[FEATURE_ORDER.index("weekday")]
 
 
@@ -680,12 +691,10 @@ class TestTimeFeatures:
     def test_coarse_flag_only_with_active_hours(self):
         # clock hour 9 UTC is event_hour 10
         ts = datetime(2023, 5, 4, 9, 0, 0, tzinfo=timezone.utc)
-        with pytest.raises(ValueError, match="active_hours"):
-            coarse_time_columns(ts, None)
         assert coarse_time_columns(ts, {10, 11})[0] == 1
         assert coarse_time_columns(ts, {9, 11})[0] == 0
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         st.datetimes(
             min_value=datetime(1970, 1, 2),

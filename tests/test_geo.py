@@ -99,7 +99,7 @@ class TestGeohashEncode:
                 lat, lon, precision
             )
 
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(geohash_cases())
     @example((90.0, 180.0, 12))
     @example((-90.0, -180.0, 12))

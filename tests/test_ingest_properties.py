@@ -126,7 +126,7 @@ def check_event(event, line: str) -> None:
         assert event.app_id == "" or event.app_id in app_ids(record)
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(LINES, min_size=1, max_size=4))
 @example([json.dumps(raw_record(target=[{"type": "AppInstance", "id": True}]))])
 @example([json.dumps(raw_record(published="0001-01-01T00:00:00+00:01"))])

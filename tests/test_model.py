@@ -187,7 +187,7 @@ class TestDiceCoefficient:
 
 
 class TestSigmoid:
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
     @example([0.0, -0.0, 5e-324, -5e-324, 36.8, 37.0, 700.0, 1e308, -1e308])
     @example([-699.9, -700.0, -700.1, -745.2, -800.0, -37.0, -1e-300])
@@ -545,7 +545,7 @@ class TestBank:
         assert np.all(analytic[owner == -1] == 0.0)
         assert np.all(numeric[owner == -1] == 0.0)
 
-    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         st.lists(
             st.fixed_dictionaries({name: st.integers(1, 60) for name in FEATURE_ORDER}),
@@ -593,6 +593,8 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(feature_weights={"geohash": -1.0})
+        with pytest.raises(ValueError, match="'geohsah'"):
+            TrainConfig(feature_weights={"geohsah": 2.0})
 
     def test_loss_mode_coerced_from_string(self):
         assert TrainConfig(loss_mode="PRODUCT").loss_mode is LossMode.PRODUCT
@@ -657,6 +659,8 @@ class TestPersistence:
             "not_a_string",
             "feature_sizes_disagree",
             "hidden_dim_disagree",
+            "feature_size_huge",
+            "hidden_dim_huge",
         ],
     )
     def test_corrupt_theta_rejected(self, damage):
@@ -680,6 +684,10 @@ class TestPersistence:
             state["feature_sizes"]["app_id"] = SIZES["app_id"] + 2
         elif damage == "hidden_dim_disagree":
             state["hidden_dim"] = 6
+        elif damage == "feature_size_huge":  # refused before a layout this large is allocated
+            state["feature_sizes"]["geohash"] = 10**15
+        elif damage == "hidden_dim_huge":
+            state["hidden_dim"] = 10**15
         with pytest.raises(ValueError, match="theta"):
             Autoencoder.from_state(state)
 
@@ -734,3 +742,38 @@ class TestPersistence:
         restored = Autoencoder.from_state(model.to_state())
         assert np.array_equal(restored.theta, model.theta)
         assert np.array_equal(restored.losses(rows), model.losses(rows))
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_mutated_state_is_refused_or_scores_in_range_rows(self, data):
+        # a member dropped, retyped or resized, as a resealed stored document
+        # can carry it: from_state refuses it with one of the errors that
+        # registry.load turns into an unscorable actor, or the model scores
+        state = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0).to_state()
+        sizes = [("feature_sizes", name) for name in FEATURE_ORDER]
+        weights = [("feature_weights", name) for name in FEATURE_ORDER]
+        action = data.draw(st.sampled_from(["drop", "retype", "resize"]), label="action")
+        if action == "resize":
+            path = data.draw(st.sampled_from(sizes + [("hidden_dim",), ("code_dim",)]))
+            value = data.draw(st.integers(-2, 10**15), label="size")
+        else:
+            path = data.draw(st.sampled_from([(key,) for key in state] + sizes + weights))
+            value = data.draw(
+                st.sampled_from([None, True, "3", "", 2.5, -1.0, [], [1], {}, {"a": 1}]),
+                label="value",
+            )
+        parent = state
+        for step in path[:-1]:
+            parent = parent[step]
+        if action == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        try:
+            model = Autoencoder.from_state(state)
+        except (KeyError, TypeError, ValueError):
+            return
+        rows = rows_within(model.feature_sizes, 20, seed=7)
+        losses = model.losses(rows)
+        assert losses.shape == (20,)
+        assert np.all(np.isfinite(losses))

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import shutil
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -19,6 +20,7 @@ from loginwatch.apps import build_superset, login_frequencies
 from loginwatch.cli import main
 from loginwatch.encoding import (
     FEATURE_ORDER,
+    EncoderState,
     TimeMode,
     build_event_indices,
     encode_event,
@@ -42,7 +44,7 @@ from loginwatch.pipeline import (
     run_train_workflow,
     stratified_sample,
 )
-from loginwatch.registry import EncoderState, EntryStatus, ModelRegistry, _seal
+from loginwatch.registry import EntryStatus, ModelRegistry, RegistryIntegrityError, _seal
 from loginwatch.synth import generate_corpus
 
 from test_registry import version_2_document
@@ -153,14 +155,7 @@ class TestEncodeActorEvents:
         assert rows.dtype == np.int64
         assert rows.shape == (len(events), len(FEATURE_ORDER))
         for row, event in zip(rows, events):
-            expected = encode_event(
-                event,
-                encoder.superset.known_app(event.actor_id, event.app_id),
-                encoder.indices,
-                precision=encoder.geohash_precision,
-                time_mode=encoder.time_mode,
-                active_hours=encoder.active_hours,
-            )
+            expected = encode_event(event, encoder)
             assert tuple(row.tolist()) == expected
             # the time columns, against the calendar features of the instant
             hour, weekday = hour_and_weekday(event.timestamp)
@@ -254,6 +249,11 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_dict({"typo_key": 1})
 
+    def test_misspelled_feature_weight_rejected(self):
+        # the weight would otherwise be ignored, and geohash trained at 1.0
+        with pytest.raises(ValueError, match="'geohsah'"):
+            PipelineConfig.from_dict({"train": {"feature_weights": {"geohsah": 2.0}}})
+
     @pytest.mark.parametrize("key", ["seed", "typo_key"])
     def test_unknown_train_keys_rejected(self, key):
         with pytest.raises(ValueError, match=rf"unknown config keys: \['train\.{key}'\]"):
@@ -310,7 +310,7 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=message):
             PipelineConfig.from_dict(data)
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(CONFIG_OBJECTS)
     def test_from_dict_returns_a_config_or_raises_value_error(self, data):
         try:
@@ -366,8 +366,8 @@ class TestTrainWorkflow:
         assert entry is not None
         assert entry.metrics["train_size"] == 200
         assert entry.metrics["val_size"] == 50
-        assert entry.encoder.indices["app_id"].index_of("app-mail") > 0
-        assert entry.encoder.indices["app_id"].index_of("app-valonly") == 0
+        assert "app-mail" in entry.encoder.indices["app_id"]
+        assert "app-valonly" not in entry.encoder.indices["app_id"]
         assert "app-valonly" not in entry.encoder.superset.apps_for("u1")
 
     def test_small_actor_skipped_with_warning(self, corpus_events, caplog):
@@ -485,7 +485,11 @@ class TestScoreWorkflow:
         assert result.reports == {}
 
     @pytest.mark.parametrize(
-        "damage", ["emptied", "version_2_sealed", "theta_cut_sealed", "copied_from_u001"]
+        "damage",
+        [
+            "emptied", "version_2_sealed", "theta_cut_sealed", "copied_from_u001",
+            "feature_size_huge", "feature_size_infinite",
+        ],
     )
     def test_corrupt_newest_model_leaves_other_actors_scored(
         self, corpus_events, trained_registry, damage, caplog
@@ -500,6 +504,10 @@ class TestScoreWorkflow:
             del document["checksum"]
             if damage == "version_2_sealed":
                 document = version_2_document(document)
+            elif damage == "feature_size_huge":  # a layout far too large to allocate
+                document["model"]["feature_sizes"]["geohash"] = 10**15
+            elif damage == "feature_size_infinite":  # json.loads reads Infinity
+                document["model"]["feature_sizes"]["geohash"] = math.inf
             else:  # passes its checksum, but theta is 9 bytes short
                 document["model"]["theta"] = document["model"]["theta"][:-12]
             newest.write_bytes(_seal(document))
@@ -510,21 +518,44 @@ class TestScoreWorkflow:
         assert result.retrained == []
         assert str(newest) in caplog.text
 
-    @pytest.mark.parametrize("damage", ["extra_vocabulary", "precision_13"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "extra_vocabulary", "precision_13", "vocabulary_string", "vocabulary_repeat",
+            "precision_true", "precision_string", "hour_25", "superset_strings",
+        ],
+    )
     def test_encoder_that_cannot_feed_its_model_leaves_other_actors_scored(
         self, corpus_events, trained_registry, damage, caplog
     ):
-        # a resealed document passes its checksum, so only the fit check stops it
+        # a resealed document passes its checksum, so only rebuilding the
+        # encoder and checking it against the model stops it
         newest = trained_registry.entry_paths("u002")[-1]
         document = json.loads(newest.read_bytes())
         del document["checksum"]
+        encoder = document["encoder"]
+        apps = encoder["indices"]["app_id"]
         if damage == "extra_vocabulary":
             # five values that sort first push every known app past the model's table
-            apps = document["encoder"]["indices"]["app_id"]
             apps[:0] = ["!0", "!1", "!2", "!3", "!4"]
+        elif damage == "vocabulary_string":  # as many characters as the model has apps
+            encoder["indices"]["app_id"] = "".join(apps)[: len(apps)]
+        elif damage == "vocabulary_repeat":  # the repeat would index past the table
+            apps[-1] = apps[0]
+        elif damage == "superset_strings":
+            superset = encoder["superset"]
+            encoder["superset"] = {actor: "".join(known) for actor, known in superset.items()}
         else:
-            document["encoder"]["geohash_precision"] = 13
+            member, value = {
+                "precision_13": ("geohash_precision", 13),
+                "precision_true": ("geohash_precision", True),
+                "precision_string": ("geohash_precision", "3"),
+                "hour_25": ("active_hours", [25]),
+            }[damage]
+            encoder[member] = value
         newest.write_bytes(_seal(document))
+        with pytest.raises(RegistryIntegrityError, match="not hold a valid model"):
+            trained_registry.load("u002")
         with caplog.at_level(logging.WARNING, logger="loginwatch.pipeline"):
             result = run_score_workflow(corpus_events, fast_config(), trained_registry)
         assert sorted(result.reports) == ["u001"]

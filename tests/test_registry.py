@@ -14,12 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loginwatch.apps import AppSuperset
-from loginwatch.encoding import FEATURE_ORDER, TimeMode, build_index
+from loginwatch.encoding import FEATURE_ORDER, EncoderState, TimeMode, build_index
 from loginwatch.events import LogEvent, Outcome
 from loginwatch.model import Autoencoder, TrainConfig
 from loginwatch.pipeline import PipelineConfig, run_score_workflow
 from loginwatch.registry import (
-    EncoderState,
     EntryStatus,
     ModelRegistry,
     RegistryEntry,
@@ -40,11 +39,11 @@ def make_encoder_state() -> EncoderState:
         time_mode=TimeMode.RAW,
         active_hours=frozenset({9, 10, 11}),
         indices={
-            "geohash": build_index(["", "dr5", "gbs"], "geohash"),
-            "app_id": build_index(["docs", "mail"], "app_id"),
-            "outcome": build_index(["FAILURE", "SUCCESS"], "outcome"),
-            "client_os": build_index(["Linux"], "client_os"),
-            "client_device": build_index(["Computer"], "client_device"),
+            "geohash": build_index(["", "dr5", "gbs"]),
+            "app_id": build_index(["docs", "mail"]),
+            "outcome": build_index(["FAILURE", "SUCCESS"]),
+            "client_os": build_index(["Linux"]),
+            "client_device": build_index(["Computer"]),
         },
         superset=AppSuperset({"u1": ["mail"]}),
     )
@@ -102,8 +101,7 @@ class TestSaveLoad:
         assert encoder.geohash_precision == 3
         assert encoder.time_mode is TimeMode.RAW
         assert encoder.active_hours == frozenset({9, 10, 11})
-        assert encoder.indices["app_id"].index_of("mail") == 2
-        assert encoder.indices["app_id"].index_of("unseen") == 0
+        assert encoder.indices["app_id"] == {"docs": 1, "mail": 2}
         assert encoder.superset.known_app("u1", "mail") == 0
         assert encoder.superset.known_app("u1", "other") == 1
 
@@ -347,10 +345,7 @@ class TestStoredDocumentProperties:
     def sealed(self) -> bytes:
         return _seal(make_entry().to_document())
 
-    @settings(
-        derandomize=True, database=None, max_examples=60, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_truncated_or_changed_byte_refused(self, sealed, tmp_path, data):
         if data.draw(st.booleans(), label="truncate"):
@@ -365,10 +360,7 @@ class TestStoredDocumentProperties:
         with pytest.raises(RegistryIntegrityError):
             ModelRegistry(tmp_path).load("u1")
 
-    @settings(
-        derandomize=True, database=None, max_examples=120, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_mutated_and_resealed_document_loads_and_scores_or_is_refused(
         self, sealed, tmp_path, data
@@ -488,7 +480,7 @@ class TestGoldenDocument:
         # a tolerance for roundoff on other BLAS builds; a layout drift moves
         # the losses by far more
         assert model.losses(random_rows(6, seed=22)) == pytest.approx(expected, rel=1e-9)
-        assert entry.encoder.indices["app_id"].index_of("mail") == 2
+        assert entry.encoder.indices["app_id"]["mail"] == 2
         assert entry.metrics == {"best_f1": 0.9, "best_n": 2.5}
 
 
