@@ -9,15 +9,15 @@ squashed) input embedding and its reconstruction, with gradients derived by
 hand and applied by plain mini-batch SGD to the network weights and the
 embedding rows alike.
 
-Every parameter lives in one float64 vector, ``Autoencoder.theta``, laid out
-as ``w1 b1 w2 b2 w3 b3 head head_bias`` followed by one embedding table per
-feature in ``FEATURE_ORDER``. The per-feature heads are row blocks of the
-single ``(input_dim, hidden_dim)`` head matrix, and the named arrays are
-views into ``theta``. The gradient has the same layout, so an SGD step is one
-vector update, and a batch step has no Python loop over features: the input
-is one gather from ``theta``, the per-feature dice sums are products with a
-fixed 0/1 ``(input_dim, features)`` segment matrix, the bias gradients are
-products with a row of ones, and the embedding gradient is one
+A model keeps every parameter in one float64 vector, ``Autoencoder.theta``,
+laid out as ``w1 b1 w2 b2 w3 b3 head head_bias`` followed by one embedding
+table per feature in ``FEATURE_ORDER``. The per-feature heads are row blocks
+of the single ``(input_dim, hidden_dim)`` head matrix, and the named arrays
+are views into ``theta``. The gradient has the same layout, so an SGD step is
+one vector update, and a batch step has no Python loop over features: the
+input is one gather from ``theta``, the per-feature dice sums are products
+with a fixed 0/1 ``(input_dim, features)`` segment matrix, the bias gradients
+are products with a row of ones, and the embedding gradient is one
 ``np.bincount`` over the gather positions. A step's time is mostly
 elementwise arithmetic on its ``(actors, rows, width)`` arrays, so the step
 keeps the passes over them few: one exp per sigmoid, and each sigmoid's
@@ -34,7 +34,13 @@ is its ``theta``. ``train`` fits every job of a call in a stack of many,
 the bank, whose narrower actors are padded to the widest ``input_dim`` with
 columns that read the zero slot and belong to no feature, so their
 parameters stay exactly 0 and each actor's fit equals its fit alone up to
-float64 roundoff.
+float32 roundoff.
+
+The bank is the one float32 stack: a step is mostly elementwise arithmetic,
+so half-width floats make it cheaper. Everything else is float64 through the
+same code: a model's ``theta`` (the bank's float32 values, widened exactly
+when a trained model is copied out), its losses and so its scores and
+``train_mu``/``train_sigma``, and ``gradient_check``.
 
 A stored model keeps ``theta`` whole, as base64 of its little-endian float64
 bytes, beside the scalars that fix its layout (``feature_sizes``,
@@ -139,12 +145,18 @@ def _check_rows(rows) -> np.ndarray:
     return rows.astype(np.int64, copy=False)
 
 
+# Where _sigmoid clamps its input, per dtype: exp of the negated floor stays
+# finite (exp(700) is about 1e304, exp(80) about 6e34; float32 overflows
+# above 88.7), and so does 1 / (1 + exp) stay > 0.
+_SIGMOID_FLOOR = {np.dtype(np.float64): -700.0, np.dtype(np.float32): -80.0}
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # One exp and one division; for x >= 0 these are the textbook steps. The
-    # clamp keeps exp finite (exp(700) is about 1e304), so nothing overflows
-    # and the result stays > 0 down to x = -700. (0.5 + 0.5*tanh(x/2) reaches
+    # One exp and one division, in x's dtype; for x >= 0 these are the
+    # textbook steps. The clamp keeps exp finite, so nothing overflows and
+    # the result stays > 0 down to the floor. (0.5 + 0.5*tanh(x/2) reaches
     # 0 near x = -38, and a feature whose columns all did would get a 0/0 dice.)
-    return 1.0 / (1.0 + np.exp(-np.maximum(x, -700.0)))
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, _SIGMOID_FLOOR[x.dtype])))
 
 
 def _checked_sizes(feature_sizes: Mapping[str, int]) -> dict[str, int]:
@@ -197,9 +209,12 @@ class _Stack:
     ``params`` holds the dense blocks as ``(actors, *shape)`` views and
     ``spans`` where each sits in ``flat``; ``segments`` is ``(actors,
     width, features)``, 1 where a column belongs to a feature; ``weights``
-    holds the feature weights. ``stored_bytes``, when given, is the length
-    of a stored ``theta`` for a stack of one; a layout of any other size is
-    refused before ``flat`` is allocated.
+    holds the feature weights. ``flat``, ``segments`` and ``weights`` are
+    in ``dtype``, and so is every array that ``forward`` and ``gradient``
+    make from them: float64, except for ``train``'s bank, which is float32.
+    ``stored_bytes``, when given, is the length of a stored ``theta`` for a
+    stack of one; a layout of any other size is refused before ``flat`` is
+    allocated.
     """
 
     def __init__(
@@ -210,6 +225,7 @@ class _Stack:
         loss_mode: LossMode = LossMode.SUM,
         feature_weights: Mapping[str, float] | None = None,
         stored_bytes: int | None = None,
+        dtype: type = np.float64,
     ):
         self.feature_sizes = [_checked_sizes(sizes) for sizes in feature_sizes]
         if hidden_dim < 1 or code_dim < 1:
@@ -224,7 +240,7 @@ class _Stack:
         self.loss_mode = LossMode(loss_mode)
         weights = dict(feature_weights or {})
         self.feature_weights = {name: float(weights.get(name, 1.0)) for name in FEATURE_ORDER}
-        self.weights = np.array(list(self.feature_weights.values()))
+        self.weights = np.array(list(self.feature_weights.values()), dtype=dtype)
 
         actors, width = len(dims), max(self.input_dims)
         # (start, shape, size) of each dense block, shape and size per actor
@@ -248,7 +264,7 @@ class _Stack:
                 f"{offset} float64 values ({8 * offset} bytes)"
             )
         self.zero = offset
-        self.flat = np.zeros(offset + 1)
+        self.flat = np.zeros(offset + 1, dtype=dtype)
 
         # Column maps, one row per actor: each column's feature, dim and base,
         # and the row of _SEGMENT_ROWS that says which feature it belongs to
@@ -267,7 +283,7 @@ class _Stack:
             segment += [len(FEATURE_ORDER)] * pad
         maps = np.array(feature + dim + base + segment).reshape(4, actors, width)
         self._col_feature, self._col_dim, self._col_base = maps[:3]
-        self.segments = _SEGMENT_ROWS[maps[3]]
+        self.segments = _SEGMENT_ROWS.astype(dtype, copy=False)[maps[3]]
         self._max_index = np.array([list(sizes.values()) for sizes in self.feature_sizes])
         self._bind(actors)
 
@@ -418,10 +434,12 @@ class _Stack:
         # Both embedding routes, the reconstruction target and the input,
         # land on the entries the batch gathered; bincount sums repeated ones.
         d_emb += d_z1 @ w1
+        # bincount sums in float64 whatever its weights' dtype
         grad = np.bincount(
             cache["pos"].ravel(), weights=d_emb.ravel(), minlength=self.flat.size
-        )
-        ones = np.ones((1, x.shape[1]))  # bias gradients sum over rows, as a matmul
+        ).astype(self.flat.dtype, copy=False)
+        # bias gradients sum over rows, as a matmul
+        ones = np.ones((1, x.shape[1]), dtype=self.flat.dtype)
         dense = (  # w1 b1 w2 b2 w3 b3 head head_bias, in layout order
             _transposed(d_z1) @ x, ones @ d_z1,
             _transposed(d_z2) @ a1, ones @ d_z2,
@@ -603,10 +621,11 @@ def train(
 
     Every job gets the model, seed, per-epoch permutation stream, batch
     count and per-batch mean loss it would get alone, so its fit equals a
-    one-job ``train`` up to float64 roundoff; the jobs only share the
-    numpy calls. The jobs share one ``_Stack``, the bank: each model starts
-    as its own stack of one, is copied in through the bank's views of its
-    actor and, once trained, copied back out the same way. Jobs are stacked
+    one-job ``train`` up to float32 roundoff; the jobs only share the
+    numpy calls. The jobs share one float32 ``_Stack``, the bank: each model
+    starts as its own float64 stack of one, is copied in through the bank's
+    views of its actor (rounded to float32) and, once trained, copied back
+    out the same way (widened exactly). Jobs are stacked
     by row count, most first, so batch ``b`` of an epoch runs on a leading
     slice of the stack: only the jobs that still have rows. A batch that is
     short for some of them pads their rows with weight 0.
@@ -614,8 +633,8 @@ def train(
     Embedding rows are parameters: each step updates them together with the
     layer weights. After the last epoch a model's ``train_mu`` and
     ``train_sigma`` are the mean and population standard deviation of its
-    final per-event losses over its whole dataset, and ``epoch_losses``
-    holds one mean loss per epoch.
+    final per-event losses over its whole dataset, computed in float64 as
+    scoring computes them, and ``epoch_losses`` holds one mean loss per epoch.
 
     Returns:
         One result per job, in job order: the trained model, or a
@@ -653,6 +672,7 @@ def train(
     bank = _Stack(
         [models[j].feature_sizes for j in order],
         config.hidden_dim, config.code_dim, config.loss_mode, config.feature_weights,
+        dtype=np.float32,
     )
     for k, j in enumerate(order):
         _copy(bank.views(k), models[j]._stack.views(0))
@@ -678,9 +698,9 @@ def train(
     steps = []
     for b in range(batches[0]):
         live = np.clip(counts - b * size, 0, size)[: np.count_nonzero(batches > b), None]
-        real = (np.arange(live.max()) < live).astype(float)
+        real = (np.arange(live.max()) < live).astype(np.float32)
         columns = slice(b * size, b * size + real.shape[1])
-        steps.append((bank.lead(len(live)), columns, real / live, real))
+        steps.append((bank.lead(len(live)), columns, (real / live).astype(np.float32), real))
 
     errors: dict[int, TrainingDivergedError] = {}
     loss_sums = np.zeros((config.epochs, len(order)))

@@ -12,8 +12,9 @@ file that fails the check or carries another version, the spaced version-1
 and the per-key version-2 layouts included, is refused; retraining the
 actor replaces it. The checksum is not a signature, so a resealed file
 whose content could not score is refused the same way: a malformed model
-or encoder member, or an encoder that can give an index past its model's
-sizes (``RegistryEntry.from_document``). Writes go through a temp file, an
+or encoder member, a threshold statistic that is not finite, or an encoder
+that can give an index past its model's sizes
+(``RegistryEntry.from_document``). Writes go through a temp file, an
 ``fsync`` and an atomic rename.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -105,12 +107,17 @@ class RegistryEntry:
         Raises:
             KeyError, TypeError, ValueError: a member is missing or of the
                 wrong type, the model does not rebuild or lacks its threshold
-                statistics, or the encoder cannot feed it.
+                statistics, a statistic is not finite (``json`` reads
+                ``NaN`` and ``Infinity``, and either would turn detection
+                off for the actor), or the encoder cannot feed it.
         """
         model = Autoencoder.from_state(document["model"])
         for name in ("train_mu", "train_sigma", "chosen_n"):
-            if not isinstance(getattr(model, name), float):
-                raise TypeError(f"model {name} must be a float, got {getattr(model, name)!r}")
+            value = getattr(model, name)
+            if not isinstance(value, float):
+                raise TypeError(f"model {name} must be a float, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"model {name} must be finite, got {value}")
         if model.chosen_n < 0:
             raise ValueError(f"model chosen_n must be >= 0, got {model.chosen_n}")
         encoder = EncoderState.from_dict(document["encoder"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import copy
 import json
 import math
 import warnings
@@ -207,6 +208,18 @@ class TestSigmoid:
             if -700.0 <= value < 0.0:
                 expected = 1.0 / (1.0 + math.exp(-value))
                 assert abs(got - expected) <= 4 * math.ulp(expected), value
+
+    @pytest.mark.parametrize("dtype, floor", [(np.float32, -80.0), (np.float64, -700.0)])
+    def test_clamp_fits_the_dtype(self, dtype, floor):
+        # float32 exp overflows above 88.7, so the float64 floor would warn there
+        x = np.array([-1e4, np.nextafter(floor, -np.inf), floor, 0.0, -floor, 1e4], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = _sigmoid(x)
+        assert s.dtype == dtype
+        assert ((s > 0.0) & (s <= 1.0)).all()
+        assert s[0] == s[1] == s[2]  # clamped at the floor
+        assert s[-1] == 1.0
 
 
 class TestForward:
@@ -462,6 +475,25 @@ def assert_same_fit(bank_model: Autoencoder, solo: Autoencoder) -> None:
     assert bank_model.train_sigma == pytest.approx(solo.train_sigma, rel=0.0, abs=1e-12)
 
 
+def ufunc_logging_array(log: list) -> type:
+    """An ndarray subclass that logs ``(ufunc, dtype)`` of every ufunc result
+    it takes part in (matmul and reductions included) and hands itself on to
+    that result, so every array computed from it is logged in turn."""
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            def plain(arrays):
+                return tuple(a.view(np.ndarray) if isinstance(a, Logged) else a for a in arrays)
+
+            if "out" in kwargs:
+                kwargs["out"] = plain(kwargs["out"])
+            result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+            log.append((f"{ufunc.__name__}.{method}", result.dtype))
+            return result.view(Logged)
+
+    return Logged
+
+
 class TestBank:
     """Several jobs in one ``train`` call fit as each would alone."""
 
@@ -581,6 +613,83 @@ class TestBank:
         gradient = stack.gradient(cache, np.full(pos.shape[:2], 1.0 / 6))
         assert np.all(gradient[~owned] == 0.0)
         assert np.all(stack.flat[~owned] == 0.0)
+
+    def test_bank_computes_in_float32_and_models_stay_float64(self, monkeypatch):
+        # One float64 operand (a row weight, the weight vector, the ones row)
+        # would widen the step back to float64 and no other test would notice.
+        log = []
+        logged = ufunc_logging_array(log)
+        arrays = []
+        gradient = _Stack.gradient
+
+        def logging_gradient(stack, cache, row_weight):
+            grad = gradient(stack, cache, row_weight)
+            arrays.extend([stack.flat, stack.weights, stack.segments, row_weight, grad])
+            arrays.extend(cache.values())
+            if not log:  # replay the first step, logging every ufunc result
+                replay = copy.copy(stack)
+                replay.flat = stack.flat.view(logged)
+                replay._bind(len(row_weight))
+                replayed = gradient(replay, replay.forward(cache["pos"]), row_weight)
+                assert np.array_equal(replayed, grad)
+            return grad
+
+        monkeypatch.setattr(_Stack, "gradient", logging_gradient)
+        jobs = self.jobs()
+        models = train(jobs, TrainConfig(epochs=2, hidden_dim=6, code_dim=4))
+        assert len(arrays) > 0 and len(log) > 0
+        assert {a.dtype for a in arrays if a.dtype.kind == "f"} == {np.dtype(np.float32)}
+        assert {dtype for _, dtype in log} == {np.dtype(np.float32)}, log
+
+        for job, model in zip(jobs, models):
+            assert model.theta.dtype == np.float64
+            assert np.array_equal(model.theta, model.theta.astype(np.float32))
+            assert model.losses(job.rows).dtype == np.float64
+            blob = base64.b64decode(model.to_state()["theta"])
+            assert np.array_equal(np.frombuffer(blob, "<f8"), model.theta)
+
+    @pytest.mark.parametrize("mode", list(LossMode), ids=lambda mode: mode.value)
+    def test_float32_gradient_agrees_with_float64(self, mode):
+        # the same float32 values in a float32 and a float64 stack of two
+        # jobs, the coarse one padded to the wide one's width
+        weights = {"outcome": 2.0, "weekday": 0.5}
+        wide = Autoencoder("wide", WIDE_SIZES, hidden_dim=5, code_dim=3, seed=1,
+                           loss_mode=mode, feature_weights=weights)
+        coarse = Autoencoder("coarse", COARSE_SIZES, hidden_dim=5, code_dim=3, seed=2,
+                             loss_mode=mode, feature_weights=weights)
+        stacks = {
+            dtype: _Stack([WIDE_SIZES, COARSE_SIZES], 5, 3, mode, weights, dtype=dtype)
+            for dtype in (np.float32, np.float64)
+        }
+        for k, model in enumerate((wide, coarse)):
+            _copy(stacks[np.float32].views(k), views(model))
+        stacks[np.float64].flat[...] = stacks[np.float32].flat
+        # eight rows for the wide job; five for the coarse job, then padding rows
+        pos = np.full((2, 8, wide.input_dim), stacks[np.float64].zero)
+        pos[0] = stacks[np.float64].positions(0, rows_within(WIDE_SIZES, 8, seed=5))
+        pos[1, :5] = stacks[np.float64].positions(1, rows_within(COARSE_SIZES, 5, seed=6))
+        weight = np.array([[1 / 8] * 8, [1 / 5] * 5 + [0.0] * 3])
+        grads = {
+            dtype: stack.gradient(stack.forward(pos), weight.astype(dtype))
+            for dtype, stack in stacks.items()
+        }
+        assert grads[np.float32].dtype == np.float32
+
+        # float32 keeps about 7 digits. SUM loses few of them (3.7e-6 at most
+        # over 30 seeds). PRODUCT divides by each dissimilarity 1 - dice,
+        # which cancels most digits while dice is near 1, as it is at
+        # initialisation (2.4e-3 at most over 30 seeds).
+        bound = {LossMode.SUM: 1e-4, LossMode.PRODUCT: 1e-2}[mode]
+        error = np.abs(grads[np.float32] - grads[np.float64]).max()
+        assert error <= bound * np.abs(grads[np.float64]).max()
+
+        owned = np.zeros(stacks[np.float64].flat.size, dtype=bool)
+        for k in (0, 1):
+            for view in stacks[np.float64].views(k, owned).values():
+                view[...] = True
+        assert np.count_nonzero(~owned) == (31 - 13) * (2 * 5 + 1) + 1  # padding, zero slot
+        for grad in grads.values():
+            assert np.all(grad[~owned] == 0.0)
 
 
 class TestTrainConfig:

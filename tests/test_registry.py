@@ -201,6 +201,38 @@ class TestIntegrity:
         assert str(path) in str(caught.value)
         assert "retrain" in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("train_mu", float("inf")),
+            ("train_mu", float("nan")),
+            ("train_sigma", float("nan")),
+            ("train_sigma", float("inf")),
+            ("chosen_n", float("inf")),
+            ("chosen_n", float("nan")),
+        ],
+    )
+    def test_non_finite_threshold_refused_and_only_its_actor_unscorable(
+        self, tmp_path, name, value
+    ):
+        # json reads NaN and Infinity; either would leave the actor scored
+        # with a threshold that flags nothing
+        registry = ModelRegistry(tmp_path)
+        path = registry.save(make_entry("u1"))
+        registry.save(make_entry("u2", seed=1))
+        document = json.loads(path.read_bytes())
+        del document["checksum"]
+        document["model"][name] = value
+        path.write_bytes(_seal(document))
+        with pytest.raises(RegistryIntegrityError, match=f"{name} must be finite") as caught:
+            registry.load("u1")
+        assert str(path) in str(caught.value)
+        result = run_score_workflow(
+            live_events("u1") + live_events("u2"), PipelineConfig(), registry
+        )
+        assert result.unscorable == ["u1"]
+        assert list(result.reports) == ["u2"]
+
     @pytest.mark.parametrize("where", ["copied", "document_resealed", "model_resealed"])
     def test_document_of_another_actor_refused(self, tmp_path, where):
         # the checksum does not cover the path, so a copied file passes it
