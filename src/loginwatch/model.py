@@ -42,10 +42,11 @@ same code: a model's ``theta`` (the bank's float32 values, widened exactly
 when a trained model is copied out), its losses and so its scores and
 ``train_mu``/``train_sigma``, and ``gradient_check``.
 
-A stored model keeps ``theta`` whole, as base64 of its little-endian float64
-bytes, beside the scalars that fix its layout (``feature_sizes``,
-``hidden_dim``, ``code_dim``); loading checks the blob's length against that
-layout and copies it back bit-exact.
+A stored model keeps ``theta`` whole, as lowercase hex of its little-endian
+float64 bytes (registry format version 4; version 3 stored base64), beside
+the scalars that fix its layout (``feature_sizes``, ``hidden_dim``,
+``code_dim``); loading decodes it with the strict ``binascii.unhexlify``,
+checks the decoded length against that layout and copies it back bit-exact.
 
 The loss of an event doubles as its anomaly score: events built from
 patterns the model never learned reconstruct poorly and score high.
@@ -53,7 +54,7 @@ patterns the model never learned reconstruct poorly and score high.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import copy
 import logging
 import math
@@ -75,7 +76,14 @@ _SEGMENT_ROWS = np.eye(len(FEATURE_ORDER) + 1, len(FEATURE_ORDER))
 
 
 class LossMode(str, Enum):
-    """How per-feature dissimilarities combine into one event loss."""
+    """How per-feature dissimilarities combine into one event loss.
+
+    ``PRODUCT`` does not train from the default initialisation: each of the
+    8 dissimilarities starts near 1e-4, so the product starts near 1e-27 and
+    so does its gradient, and SGD leaves the parameters where they began.
+    No acceptance test or benchmark workload uses it; it would need a
+    log-domain loss or a per-feature rescale to train.
+    """
 
     SUM = "SUM"
     PRODUCT = "PRODUCT"
@@ -543,8 +551,8 @@ class Autoencoder:
     def to_state(self) -> dict:
         """Plain-type snapshot of every parameter and training statistic.
 
-        ``theta`` is stored whole as base64 of its little-endian float64
-        bytes; the layout scalars beside it say how to read it back.
+        ``theta`` is stored whole as lowercase hex of its little-endian
+        float64 bytes; the layout scalars beside it say how to read it back.
         """
         return {
             "actor_id": self.actor_id,
@@ -553,9 +561,7 @@ class Autoencoder:
             "hidden_dim": self.hidden_dim,
             "code_dim": self.code_dim,
             "loss_mode": self.loss_mode.value,
-            "theta": base64.b64encode(
-                self.theta.astype("<f8", copy=False).tobytes()
-            ).decode("ascii"),
+            "theta": self.theta.astype("<f8", copy=False).tobytes().hex(),
             "train_mu": self.train_mu,
             "train_sigma": self.train_sigma,
             "chosen_n": self.chosen_n,
@@ -567,16 +573,17 @@ class Autoencoder:
         """Rebuild a model from ``to_state`` output.
 
         Raises:
-            ValueError: ``theta`` is not base64, or its length differs from
-                the one that ``feature_sizes``, ``hidden_dim`` and
-                ``code_dim`` imply (checked before the layout is allocated,
-                so a huge stored size costs nothing), or ``epoch_losses`` is
-                not a list of numbers.
+            ValueError: ``theta`` is not a hex string (``binascii.unhexlify``
+                refuses whitespace, an odd length and a non-hex digit), or
+                its byte length differs from the one that ``feature_sizes``,
+                ``hidden_dim`` and ``code_dim`` imply (checked before the
+                layout is allocated, so a huge stored size costs nothing),
+                or ``epoch_losses`` is not a list of numbers.
         """
         try:
-            blob = base64.b64decode(state["theta"], validate=True)
+            blob = binascii.unhexlify(state["theta"])
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"theta is not base64: {exc}") from None
+            raise ValueError(f"theta is not hex: {exc}") from None
         model = cls.__new__(cls)
         model._adopt(
             state["actor_id"],

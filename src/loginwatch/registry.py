@@ -7,10 +7,14 @@ validation metrics), and an actor's history is its set of ``.model`` files.
 A document is sealed: compact sorted-key JSON whose last member,
 ``"checksum":"<64 hex>"``, is the sha256 of every byte before it, so
 ``load`` checks the stored bytes and then parses them once. Model
-parameters sit in it as one base64 ``theta`` blob (format version 3). A
-file that fails the check or carries another version, the spaced version-1
-and the per-key version-2 layouts included, is refused; retraining the
-actor replaces it. The checksum is not a signature, so a resealed file
+parameters sit in it as one ``theta`` string, lowercase hex of their
+little-endian float64 bytes (format version 4). A file that fails the
+check, cannot be read, or carries another version is refused: the spaced
+version-1 layout, the per-key version-2 layout and the base64 ``theta`` of
+version 3 have no reader, and retraining the actor replaces its file. An
+actor's versions are the ``*.model`` names in its directory, listed with
+one ``os.scandir`` and sorted as strings, which sorts them by creation
+time. The checksum is not a signature, so a resealed file
 whose content could not score is refused the same way: a malformed model
 or encoder member, a threshold statistic that is not finite, or an encoder
 that can give an index past its model's sizes
@@ -35,7 +39,7 @@ from loginwatch.model import Autoencoder
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MODEL_SUFFIX = ".model"
 _CHECKSUM_MEMBER = b',"checksum":"'
 _TRAILER_LENGTH = len(_CHECKSUM_MEMBER) + 64 + len(b'"}')
@@ -154,10 +158,17 @@ def _unseal(path: Path) -> dict:
     """Parse a stored document after checking its checksum over the raw bytes.
 
     Raises:
-        RegistryIntegrityError: the file fails the checksum, does not parse,
-            or has a format version other than ``FORMAT_VERSION``.
+        RegistryIntegrityError: the file cannot be read (a directory or an
+            unreadable file under a ``.model`` name), fails the checksum,
+            does not parse, or has a format version other than
+            ``FORMAT_VERSION``.
     """
-    payload = path.read_bytes()
+    try:
+        payload = path.read_bytes()
+    except OSError as exc:
+        raise RegistryIntegrityError(
+            f"{path} cannot be read ({exc}); retrain the actor to replace it"
+        ) from exc
     head = payload[:-_TRAILER_LENGTH]
     try:
         document = json.loads(payload) if payload[len(head):] == _trailer(head) else None
@@ -169,6 +180,23 @@ def _unseal(path: Path) -> dict:
             f"retrain the actor to replace it"
         )
     return document
+
+
+def _model_names(directory: Path) -> list[str]:
+    """Sorted ``*.model`` names in ``directory``, ``[]`` if it cannot be listed.
+
+    A name matches as it would match ``Path.glob("*.model")``: case
+    sensitive, dotfiles included. Names of one directory sort as strings in
+    the order their paths sort in, and ``created_at`` names sort
+    chronologically.
+    """
+    try:
+        with os.scandir(directory) as entries:
+            names = [entry.name for entry in entries if entry.name.endswith(MODEL_SUFFIX)]
+    except OSError:  # missing, not a directory, or unreadable
+        return []
+    names.sort()
+    return names
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:
@@ -206,10 +234,9 @@ class ModelRegistry:
         return path
 
     def entry_paths(self, actor_id: str) -> list[Path]:
+        """The actor's ``.model`` paths, oldest first."""
         actor_dir = self._actor_dir(actor_id)
-        if not actor_dir.is_dir():
-            return []
-        return sorted(actor_dir.glob(f"*{MODEL_SUFFIX}"))
+        return [actor_dir / name for name in _model_names(actor_dir)]
 
     def load(self, actor_id: str) -> RegistryEntry:
         """Load the newest entry for an actor, verifying its checksum.
@@ -242,10 +269,10 @@ class ModelRegistry:
         return entry
 
     def actors(self) -> list[str]:
-        if not self.root.is_dir():
+        """Every actor with at least one ``.model`` name, sorted."""
+        try:
+            with os.scandir(self.root) as children:
+                names = [child.name for child in children if child.is_dir()]
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        return sorted(
-            child.name
-            for child in self.root.iterdir()
-            if child.is_dir() and any(child.glob(f"*{MODEL_SUFFIX}"))
-        )
+        return sorted(name for name in names if _model_names(self.root / name))

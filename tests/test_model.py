@@ -123,8 +123,17 @@ def reference_forward(model: Autoencoder, row) -> tuple[dict, dict]:
 
 
 def theta_blob(values) -> str:
-    """``values`` as a stored ``theta``: base64 of little-endian float64."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+    """``values`` as a stored ``theta``: hex of little-endian float64."""
+    return np.asarray(values, dtype="<f8").tobytes().hex()
+
+
+# Stored hex ``theta`` strings that the strict ``binascii.unhexlify`` refuses.
+# ``bytes.fromhex`` would read the whitespace case as the original bytes.
+THETA_DAMAGE = {
+    "odd_length": lambda theta: theta[:-1],
+    "not_hex_digit": lambda theta: theta[:8] + "g" + theta[9:],
+    "embedded_whitespace": lambda theta: theta[:8] + " \n" + theta[8:],
+}
 
 
 def parameter_span(model: Autoencoder, key: str) -> slice:
@@ -645,7 +654,7 @@ class TestBank:
             assert model.theta.dtype == np.float64
             assert np.array_equal(model.theta, model.theta.astype(np.float32))
             assert model.losses(job.rows).dtype == np.float64
-            blob = base64.b64decode(model.to_state()["theta"])
+            blob = bytes.fromhex(model.to_state()["theta"])
             assert np.array_equal(np.frombuffer(blob, "<f8"), model.theta)
 
     @pytest.mark.parametrize("mode", list(LossMode), ids=lambda mode: mode.value)
@@ -764,7 +773,10 @@ class TestPersistence:
             "one_value_short",
             "one_value_long",
             "float32",
-            "not_base64",
+            "base64",
+            "odd_length",
+            "not_hex_digit",
+            "embedded_whitespace",
             "not_a_string",
             "feature_sizes_disagree",
             "hidden_dim_disagree",
@@ -781,12 +793,11 @@ class TestPersistence:
             state["theta"] = theta_blob(np.append(model.theta, 0.0))
         elif damage == "float32":
             # the right value count at half the width
-            state["theta"] = base64.b64encode(
-                model.theta.astype("<f4").tobytes()
-            ).decode("ascii")
-        elif damage == "not_base64":
-            # a lenient decoder would skip the character and load the rest
-            state["theta"] = state["theta"][:8] + "!" + state["theta"][8:]
+            state["theta"] = model.theta.astype("<f4").tobytes().hex()
+        elif damage == "base64":  # the version-3 encoding of the same bytes
+            state["theta"] = base64.b64encode(bytes.fromhex(state["theta"])).decode("ascii")
+        elif damage in THETA_DAMAGE:
+            state["theta"] = THETA_DAMAGE[damage](state["theta"])
         elif damage == "not_a_string":
             state["theta"] = model.theta.tolist()
         elif damage == "feature_sizes_disagree":
@@ -834,7 +845,7 @@ class TestPersistence:
             + input_dim * 5 + input_dim  # head head_bias
             + sum((SIZES[name] + 1) * dim for name, dim in dims.items())
         )
-        blob = base64.b64decode(state["theta"], validate=True)
+        blob = bytes.fromhex(state["theta"])
         assert len(blob) == 8 * size
         # little-endian float64, in the in-memory layout, bit for bit
         assert blob == model.theta.astype("<f8").tobytes()

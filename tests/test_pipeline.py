@@ -47,6 +47,7 @@ from loginwatch.pipeline import (
 from loginwatch.registry import EntryStatus, ModelRegistry, RegistryIntegrityError, _seal
 from loginwatch.synth import generate_corpus
 
+from test_model import THETA_DAMAGE
 from test_registry import version_2_document
 
 
@@ -488,7 +489,7 @@ class TestScoreWorkflow:
         "damage",
         [
             "emptied", "version_2_sealed", "theta_cut_sealed", "copied_from_u001",
-            "feature_size_huge", "feature_size_infinite",
+            "feature_size_huge", "feature_size_infinite", *THETA_DAMAGE,
         ],
     )
     def test_corrupt_newest_model_leaves_other_actors_scored(
@@ -508,7 +509,9 @@ class TestScoreWorkflow:
                 document["model"]["feature_sizes"]["geohash"] = 10**15
             elif damage == "feature_size_infinite":  # json.loads reads Infinity
                 document["model"]["feature_sizes"]["geohash"] = math.inf
-            else:  # passes its checksum, but theta is 9 bytes short
+            elif damage in THETA_DAMAGE:  # passes its checksum, but theta is not hex
+                document["model"]["theta"] = THETA_DAMAGE[damage](document["model"]["theta"])
+            else:  # passes its checksum, but theta is 6 bytes short
                 document["model"]["theta"] = document["model"]["theta"][:-12]
             newest.write_bytes(_seal(document))
         with caplog.at_level(logging.WARNING, logger="loginwatch.pipeline"):
@@ -845,6 +848,37 @@ class TestCli:
             "f1_curve_u2.csv", "loss_epochs_u2.csv"
         ]
         assert str(refused) in caplog.text
+
+    @pytest.mark.parametrize("stray", ["directory", "dangling_link"])
+    def test_stray_newest_entry_leaves_only_its_actor_unscorable(
+        self, tmp_path, capsys, caplog, stray
+    ):
+        # a name that sorts newest but cannot be read as a file
+        registry = tmp_path / "registry"
+        events = crafted_events("u1", 120) + crafted_events("u2", 120)
+        config = fast_config(train=TrainConfig(epochs=2))
+        run_train_workflow(events, config, ModelRegistry(registry))
+        entry = registry / "u1" / "99999999T000000.000000Z.model"
+        if stray == "directory":
+            entry.mkdir()
+        else:
+            entry.symlink_to(tmp_path / "nowhere.model")
+        assert ModelRegistry(registry).entry_paths("u1")[-1] == entry
+        live = tmp_path / "live.jsonl"
+        write_events(events, live)
+        reports = tmp_path / "reports"
+        with caplog.at_level(logging.WARNING):
+            assert main(["score", "--input", str(live), "--registry", str(registry)]) == 0
+            scored = json.loads(capsys.readouterr().out)
+            assert main(["report", "--registry", str(registry), "--out-dir", str(reports)]) == 0
+            reported = json.loads(capsys.readouterr().out)
+        assert scored["unscorable"] == ["u1"]
+        assert sorted(scored["actors"]) == ["u2"]
+        assert reported["unreadable"] == ["u1"]
+        assert sorted(p.name for p in reports.iterdir()) == [
+            "f1_curve_u2.csv", "loss_epochs_u2.csv"
+        ]
+        assert f"{entry} cannot be read" in caplog.text
 
     def test_document_filed_under_another_actor_is_refused(self, tmp_path, capsys, caplog):
         registry = tmp_path / "registry"

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import os
 import pathlib
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -28,9 +30,10 @@ from loginwatch.registry import (
     _seal,
 )
 
-from test_model import SIZES, feature_columns, fit, random_rows
+from test_model import SIZES, THETA_DAMAGE, feature_columns, fit, random_rows
 
-GOLDEN_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry"
+GOLDEN_V3_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry"
+GOLDEN_V4_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry_v4"
 
 
 def make_encoder_state() -> EncoderState:
@@ -169,6 +172,7 @@ class TestIntegrity:
             "empty",
             "version_1_layout",
             "version_2_sealed",
+            "version_3_sealed",
         ],
     )
     def test_hostile_document_refused_naming_the_path(self, tmp_path, damage):
@@ -180,7 +184,9 @@ class TestIntegrity:
         assert str(path) in str(caught.value)
         assert "retrain" in str(caught.value)
 
-    @pytest.mark.parametrize("damage", ["theta_cut", "member_missing", "status_unknown"])
+    @pytest.mark.parametrize(
+        "damage", ["theta_cut", *THETA_DAMAGE, "member_missing", "status_unknown"]
+    )
     def test_sealed_document_that_does_not_fit_refused_naming_the_path(
         self, tmp_path, damage
     ):
@@ -191,6 +197,8 @@ class TestIntegrity:
         del document["checksum"]
         if damage == "theta_cut":
             document["model"]["theta"] = document["model"]["theta"][:-12]
+        elif damage in THETA_DAMAGE:
+            document["model"]["theta"] = THETA_DAMAGE[damage](document["model"]["theta"])
         elif damage == "member_missing":
             del document["encoder"]
         else:
@@ -293,6 +301,12 @@ def hostile_payload(sealed: bytes, damage: str) -> bytes:
         document = json.loads(sealed)
         del document["checksum"]
         return _seal(version_2_document(document))
+    if damage == "version_3_sealed":  # the same content with theta in base64
+        document = json.loads(sealed)
+        del document["checksum"]
+        theta = bytes.fromhex(document["model"]["theta"])
+        document["model"]["theta"] = base64.b64encode(theta).decode("ascii")
+        return _seal({**document, "version": 3})
     raise ValueError(damage)
 
 
@@ -422,13 +436,15 @@ class TestStoredDocumentProperties:
 class TestSealedFormat:
     def test_document_is_compact_sorted_json_sealed_by_its_last_member(self, tmp_path):
         registry = ModelRegistry(tmp_path)
-        payload = registry.save(make_entry()).read_bytes()
+        entry = make_entry()
+        payload = registry.save(entry).read_bytes()
         head, member, tail = payload.rpartition(b',"checksum":"')
         assert member
         assert tail == hashlib.sha256(head).hexdigest().encode() + b'"}'
         document = json.loads(payload)
         assert list(document)[-1] == "checksum"
-        assert document["version"] == 3
+        assert document["version"] == 4
+        assert document["model"]["theta"] == entry.model.theta.astype("<f8").tobytes().hex()
         body = {key: value for key, value in document.items() if key != "checksum"}
         compact = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
         assert head + b"}" == compact
@@ -481,16 +497,20 @@ class TestSealedFormat:
 
 
 class TestGoldenDocument:
-    """A version-3 document committed under ``tests/data``.
+    """Two committed documents of one model under ``tests/data``.
 
-    It was written once by ``ModelRegistry.save`` (3 epochs on
-    ``random_rows(30, seed=5)``, hidden 5, code 3, outcome weight 2). Any
-    change to how a stored model is read makes this test fail; such a change
-    needs a new ``FORMAT_VERSION``, not a regenerated file.
+    The version-3 file under ``registry/`` was written once by
+    ``ModelRegistry.save`` (3 epochs on ``random_rows(30, seed=5)``, hidden
+    5, code 3, outcome weight 2), with ``theta`` in base64. The version-4
+    file under ``registry_v4/`` was made from it once by a script that
+    re-encoded ``theta`` as hex of the same bytes, set ``version`` to 4 and
+    resealed it; every other member is the version-3 file's. Any change to
+    how a stored model is read makes these tests fail; such a change needs a
+    new ``FORMAT_VERSION``, not a regenerated file.
     """
 
-    def test_golden_version_3_document_loads_with_its_losses(self):
-        entry = ModelRegistry(GOLDEN_REGISTRY).load("golden")
+    def test_golden_version_4_document_loads_with_its_losses(self):
+        entry = ModelRegistry(GOLDEN_V4_REGISTRY).load("golden")
         model = entry.model
         assert model.theta.size == 744
         assert hashlib.sha256(model.theta.astype("<f8").tobytes()).hexdigest() == (
@@ -514,6 +534,86 @@ class TestGoldenDocument:
         assert model.losses(random_rows(6, seed=22)) == pytest.approx(expected, rel=1e-9)
         assert entry.encoder.indices["app_id"]["mail"] == 2
         assert entry.metrics == {"best_f1": 0.9, "best_n": 2.5}
+
+    def test_golden_version_3_document_is_refused(self):
+        (path,) = ModelRegistry(GOLDEN_V3_REGISTRY).entry_paths("golden")
+        assert json.loads(path.read_bytes())["version"] == 3
+        with pytest.raises(RegistryIntegrityError, match="format version 4") as caught:
+            ModelRegistry(GOLDEN_V3_REGISTRY).load("golden")
+        assert str(path) in str(caught.value)
+        assert "retrain" in str(caught.value)
+
+    def test_both_documents_hold_the_same_theta_bytes(self):
+        (v3,) = ModelRegistry(GOLDEN_V3_REGISTRY).entry_paths("golden")
+        (v4,) = ModelRegistry(GOLDEN_V4_REGISTRY).entry_paths("golden")
+        old, new = json.loads(v3.read_bytes()), json.loads(v4.read_bytes())
+        assert base64.b64decode(old["model"].pop("theta"), validate=True) == bytes.fromhex(
+            new["model"].pop("theta")
+        )
+        for document in (old, new):
+            del document["checksum"], document["version"]
+        assert old == new
+
+
+class TestEntryPaths:
+    """``entry_paths`` lists what ``sorted(dir.glob("*.model"))`` lists."""
+
+    NAMES = [
+        "20230102T000000.000000Z.model",
+        "20230101T000000.000000Z.model",
+        "20230101T000000.000000Z-01.model",
+        ".hidden.model",
+        ".model",
+        "x.model.tmp",
+        "X.MODEL",
+        "notes.txt",
+        "Zürich.model",
+        "été.model",
+        "日本.model",
+        "a b.model",
+    ]
+
+    def test_lists_the_names_glob_matches_in_glob_order(self, tmp_path):
+        actor_dir = tmp_path / "u1"
+        actor_dir.mkdir()
+        for name in self.NAMES:
+            (actor_dir / name).write_bytes(b"")
+        (actor_dir / "sub.model").mkdir()  # listed by name, refused by load
+        paths = ModelRegistry(tmp_path).entry_paths("u1")
+        assert paths == sorted(actor_dir.glob("*.model"))
+        assert "x.model.tmp" not in {p.name for p in paths}
+        assert "X.MODEL" not in {p.name for p in paths}
+        assert ModelRegistry(tmp_path).actors() == ["u1"]
+
+    def test_missing_directory_or_a_file_in_its_place_lists_nothing(self, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        assert registry.entry_paths("u1") == []
+        (tmp_path / "u1").write_bytes(b"a file, not a directory")
+        assert registry.entry_paths("u1") == []
+        assert registry.actors() == []
+        with pytest.raises(RegistryNotFoundError):
+            registry.load("u1")
+        assert ModelRegistry(tmp_path / "absent").actors() == []
+        assert ModelRegistry(tmp_path / "u1").actors() == []
+
+    def test_unreadable_directory_lists_nothing(self, tmp_path, monkeypatch):
+        # tests may run as root, who can list any directory, so the refusal is simulated
+        registry = ModelRegistry(tmp_path)
+        registry.save(make_entry("u1"))
+        registry.save(make_entry("u2", seed=1))
+        real_scandir = os.scandir
+
+        def scandir(path):
+            if pathlib.Path(path).name == "u1":
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        assert registry.entry_paths("u1") == []
+        assert registry.actors() == ["u2"]
+        with pytest.raises(RegistryNotFoundError):
+            registry.load("u1")
+        assert registry.load("u2").actor_id == "u2"
 
 
 HOSTILE_IDS = ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0byte", "/abs"]
