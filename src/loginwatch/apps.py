@@ -134,20 +134,6 @@ class AppSuperset:
                 row = {"actor_id": actor_id, "apps": sorted(self._apps[actor_id])}
                 handle.write(json.dumps(row, sort_keys=True) + "\n")
 
-    @classmethod
-    def from_jsonl(cls, path: Path | str) -> "AppSuperset":
-        apps: dict[str, list[str]] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                apps[row["actor_id"]] = list(row["apps"])
-        return cls(apps)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AppSuperset) and self._apps == other._apps
-
 
 def build_superset(
     frequencies: Iterable[AppFrequency],

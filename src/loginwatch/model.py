@@ -3,11 +3,11 @@
 Each categorical feature of a login event owns a trainable embedding table.
 An event is the concatenation of its feature embeddings; a small tanh
 encoder compresses it to a code narrower than the input, and a decoder ends
-in one reconstruction head per feature. Training minimizes a weighted
-combination of per-feature dice dissimilarities between the (sigmoid
-squashed) input embedding and its reconstruction, with gradients derived by
-hand and applied by plain mini-batch SGD to the network weights and the
-embedding rows alike.
+in one reconstruction head per feature. Training minimizes the weighted
+sum of per-feature dice dissimilarities between the (sigmoid squashed)
+input embedding and its reconstruction, with gradients derived by hand and
+applied by plain mini-batch SGD to the network weights and the embedding
+rows alike.
 
 A model keeps every parameter in one float64 vector, ``Autoencoder.theta``,
 laid out as ``w1 b1 w2 b2 w3 b3 head head_bias`` followed by one embedding
@@ -59,7 +59,6 @@ import copy
 import logging
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -68,25 +67,10 @@ from loginwatch.encoding import FEATURE_ORDER, embedding_dim
 
 logger = logging.getLogger(__name__)
 
-_EPS = 1e-12
 _DENSE_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "head", "head_bias")
 # Row f is the segment row of a column of feature f; the last row, all 0, is
 # that of a padded column.
 _SEGMENT_ROWS = np.eye(len(FEATURE_ORDER) + 1, len(FEATURE_ORDER))
-
-
-class LossMode(str, Enum):
-    """How per-feature dissimilarities combine into one event loss.
-
-    ``PRODUCT`` does not train from the default initialisation: each of the
-    8 dissimilarities starts near 1e-4, so the product starts near 1e-27 and
-    so does its gradient, and SGD leaves the parameters where they began.
-    No acceptance test or benchmark workload uses it; it would need a
-    log-domain loss or a per-feature rescale to train.
-    """
-
-    SUM = "SUM"
-    PRODUCT = "PRODUCT"
 
 
 class TrainingDivergedError(RuntimeError):
@@ -102,7 +86,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     hidden_dim: int = 16
     code_dim: int = 8
-    loss_mode: LossMode = LossMode.SUM
     feature_weights: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -112,7 +95,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        self.loss_mode = LossMode(self.loss_mode)
         for name, weight in self.feature_weights.items():
             if name not in FEATURE_ORDER:
                 raise ValueError(f"feature weight {name!r} names no feature of {FEATURE_ORDER}")
@@ -200,11 +182,11 @@ class _Stack:
     """The parameters of one or more autoencoders, laid out in one vector.
 
     It is built from each actor's ``feature_sizes`` and the shared
-    ``hidden_dim``, ``code_dim``, ``loss_mode`` and feature weights, and it
-    is the only code that works out where a parameter sits. ``flat`` starts
-    with one block per dense parameter, in ``_DENSE_KEYS`` order; a block
-    holds that parameter of actor 0, then actor 1, and so on, each padded to
-    the widest ``input_dim``. Each actor's embedding tables follow in turn,
+    ``hidden_dim``, ``code_dim`` and feature weights, and it is the only
+    code that works out where a parameter sits. ``flat`` starts with one
+    block per dense parameter, in ``_DENSE_KEYS`` order; a block holds that
+    parameter of actor 0, then actor 1, and so on, each padded to the
+    widest ``input_dim``. Each actor's embedding tables follow in turn,
     then one zero slot. A stack of one has no padding, so its ``flat``
     without the zero slot is exactly a model's ``theta``.
 
@@ -230,7 +212,6 @@ class _Stack:
         feature_sizes: Sequence[Mapping[str, int]],
         hidden_dim: int,
         code_dim: int,
-        loss_mode: LossMode = LossMode.SUM,
         feature_weights: Mapping[str, float] | None = None,
         stored_bytes: int | None = None,
         dtype: type = np.float64,
@@ -245,7 +226,6 @@ class _Stack:
                 raise ValueError(f"code_dim {code_dim} must be < input_dim {input_dim}")
         self.hidden_dim = hidden_dim
         self.code_dim = code_dim
-        self.loss_mode = LossMode(loss_mode)
         weights = dict(feature_weights or {})
         self.feature_weights = {name: float(weights.get(name, 1.0)) for name in FEATURE_ORDER}
         self.weights = np.array(list(self.feature_weights.values()), dtype=dtype)
@@ -381,12 +361,7 @@ class _Stack:
         denom = (pp + gg) @ self.segments
         dice = 2.0 * ((p * g) @ self.segments) / denom
         dissim = 1.0 - dice
-
-        if self.loss_mode is LossMode.PRODUCT:
-            safe = np.maximum(dissim, _EPS)
-            losses = np.exp((np.log(safe) * self.weights).sum(axis=-1))
-        else:
-            losses = dissim @ self.weights
+        losses = dissim @ self.weights
 
         return {
             "pos": pos,
@@ -413,15 +388,8 @@ class _Stack:
         get 0.
         """
         w1, b1, w2, b2, w3, b3, head, head_bias = self.params
-        dissim = cache["dissim"]
-
         # d(weighted loss)/d(dissim_f) per event
-        if self.loss_mode is LossMode.PRODUCT:
-            # the PRODUCT loss is prod(safe ** w), so d/d(safe_f) = w_f * loss / safe_f
-            safe = np.maximum(dissim, _EPS)
-            coef = self.weights * (cache["losses"] * row_weight)[..., None] / safe
-        else:
-            coef = row_weight[..., None] * self.weights
+        coef = row_weight[..., None] * self.weights
 
         # d(1 - dice)/dp = a*p - b*g and d(1 - dice)/dg = a*g - b*p for
         # dice = 2*overlap/denom, with b = 2/denom and a = b*dice per feature,
@@ -471,7 +439,8 @@ class Autoencoder:
         r_f = H_f a3 + c_f            linear head per feature, width dim(f)
 
     The event loss compares sigmoid(r_f) against sigmoid(e_f) per feature
-    with the dice dissimilarity and combines features per ``loss_mode``.
+    with the dice dissimilarity and sums the features' dissimilarities,
+    each times its weight in ``feature_weights`` (1.0 when not given).
 
     A model is a stack of one: ``theta`` holds every parameter, as the
     stack's ``flat`` without its zero slot, and ``_stack.views(0)`` names
@@ -488,12 +457,11 @@ class Autoencoder:
         hidden_dim: int = 16,
         code_dim: int = 8,
         seed: int = 0,
-        loss_mode: LossMode = LossMode.SUM,
         feature_weights: Mapping[str, float] | None = None,
     ):
         self._adopt(
             actor_id,
-            _Stack([feature_sizes], hidden_dim, code_dim, loss_mode, feature_weights),
+            _Stack([feature_sizes], hidden_dim, code_dim, feature_weights),
         )
 
         # Initial values: one generator per embedding table (entries uniform
@@ -531,7 +499,6 @@ class Autoencoder:
         self.theta = stack.flat[: stack.zero]
         self.feature_sizes = stack.feature_sizes[0]
         self.feature_weights = stack.feature_weights
-        self.loss_mode = stack.loss_mode
         self.hidden_dim = stack.hidden_dim
         self.code_dim = stack.code_dim
         self.input_dim = stack.input_dims[0]
@@ -560,7 +527,7 @@ class Autoencoder:
             "feature_weights": dict(self.feature_weights),
             "hidden_dim": self.hidden_dim,
             "code_dim": self.code_dim,
-            "loss_mode": self.loss_mode.value,
+            "loss_mode": "SUM",  # the one loss; the member goes in format 5
             "theta": self.theta.astype("<f8", copy=False).tobytes().hex(),
             "train_mu": self.train_mu,
             "train_sigma": self.train_sigma,
@@ -578,8 +545,11 @@ class Autoencoder:
                 its byte length differs from the one that ``feature_sizes``,
                 ``hidden_dim`` and ``code_dim`` imply (checked before the
                 layout is allocated, so a huge stored size costs nothing),
-                or ``epoch_losses`` is not a list of numbers.
+                or ``epoch_losses`` is not a list of numbers, or ``loss_mode``
+                is not ``"SUM"``, the one loss this model computes.
         """
+        if state["loss_mode"] != "SUM":
+            raise ValueError(f"loss_mode must be 'SUM', got {state['loss_mode']!r:.40}")
         try:
             blob = binascii.unhexlify(state["theta"])
         except (TypeError, ValueError) as exc:
@@ -591,7 +561,6 @@ class Autoencoder:
                 [state["feature_sizes"]],
                 state["hidden_dim"],
                 state["code_dim"],
-                LossMode(state["loss_mode"]),
                 state["feature_weights"],
                 stored_bytes=len(blob),
             ),
@@ -665,7 +634,6 @@ def train(
                 hidden_dim=config.hidden_dim,
                 code_dim=config.code_dim,
                 seed=job.seed,
-                loss_mode=config.loss_mode,
                 feature_weights=config.feature_weights,
             )
         )
@@ -678,7 +646,7 @@ def train(
     order = sorted(range(len(models)), key=lambda j: -len(indices[j]))
     bank = _Stack(
         [models[j].feature_sizes for j in order],
-        config.hidden_dim, config.code_dim, config.loss_mode, config.feature_weights,
+        config.hidden_dim, config.code_dim, config.feature_weights,
         dtype=np.float32,
     )
     for k, j in enumerate(order):

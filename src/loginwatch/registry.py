@@ -19,7 +19,8 @@ whose content could not score is refused the same way: a malformed model
 or encoder member, a threshold statistic that is not finite, or an encoder
 that can give an index past its model's sizes
 (``RegistryEntry.from_document``). Writes go through a temp file, an
-``fsync`` and an atomic rename.
+``fsync`` and an atomic rename, and a document that holds a NaN or an
+infinity is not written at all.
 """
 
 from __future__ import annotations
@@ -148,8 +149,15 @@ def _trailer(head: bytes) -> bytes:
 
 
 def _seal(document: dict) -> bytes:
-    """The stored bytes of ``document``: compact sorted JSON, checksum last."""
-    body = json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """The stored bytes of ``document``: compact sorted JSON, checksum last.
+
+    Raises:
+        ValueError: the document holds a NaN or an infinity, which JSON has
+            no number for and which ``load`` would refuse.
+    """
+    body = json.dumps(
+        document, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
     head = body[:-1]  # without the closing brace, which the trailer restores
     return head + _trailer(head)
 
@@ -218,7 +226,11 @@ class ModelRegistry:
         return self.root / check_actor_id(actor_id)
 
     def save(self, entry: RegistryEntry) -> Path:
-        """Persist an entry atomically; returns the written model path."""
+        """Persist an entry atomically; returns the written model path.
+
+        Raises:
+            ValueError: the entry holds a NaN or an infinity; no file is written.
+        """
         actor_dir = self._actor_dir(entry.actor_id)
         actor_dir.mkdir(parents=True, exist_ok=True)
         created = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S.%fZ")

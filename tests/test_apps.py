@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from datetime import datetime, timezone
 
@@ -188,9 +189,12 @@ class TestSuperset:
         superset = AppSuperset({"u2": ["b", "a"], "u1": [], "u3": ["only"]})
         path = tmp_path / "superset.jsonl"
         superset.to_jsonl(path)
-        assert AppSuperset.from_jsonl(path) == superset
         lines = path.read_text().splitlines()
-        assert len(lines) == 3
+        assert [json.loads(line) for line in lines] == [
+            {"actor_id": "u1", "apps": []},
+            {"actor_id": "u2", "apps": ["a", "b"]},
+            {"actor_id": "u3", "apps": ["only"]},
+        ]
         assert lines[0].startswith('{"actor_id": "u1"')
 
     def test_build_from_explicit_rows(self):

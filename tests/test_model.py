@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from loginwatch.encoding import FEATURE_ORDER, embedding_dim
 from loginwatch.model import (
     Autoencoder,
-    LossMode,
     TrainConfig,
     TrainingDivergedError,
     TrainJob,
@@ -239,17 +238,6 @@ class TestForward:
             expected = sum(oracle_dissim(rec[n], emb[n]) for n in FEATURE_ORDER)
             assert model.losses(row[None])[0] == pytest.approx(expected, rel=1e-10)
 
-    def test_product_mode_multiplies_dissimilarities(self):
-        model = Autoencoder(
-            "u1", SIZES, hidden_dim=6, code_dim=4, seed=3, loss_mode=LossMode.PRODUCT
-        )
-        row = random_rows(1, seed=4)[0]
-        rec, emb = reference_forward(model, row)
-        expected = 1.0
-        for name in FEATURE_ORDER:
-            expected *= oracle_dissim(rec[name], emb[name])
-        assert model.losses(row[None])[0] == pytest.approx(expected, rel=1e-9)
-
     def test_feature_weights_scale_sum_terms(self):
         weights = {"geohash": 2.0, "app_id": 0.5, "client_os": 0.0}
         model = Autoencoder(
@@ -358,13 +346,6 @@ class TestGradients:
     def test_analytic_matches_finite_differences(self, seed):
         model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=seed)
         row = random_rows(1, seed=seed + 100)[0]
-        assert gradient_check(model, row) < 1e-4
-
-    def test_product_mode_gradients(self):
-        model = Autoencoder(
-            "u1", SIZES, hidden_dim=5, code_dim=3, seed=4, loss_mode=LossMode.PRODUCT
-        )
-        row = random_rows(1, seed=40)[0]
         assert gradient_check(model, row) < 1e-4
 
     def test_weighted_gradients(self):
@@ -516,16 +497,12 @@ class TestBank:
             TrainJob("tiny", rows_within(SIZES, 20, seed=4), SIZES, seed=14),
         ]
 
-    @pytest.mark.parametrize(
-        "mode, reverse",
-        [pytest.param(mode, False, id=mode.value) for mode in LossMode]
-        + [pytest.param(mode, True, id=f"{mode.value}-reversed") for mode in LossMode],
-    )
-    def test_each_job_equals_its_one_job_fit(self, mode, reverse):
+    @pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
+    def test_each_job_equals_its_one_job_fit(self, reverse):
         # the bank stacks its jobs by row count; no job order may change a model
         config = TrainConfig(
             epochs=4, batch_size=32, learning_rate=0.1, hidden_dim=6, code_dim=4,
-            loss_mode=mode, feature_weights={"outcome": 2.0},
+            feature_weights={"outcome": 2.0},
         )
         jobs = self.jobs()[::-1] if reverse else self.jobs()
         bank = train(jobs, config)
@@ -593,16 +570,15 @@ class TestBank:
             min_size=2,
             max_size=4,
         ),
-        st.sampled_from(list(LossMode)),
     )
-    def test_shared_stack_equals_stacks_of_one(self, sizes, mode):
+    def test_shared_stack_equals_stacks_of_one(self, sizes):
         weights = {"outcome": 2.0, "weekday": 0.5}
         models = [
             Autoencoder(f"u{k}", actor_sizes, hidden_dim=5, code_dim=3, seed=k,
-                        loss_mode=mode, feature_weights=weights)
+                        feature_weights=weights)
             for k, actor_sizes in enumerate(sizes)
         ]
-        stack = _Stack(sizes, 5, 3, mode, weights)
+        stack = _Stack(sizes, 5, 3, weights)
         for k, model in enumerate(models):
             _copy(stack.views(k), views(model))
         rows = [rows_within(actor_sizes, 6, seed=k) for k, actor_sizes in enumerate(sizes)]
@@ -657,17 +633,16 @@ class TestBank:
             blob = bytes.fromhex(model.to_state()["theta"])
             assert np.array_equal(np.frombuffer(blob, "<f8"), model.theta)
 
-    @pytest.mark.parametrize("mode", list(LossMode), ids=lambda mode: mode.value)
-    def test_float32_gradient_agrees_with_float64(self, mode):
+    def test_float32_gradient_agrees_with_float64(self):
         # the same float32 values in a float32 and a float64 stack of two
         # jobs, the coarse one padded to the wide one's width
         weights = {"outcome": 2.0, "weekday": 0.5}
         wide = Autoencoder("wide", WIDE_SIZES, hidden_dim=5, code_dim=3, seed=1,
-                           loss_mode=mode, feature_weights=weights)
+                           feature_weights=weights)
         coarse = Autoencoder("coarse", COARSE_SIZES, hidden_dim=5, code_dim=3, seed=2,
-                             loss_mode=mode, feature_weights=weights)
+                             feature_weights=weights)
         stacks = {
-            dtype: _Stack([WIDE_SIZES, COARSE_SIZES], 5, 3, mode, weights, dtype=dtype)
+            dtype: _Stack([WIDE_SIZES, COARSE_SIZES], 5, 3, weights, dtype=dtype)
             for dtype in (np.float32, np.float64)
         }
         for k, model in enumerate((wide, coarse)):
@@ -684,13 +659,10 @@ class TestBank:
         }
         assert grads[np.float32].dtype == np.float32
 
-        # float32 keeps about 7 digits. SUM loses few of them (3.7e-6 at most
-        # over 30 seeds). PRODUCT divides by each dissimilarity 1 - dice,
-        # which cancels most digits while dice is near 1, as it is at
-        # initialisation (2.4e-3 at most over 30 seeds).
-        bound = {LossMode.SUM: 1e-4, LossMode.PRODUCT: 1e-2}[mode]
+        # float32 keeps about 7 digits, and the gradient loses few of them
+        # (3.7e-6 at most over 30 seeds)
         error = np.abs(grads[np.float32] - grads[np.float64]).max()
-        assert error <= bound * np.abs(grads[np.float64]).max()
+        assert error <= 1e-4 * np.abs(grads[np.float64]).max()
 
         owned = np.zeros(stacks[np.float64].flat.size, dtype=bool)
         for k in (0, 1):
@@ -713,9 +685,6 @@ class TestTrainConfig:
             TrainConfig(feature_weights={"geohash": -1.0})
         with pytest.raises(ValueError, match="'geohsah'"):
             TrainConfig(feature_weights={"geohsah": 2.0})
-
-    def test_loss_mode_coerced_from_string(self):
-        assert TrainConfig(loss_mode="PRODUCT").loss_mode is LossMode.PRODUCT
 
 
 class TestPersistence:
@@ -854,14 +823,22 @@ class TestPersistence:
             assert stored[name].shape == (SIZES[name] + 1, dim)
             assert np.array_equal(stored[name], views(model)[name])
 
-    @pytest.mark.parametrize("mode", list(LossMode))
-    def test_from_state_reproduces_losses_exactly(self, mode):
+    def test_from_state_reproduces_losses_exactly(self):
         rows = random_rows(40, seed=19)
-        config = TrainConfig(epochs=3, loss_mode=mode, feature_weights={"outcome": 2.0})
+        config = TrainConfig(epochs=3, feature_weights={"outcome": 2.0})
         model = fit(rows, config, seed=4)
         restored = Autoencoder.from_state(model.to_state())
         assert np.array_equal(restored.theta, model.theta)
         assert np.array_equal(restored.losses(rows), model.losses(rows))
+
+    @pytest.mark.parametrize("loss_mode", ["PRODUCT", "sum", None])
+    def test_loss_mode_other_than_sum_refused(self, loss_mode):
+        # the stored member is a constant until format 5 drops it
+        state = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0).to_state()
+        assert state["loss_mode"] == "SUM"
+        state["loss_mode"] = loss_mode
+        with pytest.raises(ValueError, match="loss_mode must be 'SUM'"):
+            Autoencoder.from_state(state)
 
     @settings(max_examples=80)
     @given(st.data())

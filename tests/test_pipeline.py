@@ -48,7 +48,7 @@ from loginwatch.registry import EntryStatus, ModelRegistry, RegistryIntegrityErr
 from loginwatch.synth import generate_corpus
 
 from test_model import THETA_DAMAGE
-from test_registry import version_2_document
+from test_registry import seal_allowing_nan, version_2_document
 
 
 def crafted_events(
@@ -188,7 +188,7 @@ CONFIG_VALUES = st.recursive(
     | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=6)
-    | st.sampled_from(["RAW", "COARSE", "CLIENT_INFO", "PRODUCT", "WEEKDAY"]),
+    | st.sampled_from(["RAW", "COARSE", "CLIENT_INFO", "WEEKDAY"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
@@ -236,13 +236,12 @@ class TestPipelineConfig:
     def test_from_dict_parses_nested_sections(self):
         config = PipelineConfig.from_dict(
             {
-                "train": {"epochs": 3, "loss_mode": "PRODUCT"},
+                "train": {"epochs": 3},
                 "injections": [{"kind": "WEEKDAY", "fraction": 0.05}],
                 "min_events": 10,
             }
         )
         assert config.train.epochs == 3
-        assert config.train.loss_mode.value == "PRODUCT"
         assert config.injections[0].kind is InjectionKind.WEEKDAY
         assert config.min_events == 10
 
@@ -255,10 +254,19 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="'geohsah'"):
             PipelineConfig.from_dict({"train": {"feature_weights": {"geohsah": 2.0}}})
 
-    @pytest.mark.parametrize("key", ["seed", "typo_key"])
-    def test_unknown_train_keys_rejected(self, key):
+    @pytest.mark.parametrize(
+        "train, key",
+        [
+            ({"epochs": 3, "seed": 1}, "seed"),
+            ({"epochs": 3, "typo_key": 1}, "typo_key"),
+            # the loss is the weighted sum; no setting chooses it
+            ({"loss_mode": "SUM"}, "loss_mode"),
+        ],
+        ids=["seed", "typo_key", "loss_mode"],
+    )
+    def test_unknown_train_keys_rejected(self, train, key):
         with pytest.raises(ValueError, match=rf"unknown config keys: \['train\.{key}'\]"):
-            PipelineConfig.from_dict({"train": {"epochs": 3, key: 1}})
+            PipelineConfig.from_dict({"train": train})
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -513,12 +521,38 @@ class TestScoreWorkflow:
                 document["model"]["theta"] = THETA_DAMAGE[damage](document["model"]["theta"])
             else:  # passes its checksum, but theta is 6 bytes short
                 document["model"]["theta"] = document["model"]["theta"][:-12]
-            newest.write_bytes(_seal(document))
+            newest.write_bytes(seal_allowing_nan(document))
         with caplog.at_level(logging.WARNING, logger="loginwatch.pipeline"):
             result = run_score_workflow(corpus_events, fast_config(), trained_registry)
         assert sorted(result.reports) == ["u001"]
         assert result.unscorable == ["u002"]
         assert result.retrained == []
+        assert str(newest) in caplog.text
+
+    def test_model_of_another_loss_leaves_other_actors_scored_and_reported(
+        self, corpus_events, trained_registry, tmp_path, capsys, caplog
+    ):
+        # SUM is the one loss; a resealed document that names another passes
+        # its checksum, but its model cannot score
+        newest = trained_registry.entry_paths("u002")[-1]
+        document = json.loads(newest.read_bytes())
+        del document["checksum"]
+        assert document["model"]["loss_mode"] == "SUM"
+        document["model"]["loss_mode"] = "PRODUCT"
+        newest.write_bytes(_seal(document))
+        with pytest.raises(RegistryIntegrityError, match="loss_mode must be 'SUM'"):
+            trained_registry.load("u002")
+        with caplog.at_level(logging.WARNING):
+            result = run_score_workflow(corpus_events, fast_config(), trained_registry)
+            code = main(["report", "--registry", str(trained_registry.root),
+                         "--out-dir", str(tmp_path / "reports")])
+        assert sorted(result.reports) == ["u001"]
+        assert result.unscorable == ["u002"]
+        assert result.retrained == []
+        assert code == 0
+        reported = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert reported["actors"] == 2
+        assert reported["unreadable"] == ["u002"]
         assert str(newest) in caplog.text
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
 import pathlib
 import tempfile
@@ -28,6 +29,7 @@ from loginwatch.registry import (
     RegistryNotFoundError,
     UnsafeActorIdError,
     _seal,
+    _trailer,
 )
 
 from test_model import SIZES, THETA_DAMAGE, feature_columns, fit, random_rows
@@ -231,7 +233,7 @@ class TestIntegrity:
         document = json.loads(path.read_bytes())
         del document["checksum"]
         document["model"][name] = value
-        path.write_bytes(_seal(document))
+        path.write_bytes(seal_allowing_nan(document))
         with pytest.raises(RegistryIntegrityError, match=f"{name} must be finite") as caught:
             registry.load("u1")
         assert str(path) in str(caught.value)
@@ -308,6 +310,14 @@ def hostile_payload(sealed: bytes, damage: str) -> bytes:
         document["model"]["theta"] = base64.b64encode(theta).decode("ascii")
         return _seal({**document, "version": 3})
     raise ValueError(damage)
+
+
+def seal_allowing_nan(document: dict) -> bytes:
+    """``document`` sealed as ``_seal`` seals it, but with any NaN or infinity
+    written as ``json`` writes it: the bytes of a writer other than ``save``,
+    which ``load`` must refuse."""
+    head = json.dumps(document, sort_keys=True, separators=(",", ":")).encode()[:-1]
+    return head + _trailer(head)
 
 
 def version_2_document(document: dict) -> dict:
@@ -472,6 +482,18 @@ class TestSealedFormat:
         assert len(registry.entry_paths("u1")) == 31
         assert registry.entry_paths("u1")[-1] == path
         assert registry.load("u1").metrics["best_f1"] == 0.95
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_statistic_is_not_written(self, tmp_path, value):
+        # load refuses a document with a non-finite train_mu, so save writes none
+        registry = ModelRegistry(tmp_path)
+        older = registry.save(make_entry())
+        entry = make_entry(seed=1)
+        entry.model.train_mu = value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            registry.save(entry)
+        assert list((tmp_path / "u1").iterdir()) == [older]
+        assert registry.load("u1").created_at == older.stem
 
     def test_non_json_older_version_does_not_break_save(self, tmp_path):
         registry = ModelRegistry(tmp_path)
