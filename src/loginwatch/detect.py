@@ -215,26 +215,26 @@ def sweep_threshold(
     )
 
 
-def score_events(model: Autoencoder, rows, n: float | None = None) -> DetectionReport:
+def score_events(model: Autoencoder, rows) -> DetectionReport:
     """Score index rows with a trained model and its stored threshold.
 
-    Each row is classified as ``classify`` would: ANOMALY when its loss is
-    strictly above mu + n * sigma.
+    Each row is classified as ``classify`` would with the model's stored
+    ``chosen_n``: ANOMALY when its loss is strictly above
+    mu + chosen_n * sigma.
 
     Args:
-        model: trained autoencoder carrying train_mu/train_sigma (and
-            chosen_n, unless ``n`` overrides it).
+        model: trained autoencoder carrying train_mu, train_sigma and
+            chosen_n.
         rows: ``(N, 8)`` integer index matrix of the events to score.
-        n: threshold multiplier; defaults to the model's chosen_n.
 
     Returns:
         DetectionReport with the rows' losses and flags in input order.
     """
     if model.train_mu is None or model.train_sigma is None:
         raise ValueError("model has no training statistics")
-    threshold_n = model.chosen_n if n is None else n
+    threshold_n = model.chosen_n
     if threshold_n is None:
-        raise ValueError("no threshold multiplier: train sweep not run and n not given")
+        raise ValueError("no threshold multiplier: train sweep not run")
     if threshold_n < 0:
         raise ValueError(f"n must be >= 0, got {threshold_n}")
     losses = model.losses(rows)

@@ -2,8 +2,9 @@
 
 Training runs in three phases. First, per actor: filter the stream, split
 train/validation by time order, learn vocabularies and the app superset
-from the training side only, bootstrap-sample the training side and inject
-labelled anomalies into the validation side. Then one ``train`` call fits
+from the training side only, encode the training side once and
+bootstrap-sample positions into its rows, and inject labelled anomalies
+into the validation side. Then one ``train`` call fits
 every prepared actor's autoencoder in one stacked SGD loop. Last, per
 actor: sweep the threshold multiplier and persist the model with its
 encoder state and metrics. An actor that fails a step is skipped with a
@@ -192,29 +193,23 @@ class PipelineConfig:
 
 
 def stratified_sample(
-    events: Sequence[LogEvent], fraction: float, repetitions: int, seed: int
-) -> list[LogEvent]:
-    """Bootstrap a training set by repeated per-actor Bernoulli sampling.
+    count: int, fraction: float, repetitions: int, seed: int
+) -> np.ndarray:
+    """Bootstrap a training set: positions into one actor's ``count`` training rows.
 
-    Each repetition walks every actor's events (actors in sorted order,
-    events in input order) and keeps each event independently with
-    probability ``fraction``; the repetitions are concatenated, so events
-    can appear multiple times. Expected output size is
-    ``fraction * repetitions * len(events)``.
+    Each repetition keeps each position independently with probability
+    ``fraction``, in ascending order; the repetitions are concatenated, so a
+    position can appear several times. Expected output size is
+    ``fraction * repetitions * count``.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    by_actor = _group_by_actor(events)
     rng = np.random.default_rng(seed)
-    sample: list[LogEvent] = []
-    for _ in range(repetitions):
-        for actor_id in sorted(by_actor):
-            group = by_actor[actor_id]
-            mask = rng.random(len(group)) < fraction
-            sample.extend(event for event, keep in zip(group, mask) if keep)
-    return sample
+    return np.concatenate(
+        [np.flatnonzero(rng.random(count) < fraction) for _ in range(repetitions)]
+    )
 
 
 def _actor_seed(base_seed: int, actor_id: str, stream: str) -> int:
@@ -243,38 +238,19 @@ _SIZE_KEYS = ("train_size", "sample_size", "val_size")
 
 
 @dataclass
-class ActorTrainReport:
-    """Per-actor outcome of the train workflow."""
-
-    actor_id: str
-    entry: RegistryEntry | None
-    skipped_reason: str | None = None
-
-    @property
-    def trained(self) -> bool:
-        return self.entry is not None
-
-
-@dataclass
 class TrainWorkflowResult:
-    reports: list[ActorTrainReport]
-    config: PipelineConfig
+    """Each trained actor's entry, and each skipped actor's reason."""
 
-    @property
-    def entries(self) -> list[RegistryEntry]:
-        return [r.entry for r in self.reports if r.entry is not None]
+    entries: dict[str, RegistryEntry]
+    skipped: dict[str, str]
+    config: PipelineConfig
 
     def to_summary(self) -> dict:
         """Deterministic summary of the run (no wall-clock fields)."""
         actors = {}
-        skipped = {}
-        for report in self.reports:
-            if report.entry is None:
-                skipped[report.actor_id] = report.skipped_reason
-                continue
-            entry = report.entry
+        for actor_id, entry in self.entries.items():
             metrics = entry.metrics
-            actors[report.actor_id] = {
+            actors[actor_id] = {
                 **{key: metrics[key] for key in _SWEEP_KEYS + _SIZE_KEYS},
                 "status": entry.status.value,
                 "train_mu": entry.model.train_mu,
@@ -287,7 +263,7 @@ class TrainWorkflowResult:
         return {
             "config_hash": self.config.config_hash(),
             "actors": actors,
-            "skipped": skipped,
+            "skipped": self.skipped,
         }
 
     def to_summary_json(self) -> str:
@@ -314,7 +290,6 @@ class _PreparedActor:
     actor_id: str
     encoder: EncoderState
     job: TrainJob
-    sample_size: int
     train_size: int
     val_size: int
     dataset_hash: str
@@ -339,10 +314,7 @@ def _prepare_actor(
     if count < config.min_events:
         return None, f"only {count} events, need {config.min_events}"
 
-    ordered = sorted(
-        range(count), key=lambda i: (actor_events[i].timestamp, i)
-    )
-    events = [actor_events[i] for i in ordered]
+    events = sorted(actor_events, key=lambda event: event.timestamp)
     split_at = int(count * config.train_split)
     train_part, val_part = events[:split_at], events[split_at:]
     if not train_part or not val_part:
@@ -359,12 +331,12 @@ def _prepare_actor(
     )
 
     sample = stratified_sample(
-        train_part,
+        len(train_part),
         config.sample_fraction,
         config.sample_repetitions,
         _actor_seed(config.seed, actor_id, "sample"),
     )
-    if not sample:
+    if not len(sample):
         return None, "bootstrap sample came back empty"
 
     validation = []
@@ -382,7 +354,7 @@ def _prepare_actor(
 
     job = TrainJob(
         actor_id,
-        _encode_actor_events(sample, encoder),
+        _encode_actor_events(train_part, encoder)[sample],
         encoder.feature_sizes(),
         _actor_seed(config.seed, actor_id, "train"),
     )
@@ -390,7 +362,6 @@ def _prepare_actor(
         actor_id=actor_id,
         encoder=encoder,
         job=job,
-        sample_size=len(sample),
         train_size=len(train_part),
         val_size=len(val_part),
         dataset_hash=_dataset_hash(train_part),
@@ -413,7 +384,7 @@ def _finish_actor(
         return None, f"training diverged: {result}"
     model = result
 
-    stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=actor.sample_size)
+    stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=len(actor.job.rows))
     per_kind: dict[str, SweepResult] = {
         kind: sweep_threshold(model.losses(rows), injected, stats)
         for kind, rows, injected in actor.validation
@@ -430,7 +401,7 @@ def _finish_actor(
         **primary.to_dict(),
         "per_kind": {kind: result.to_dict() for kind, result in per_kind.items()},
         "train_size": actor.train_size,
-        "sample_size": actor.sample_size,
+        "sample_size": len(actor.job.rows),
         "val_size": actor.val_size,
     }
     metadata = {
@@ -503,16 +474,12 @@ def run_train_workflow(
             registry.save(entry)
         entries[actor.actor_id] = entry
 
-    reports = []
-    for actor_id in sorted(groups):
-        if actor_id in reasons:
-            logger.warning("skipping actor %s: %s", actor_id, reasons[actor_id])
-            reports.append(ActorTrainReport(actor_id, None, reasons[actor_id]))
-        else:
-            reports.append(ActorTrainReport(actor_id, entries[actor_id]))
+    skipped = {actor_id: reasons[actor_id] for actor_id in sorted(reasons)}
+    for actor_id, reason in skipped.items():
+        logger.warning("skipping actor %s: %s", actor_id, reason)
     if not entries:
         logger.warning("train workflow produced no models")
-    return TrainWorkflowResult(reports=reports, config=config)
+    return TrainWorkflowResult(entries=entries, skipped=skipped, config=config)
 
 
 @dataclass

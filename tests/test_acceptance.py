@@ -63,7 +63,7 @@ def test_experiment_reproduction(capsys):
     result = run_train_workflow(events, config)
     elapsed = time.perf_counter() - t0
 
-    f1s = [entry.metrics["best_f1"] for entry in result.entries]
+    f1s = [entry.metrics["best_f1"] for entry in result.entries.values()]
     near_perfect = sum(1 for v in f1s if v >= 0.97)
     usable = sum(1 for v in f1s if v >= 0.70)
     ok = (
@@ -99,9 +99,9 @@ def test_single_actor_perfect_separation(capsys):
     def encode(evts):
         return np.array([encode_event(e, encoder) for e in evts], dtype=np.int64)
 
-    sample = stratified_sample(train_part, 0.1, 10, seed=1234)
+    sample = encode(train_part)[stratified_sample(len(train_part), 0.1, 10, seed=1234)]
     config = TrainConfig(**ACCEPT_TRAIN)
-    model = fit(encode(sample), config, sizes, actor_id=profile.actor_id, seed=99)
+    model = fit(sample, config, sizes, actor_id=profile.actor_id, seed=99)
     mutated, labels = inject(
         val_part, InjectionSpec(kind=InjectionKind.LOCATION, fraction=0.1), seed=5
     )

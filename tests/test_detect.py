@@ -274,16 +274,18 @@ class TestScoreEvents:
 
     def test_losses_in_input_order(self):
         model, rows = self._trained()
-        report = score_events(model, rows, n=2.0)
+        model.chosen_n = 3.0
+        report = score_events(model, rows)
         assert np.array_equal(report.losses, model.losses(rows))
-        assert report.threshold_n == 2.0
+        assert report.threshold_n == 3.0
         assert report.mu == model.train_mu
         assert report.sigma == model.train_sigma
 
     def test_records_sorted_by_loss_descending(self):
         model, rows = self._trained()
         rows = np.concatenate([rows, rows[:8]])  # the last 8 rows repeat, so ties occur
-        report = score_events(model, rows, n=2.0)
+        model.chosen_n = 2.0
+        report = score_events(model, rows)
         records = out_records(report)
         keys = [(-r["loss"], r["position"]) for r in records]
         assert keys == sorted(keys)
@@ -296,7 +298,8 @@ class TestScoreEvents:
 
     def test_classifications_match_threshold(self):
         model, rows = self._trained()
-        report = score_events(model, rows, n=1.0)
+        model.chosen_n = 1.0
+        report = score_events(model, rows)
         cut = model.train_mu + 1.0 * model.train_sigma
         assert np.array_equal(report.flagged, report.losses > cut)
         for r in out_records(report):
@@ -309,7 +312,8 @@ class TestScoreEvents:
     def test_classifications_match_scalar_classify(self, n):
         model, rows = self._trained()
         stats = LossStats(mu=model.train_mu, sigma=model.train_sigma, count=0)
-        report = score_events(model, rows, n=n)
+        model.chosen_n = n
+        report = score_events(model, rows)
         for loss, flagged in zip(report.losses.tolist(), report.flagged.tolist()):
             assert flagged == (classify(loss, stats, n) is Classification.ANOMALY)
 
@@ -322,7 +326,8 @@ class TestScoreEvents:
         model.train_mu = float(losses[7])
         model.train_sigma = sigma
         stats = LossStats(mu=model.train_mu, sigma=sigma, count=0)
-        report = score_events(model, rows, n=n)
+        model.chosen_n = n
+        report = score_events(model, rows)
         for r in out_records(report):
             assert r["classification"] == classify(r["loss"], stats, n).value
         assert not report.flagged[7]
@@ -330,14 +335,9 @@ class TestScoreEvents:
 
     def test_negative_n_rejected(self):
         model, rows = self._trained()
+        model.chosen_n = -0.1
         with pytest.raises(ValueError, match="n must be >= 0"):
-            score_events(model, rows, n=-0.1)
-
-    def test_chosen_n_used_when_no_override(self):
-        model, rows = self._trained()
-        model.chosen_n = 3.0
-        report = score_events(model, rows)
-        assert report.threshold_n == 3.0
+            score_events(model, rows)
 
     def test_missing_threshold_rejected(self):
         model, rows = self._trained()
@@ -349,7 +349,7 @@ class TestScoreEvents:
         model, rows = self._trained()
         model.train_mu = None
         with pytest.raises(ValueError, match="statistics"):
-            score_events(model, rows, n=1.0)
+            score_events(model, rows)
 
 
 def reference_jsonl(actor_id: str, losses: list[float], flagged: list[bool]) -> str:

@@ -38,7 +38,7 @@ def test_checks_read_a_registry_the_program_wrote(tmp_path):
     thresholds = checks.stored_thresholds(registry)
     assert thresholds == {
         entry.actor_id: (entry.model.train_mu, entry.model.train_sigma, entry.model.chosen_n)
-        for entry in result.entries
+        for entry in result.entries.values()
     }
     assert set(thresholds) == {"u1", "u2"}
 

@@ -8,7 +8,6 @@ import json
 import logging
 import math
 import shutil
-from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -39,7 +38,9 @@ from loginwatch.model import TrainConfig
 from loginwatch.pipeline import (
     PipelineConfig,
     WorkflowError,
+    _actor_seed,
     _encode_actor_events,
+    _prepare_actor,
     run_score_workflow,
     run_train_workflow,
     stratified_sample,
@@ -93,48 +94,57 @@ def fast_config(**overrides) -> PipelineConfig:
     return PipelineConfig(**base)
 
 
+def reference_sample(count, fraction, repetitions, seed) -> list[int]:
+    """The bootstrap positions drawn the plain way, one position at a time."""
+    rng = np.random.default_rng(seed)
+    positions = []
+    for _ in range(repetitions):
+        draws = rng.random(count)
+        positions.extend(i for i in range(count) if draws[i] < fraction)
+    return positions
+
+
 class TestStratifiedSample:
     def test_expected_size_within_tolerance(self):
-        events = crafted_events("u1", 500)
-        sample = stratified_sample(events, fraction=0.1, repetitions=10, seed=4)
+        sample = stratified_sample(500, fraction=0.1, repetitions=10, seed=4)
         # expectation 500; binomial spread is far tighter than 15%
         assert 425 <= len(sample) <= 575
 
     def test_deterministic_per_seed(self):
-        events = crafted_events("u1", 200)
-        a = stratified_sample(events, 0.2, 3, seed=1)
-        b = stratified_sample(events, 0.2, 3, seed=1)
-        c = stratified_sample(events, 0.2, 3, seed=2)
-        assert a == b
-        assert a != c
+        a = stratified_sample(200, 0.2, 3, seed=1)
+        b = stratified_sample(200, 0.2, 3, seed=1)
+        c = stratified_sample(200, 0.2, 3, seed=2)
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != c.tolist()
 
-    def test_full_fraction_repeats_every_event(self):
-        events = crafted_events("u1", 40)
-        sample = stratified_sample(events, fraction=1.0, repetitions=3, seed=0)
-        assert len(sample) == 120
-        counts = Counter(id(e) for e in sample)
-        assert all(v == 3 for v in counts.values())
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_full_fraction_repeats_every_position(self, count):
+        sample = stratified_sample(count, fraction=1.0, repetitions=3, seed=0)
+        assert sample.tolist() == list(range(count)) * 3
 
     def test_zero_fraction_empty(self):
-        events = crafted_events("u1", 40)
-        assert stratified_sample(events, 0.0, 5, seed=0) == []
+        assert len(stratified_sample(40, 0.0, 5, seed=0)) == 0
 
-    def test_samples_every_actor(self):
-        events = crafted_events("u1", 300) + crafted_events("u2", 300)
-        sample = stratified_sample(events, 0.2, 10, seed=7)
-        counts = Counter(e.actor_id for e in sample)
-        # both actors contribute near their expectation of 600
-        assert 450 <= counts["u1"] <= 750
-        assert 450 <= counts["u2"] <= 750
+    @settings(max_examples=200)
+    @given(
+        count=st.integers(0, 300),
+        fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        repetitions=st.integers(1, 5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_equals_the_plain_draw_loop(self, count, fraction, repetitions, seed):
+        # every stored model is trained on these rows, so the stream is pinned
+        sample = stratified_sample(count, fraction, repetitions, seed)
+        assert sample.dtype.kind == "i"
+        assert sample.tolist() == reference_sample(count, fraction, repetitions, seed)
 
     def test_rejects_bad_arguments(self):
-        events = crafted_events("u1", 10)
         with pytest.raises(ValueError):
-            stratified_sample(events, -0.1, 1, seed=0)
+            stratified_sample(10, -0.1, 1, seed=0)
         with pytest.raises(ValueError):
-            stratified_sample(events, 1.1, 1, seed=0)
+            stratified_sample(10, 1.1, 1, seed=0)
         with pytest.raises(ValueError):
-            stratified_sample(events, 0.5, 0, seed=0)
+            stratified_sample(10, 0.5, 0, seed=0)
 
 
 class TestEncodeActorEvents:
@@ -352,9 +362,10 @@ class TestTrainWorkflow:
     def test_trains_every_eligible_actor(self, corpus_events, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
         result = run_train_workflow(corpus_events, fast_config(), registry)
-        assert [r.actor_id for r in result.reports] == ["u001", "u002"]
-        assert all(r.trained for r in result.reports)
-        for entry in result.entries:
+        assert list(result.entries) == ["u001", "u002"]
+        assert result.skipped == {}
+        for actor_id, entry in result.entries.items():
+            assert entry.actor_id == actor_id
             assert entry.metrics["best_n"] in [i / 10 for i in range(101)]
             assert 0.0 <= entry.metrics["best_f1"] <= 1.0
             assert len(entry.metrics["f1_curve"]) == 101
@@ -371,8 +382,7 @@ class TestTrainWorkflow:
         )
         config = fast_config(train=TrainConfig(epochs=2))
         result = run_train_workflow(events, config)
-        entry = result.reports[0].entry
-        assert entry is not None
+        entry = result.entries["u1"]
         assert entry.metrics["train_size"] == 200
         assert entry.metrics["val_size"] == 50
         assert "app-mail" in entry.encoder.indices["app_id"]
@@ -383,9 +393,10 @@ class TestTrainWorkflow:
         events = corpus_events + crafted_events("tiny", 12)
         with caplog.at_level(logging.WARNING, logger="loginwatch.pipeline"):
             result = run_train_workflow(events, fast_config())
+        assert result.skipped == {"tiny": "only 12 events, need 100"}
+        assert list(result.entries) == ["u001", "u002"]
         summary = result.to_summary()
-        assert "tiny" in summary["skipped"]
-        assert "12 events" in summary["skipped"]["tiny"]
+        assert summary["skipped"] == result.skipped
         assert any("skipping actor tiny" in r.getMessage() for r in caplog.records)
         assert set(summary["actors"]) == {"u001", "u002"}
 
@@ -395,8 +406,12 @@ class TestTrainWorkflow:
         registry = ModelRegistry(tmp_path / "registry")
         events = crafted_events("u1", 120) + crafted_events(actor, 120)
         config = fast_config(train=TrainConfig(epochs=2))
-        summary = run_train_workflow(events, config, registry).to_summary()
-        assert "directory name" in summary["skipped"][actor]
+        result = run_train_workflow(events, config, registry)
+        assert list(result.skipped) == [actor]
+        assert "directory name" in result.skipped[actor]
+        assert list(result.entries) == ["u1"]
+        summary = result.to_summary()
+        assert summary["skipped"] == result.skipped
         assert set(summary["actors"]) == {"u1"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["registry"]
         assert registry.actors() == ["u1"]
@@ -430,6 +445,27 @@ class TestTrainWorkflow:
         assert summary["skipped"]["small"] == (
             "cannot validate: sweep needs at least one injected and one normal event"
         )
+
+    def test_job_rows_are_the_sampled_events_encoded(self):
+        # three logins share each timestamp and arrive shuffled, so ties are
+        # kept in input order
+        events = [
+            dataclasses.replace(e, timestamp=e.timestamp - timedelta(hours=i - i // 3))
+            for i, e in enumerate(crafted_events("u1", 150, app_at=lambda i: f"app-{i % 7}"))
+        ]
+        events = [events[i] for i in np.random.default_rng(8).permutation(len(events))]
+        config = fast_config()
+        actor, reason = _prepare_actor("u1", events, config)
+        assert reason is None
+        ordered = sorted(range(150), key=lambda i: (events[i].timestamp, i))
+        train_part = [events[i] for i in ordered[:120]]
+        sample = stratified_sample(
+            120, config.sample_fraction, config.sample_repetitions,
+            _actor_seed(config.seed, "u1", "sample"),
+        )
+        expected = [encode_event(train_part[i], actor.encoder) for i in sample]
+        assert [tuple(row) for row in actor.job.rows.tolist()] == expected
+        assert len(set(expected)) > 1
 
     def test_empty_after_filter_raises(self):
         bare = crafted_events("u1", 5)
