@@ -5,7 +5,7 @@ flattens raw logs, ``profile`` builds app supersets, ``train`` fits and
 registers per-actor models, ``score`` runs stored models over new events,
 and ``report`` dumps per-actor threshold and loss curves as CSV, skipping
 (with a warning) an actor whose newest model is refused or whose stored
-F1 curve is not a list of numbers.
+metrics hold no F1 curve of numbers for the primary injection kind.
 
 Failures exit non-zero with a one-line JSON error object on stderr.
 """
@@ -31,6 +31,7 @@ from loginwatch.events import (
 from loginwatch.model import is_number_list
 from loginwatch.pipeline import (
     PipelineConfig,
+    primary_sweep,
     run_score_workflow,
     run_train_workflow,
 )
@@ -139,10 +140,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for actor_id in actors:
         try:
             entry = registry.load(actor_id)
-            curve = entry.metrics.get("f1_curve", [])
-            if not is_number_list(curve):  # metrics are free-form in a document
+            try:  # metrics are free-form in a document
+                curve = primary_sweep(entry.metrics)["f1_curve"]
+            except (LookupError, TypeError):
+                curve = None
+            if not is_number_list(curve):
                 newest = registry.entry_paths(actor_id)[-1]
-                raise RegistryIntegrityError(f"{newest} holds an f1_curve that is not numbers")
+                raise RegistryIntegrityError(
+                    f"{newest} holds no primary-kind f1_curve of numbers"
+                )
         except RegistryIntegrityError as exc:
             logger.warning("cannot report %s: %s", actor_id, exc)
             unreadable.append(actor_id)

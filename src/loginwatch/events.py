@@ -75,6 +75,7 @@ _FLAT_TYPES = {
     "app_id": (str, "a string"),
     "client_os": (str, "a string"),
     "client_device": (str, "a string"),
+    "has_client_object": (bool, "a boolean"),
 }
 
 
@@ -156,8 +157,9 @@ def _flat_event(record: dict, strings: _Strings) -> LogEvent:
         if key not in record:
             continue
         value = record[key]
-        # JSON true/false decode to bool, an int subclass, and fit no flat key
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        # JSON true/false decode to bool, an int subclass, which only
+        # has_client_object takes
+        if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
             raise RecordRejectedError(
                 f"{key} must be {expected}, got {type(value).__name__}"
             )
@@ -177,7 +179,7 @@ def _flat_event(record: dict, strings: _Strings) -> LogEvent:
         app_id=strings[record.get("app_id", "")],
         client_os=strings[record.get("client_os", "")],
         client_device=strings[record.get("client_device", "")],
-        has_client_object=bool(record.get("has_client_object", False)),
+        has_client_object=record.get("has_client_object", False),
     )
 
 

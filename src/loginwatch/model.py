@@ -38,15 +38,20 @@ float32 roundoff.
 
 The bank is the one float32 stack: a step is mostly elementwise arithmetic,
 so half-width floats make it cheaper. Everything else is float64 through the
-same code: a model's ``theta`` (the bank's float32 values, widened exactly
-when a trained model is copied out), its losses and so its scores and
-``train_mu``/``train_sigma``, and ``gradient_check``.
+same code: a model's ``theta``, its losses and so its scores and
+``train_mu``/``train_sigma``, and ``gradient_check``. A model's ``theta``
+holds float32 values all the same: its initial values are rounded to
+float32, and a trained model is the bank's float32 values, widened exactly
+when it is copied out.
 
 A stored model keeps ``theta`` whole, as lowercase hex of its little-endian
-float64 bytes (registry format version 4; version 3 stored base64), beside
-the scalars that fix its layout (``feature_sizes``, ``hidden_dim``,
-``code_dim``); loading decodes it with the strict ``binascii.unhexlify``,
-checks the decoded length against that layout and copies it back bit-exact.
+float32 bytes (registry format version 5; version 4 stored float64 bytes,
+version 3 base64), beside the scalars that fix its layout
+(``feature_sizes``, ``hidden_dim``, ``code_dim``). Since every value is a
+float32 value, the narrowing is lossless, and ``to_state`` refuses a
+``theta`` for which it would not be. Loading decodes it with the strict
+``binascii.unhexlify``, checks the decoded length against that layout and
+widens it back to the same float64 bits.
 
 The loss of an event doubles as its anomaly score: events built from
 patterns the model never learned reconstruct poorly and score high.
@@ -95,11 +100,26 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name, weight in self.feature_weights.items():
-            if name not in FEATURE_ORDER:
-                raise ValueError(f"feature weight {name!r} names no feature of {FEATURE_ORDER}")
-            if weight < 0:
-                raise ValueError(f"feature weight {name} must be >= 0, got {weight}")
+        checked_weights(self.feature_weights)
+
+
+def checked_weights(feature_weights: Mapping[str, float] | None) -> dict[str, float]:
+    """Every feature's weight in ``FEATURE_ORDER``, 1.0 where none is given.
+
+    Raises:
+        ValueError: a weight names no feature, is not a number, or is not a
+            finite value >= 0 (a NaN weight makes every loss NaN, so nothing
+            is ever flagged).
+    """
+    weights = dict(feature_weights or {})
+    for name, weight in weights.items():
+        if name not in FEATURE_ORDER:
+            raise ValueError(f"feature weight {name!r:.40} names no feature of {FEATURE_ORDER}")
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise ValueError(f"feature weight {name} must be a number, got {weight!r:.40}")
+        if not 0 <= weight < math.inf:
+            raise ValueError(f"feature weight {name} must be finite and >= 0, got {weight}")
+    return {name: float(weights.get(name, 1.0)) for name in FEATURE_ORDER}
 
 
 def dice_coefficient(p: np.ndarray, g: np.ndarray) -> float:
@@ -226,8 +246,7 @@ class _Stack:
                 raise ValueError(f"code_dim {code_dim} must be < input_dim {input_dim}")
         self.hidden_dim = hidden_dim
         self.code_dim = code_dim
-        weights = dict(feature_weights or {})
-        self.feature_weights = {name: float(weights.get(name, 1.0)) for name in FEATURE_ORDER}
+        self.feature_weights = checked_weights(feature_weights)
         self.weights = np.array(list(self.feature_weights.values()), dtype=dtype)
 
         actors, width = len(dims), max(self.input_dims)
@@ -246,10 +265,10 @@ class _Stack:
                 offset += (m + 1) * dim
             self._tables.append(tables)
         # a stored size can be far too large to allocate, so compare first
-        if stored_bytes is not None and stored_bytes != 8 * offset:
+        if stored_bytes is not None and stored_bytes != 4 * offset:
             raise ValueError(
                 f"theta length mismatch: stored {stored_bytes} bytes, expected "
-                f"{offset} float64 values ({8 * offset} bytes)"
+                f"{offset} float32 values ({4 * offset} bytes)"
             )
         self.zero = offset
         self.flat = np.zeros(offset + 1, dtype=dtype)
@@ -491,6 +510,8 @@ class Autoencoder:
             width = views[name].shape[1]
             glorot(views["head"][start : start + width])
             start += width
+        # a model holds float32 values, as training and storage keep them
+        self.theta[...] = self.theta.astype(np.float32)
 
     def _adopt(self, actor_id: str, stack: _Stack) -> None:
         """Take ``stack``, a stack of one, as this model's parameters."""
@@ -519,16 +540,34 @@ class Autoencoder:
         """Plain-type snapshot of every parameter and training statistic.
 
         ``theta`` is stored whole as lowercase hex of its little-endian
-        float64 bytes; the layout scalars beside it say how to read it back.
+        float32 bytes; the layout scalars beside it say how to read it back.
+        Every model holds float32 values widened to float64 (its initial
+        values are rounded to float32, and ``train`` copies its result out
+        of the float32 bank), so the narrowing loses nothing: each value
+        widens back to the same 64 bits.
+
+        Raises:
+            ValueError: a value of ``theta`` does not survive that round trip
+                (``np.pi`` as float64, a float64 subnormal, a NaN with low
+                payload bits), so a stored model would differ from this one.
         """
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            narrow = self.theta.astype("<f4")
+        widened = narrow.astype(np.float64)
+        changed = widened.view(np.uint64) != self.theta.view(np.uint64)
+        if changed.any():
+            at = int(np.argmax(changed))
+            raise ValueError(
+                f"theta[{at}] = {self.theta[at]!r} is not a float32 value; "
+                f"a stored model holds float32 parameters"
+            )
         return {
             "actor_id": self.actor_id,
             "feature_sizes": dict(self.feature_sizes),
             "feature_weights": dict(self.feature_weights),
             "hidden_dim": self.hidden_dim,
             "code_dim": self.code_dim,
-            "loss_mode": "SUM",  # the one loss; the member goes in format 5
-            "theta": self.theta.astype("<f8", copy=False).tobytes().hex(),
+            "theta": narrow.tobytes().hex(),
             "train_mu": self.train_mu,
             "train_sigma": self.train_sigma,
             "chosen_n": self.chosen_n,
@@ -539,17 +578,19 @@ class Autoencoder:
     def from_state(cls, state: dict) -> "Autoencoder":
         """Rebuild a model from ``to_state`` output.
 
+        ``theta`` is read as little-endian float32 and widened exactly, so
+        the model's ``theta`` is float64 in memory and holds the values
+        ``to_state`` narrowed.
+
         Raises:
             ValueError: ``theta`` is not a hex string (``binascii.unhexlify``
                 refuses whitespace, an odd length and a non-hex digit), or
                 its byte length differs from the one that ``feature_sizes``,
                 ``hidden_dim`` and ``code_dim`` imply (checked before the
                 layout is allocated, so a huge stored size costs nothing),
-                or ``epoch_losses`` is not a list of numbers, or ``loss_mode``
-                is not ``"SUM"``, the one loss this model computes.
+                or a feature weight names no feature or is not a finite
+                number >= 0, or ``epoch_losses`` is not a list of numbers.
         """
-        if state["loss_mode"] != "SUM":
-            raise ValueError(f"loss_mode must be 'SUM', got {state['loss_mode']!r:.40}")
         try:
             blob = binascii.unhexlify(state["theta"])
         except (TypeError, ValueError) as exc:
@@ -565,7 +606,7 @@ class Autoencoder:
                 stored_bytes=len(blob),
             ),
         )
-        model.theta[...] = np.frombuffer(blob, "<f8")
+        model.theta[...] = np.frombuffer(blob, "<f4")
         model.train_mu = state.get("train_mu")
         model.train_sigma = state.get("train_sigma")
         model.chosen_n = state.get("chosen_n")
@@ -600,9 +641,9 @@ def train(
     one-job ``train`` up to float32 roundoff; the jobs only share the
     numpy calls. The jobs share one float32 ``_Stack``, the bank: each model
     starts as its own float64 stack of one, is copied in through the bank's
-    views of its actor (rounded to float32) and, once trained, copied back
-    out the same way (widened exactly). Jobs are stacked
-    by row count, most first, so batch ``b`` of an epoch runs on a leading
+    views of its actor (exactly, as its initial values are float32) and,
+    once trained, copied back out the same way (widened exactly). Jobs are
+    stacked by row count, most first, so batch ``b`` of an epoch runs on a leading
     slice of the stack: only the jobs that still have rows. A batch that is
     short for some of them pads their rows with weight 0.
 

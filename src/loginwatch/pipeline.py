@@ -237,6 +237,16 @@ _SWEEP_KEYS = ("best_f1", "best_n", "confusion")
 _SIZE_KEYS = ("train_size", "sample_size", "val_size")
 
 
+def primary_sweep(metrics: Mapping) -> dict:
+    """The primary injection kind's sweep result in a trained entry's metrics.
+
+    The metrics hold each kind's result once, under ``per_kind``, and name
+    the primary kind, the one that set ``chosen_n`` and the status, in
+    ``primary_kind``.
+    """
+    return metrics["per_kind"][metrics["primary_kind"]]
+
+
 @dataclass
 class TrainWorkflowResult:
     """Each trained actor's entry, and each skipped actor's reason."""
@@ -250,8 +260,10 @@ class TrainWorkflowResult:
         actors = {}
         for actor_id, entry in self.entries.items():
             metrics = entry.metrics
+            primary = primary_sweep(metrics)
             actors[actor_id] = {
-                **{key: metrics[key] for key in _SWEEP_KEYS + _SIZE_KEYS},
+                **{key: primary[key] for key in _SWEEP_KEYS},
+                **{key: metrics[key] for key in _SIZE_KEYS},
                 "status": entry.status.value,
                 "train_mu": entry.model.train_mu,
                 "train_sigma": entry.model.train_sigma,
@@ -390,7 +402,8 @@ def _finish_actor(
         for kind, rows, injected in actor.validation
     }
 
-    primary = per_kind[config.injections[0].kind.value]
+    primary_kind = config.injections[0].kind.value
+    primary = per_kind[primary_kind]
     model.chosen_n = primary.best_n
     status = (
         EntryStatus.ACTIVE
@@ -398,7 +411,7 @@ def _finish_actor(
         else EntryStatus.NEEDS_RETRAIN
     )
     metrics = {
-        **primary.to_dict(),
+        "primary_kind": primary_kind,
         "per_kind": {kind: result.to_dict() for kind, result in per_kind.items()},
         "train_size": actor.train_size,
         "sample_size": len(actor.job.rows),

@@ -8,17 +8,21 @@ A document is sealed: compact sorted-key JSON whose last member,
 ``"checksum":"<64 hex>"``, is the sha256 of every byte before it, so
 ``load`` checks the stored bytes and then parses them once. Model
 parameters sit in it as one ``theta`` string, lowercase hex of their
-little-endian float64 bytes (format version 4). A file that fails the
+little-endian float32 bytes (format version 5): every model holds float32
+values, so this is lossless, and ``Autoencoder.to_state`` refuses a model
+for which it would not be, so ``save`` writes nothing. The validation
+metrics hold each sweep result once, under ``per_kind``, and name the
+primary kind; the model has no ``loss_mode`` member. A file that fails the
 check, cannot be read, or carries another version is refused: the spaced
-version-1 layout, the per-key version-2 layout and the base64 ``theta`` of
-version 3 have no reader, and retraining the actor replaces its file. An
-actor's versions are the ``*.model`` names in its directory, listed with
-one ``os.scandir`` and sorted as strings, which sorts them by creation
-time. The checksum is not a signature, so a resealed file
-whose content could not score is refused the same way: a malformed model
-or encoder member, a threshold statistic that is not finite, or an encoder
-that can give an index past its model's sizes
-(``RegistryEntry.from_document``). Writes go through a temp file, an
+version-1 layout, the per-key version-2 layout, the base64 ``theta`` of
+version 3 and the float64 ``theta`` of version 4 have no reader, and
+retraining the actor replaces its file. An actor's versions are the
+``*.model`` names in its directory, listed with one ``os.scandir`` and
+sorted as strings, which sorts them by creation time. The checksum is not a
+signature, so a resealed file whose content could not score is refused the
+same way: a malformed model or encoder member, a feature weight or
+threshold statistic that is not finite, or an encoder that can give an
+index past its model's sizes (``RegistryEntry.from_document``). Writes go through a temp file, an
 ``fsync`` and an atomic rename, and a document that holds a NaN or an
 infinity is not written at all.
 """
@@ -40,7 +44,7 @@ from loginwatch.model import Autoencoder
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MODEL_SUFFIX = ".model"
 _CHECKSUM_MEMBER = b',"checksum":"'
 _TRAILER_LENGTH = len(_CHECKSUM_MEMBER) + 64 + len(b'"}')
@@ -229,10 +233,11 @@ class ModelRegistry:
         """Persist an entry atomically; returns the written model path.
 
         Raises:
-            ValueError: the entry holds a NaN or an infinity; no file is written.
+            ValueError: the entry holds a NaN or an infinity outside
+                ``theta``, or a ``theta`` value that is not a float32 value;
+                nothing is written, not even the actor's directory.
         """
         actor_dir = self._actor_dir(entry.actor_id)
-        actor_dir.mkdir(parents=True, exist_ok=True)
         created = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S.%fZ")
         path = actor_dir / f"{created}{MODEL_SUFFIX}"
         bump = 0
@@ -241,7 +246,9 @@ class ModelRegistry:
             path = actor_dir / f"{created}-{bump:02d}{MODEL_SUFFIX}"
         entry.created_at = path.stem
 
-        _atomic_write(path, _seal(entry.to_document()))
+        payload = _seal(entry.to_document())
+        actor_dir.mkdir(parents=True, exist_ok=True)
+        _atomic_write(path, payload)
         logger.info("saved model for %s at %s", entry.actor_id, path.name)
         return path
 

@@ -447,11 +447,16 @@ class TestLoadEvents:
             ),
             ({"client_os": False}, "client_os must be a string, got bool"),
             ({"latitude": 10**400, "longitude": 0}, "latitude out of range"),
+            ({"has_client_object": "false"}, "has_client_object must be a boolean, got str"),
+            ({"has_client_object": {"x": 1}}, "has_client_object must be a boolean, got dict"),
+            ({"has_client_object": 1}, "has_client_object must be a boolean, got int"),
+            ({"has_client_object": None}, "has_client_object must be a boolean, got NoneType"),
         ],
         ids=[
             "int-timestamp", "null-timestamp", "string-coordinates", "int-actor",
             "list-event-type", "int-app", "int-outcome", "bool-coordinates",
-            "bool-longitude", "bool-os", "past-float-latitude",
+            "bool-longitude", "bool-os", "past-float-latitude", "string-client-flag",
+            "object-client-flag", "int-client-flag", "null-client-flag",
         ],
     )
     def test_flat_record_of_wrong_type_is_rejected(self, tmp_path, caplog, changes, reason):
@@ -480,6 +485,17 @@ class TestLoadEvents:
         path.write_text(json.dumps(flat) + "\n", encoding="utf-8")
         events, stats = load_events(path)
         assert (events, stats.rejected) == ([], 1)
+
+    @pytest.mark.parametrize("flag", [True, False, None], ids=["true", "false", "absent"])
+    def test_flat_client_flag_is_a_boolean_or_absent(self, flag):
+        flat = {"actor_id": "u1", "timestamp": "2023-03-06T09:12:34Z",
+                "event_type": "x", "outcome": "SUCCESS"}
+        if flag is not None:
+            flat["has_client_object"] = flag
+        event = LogEvent.from_flat_dict(flat)
+        assert event.has_client_object is bool(flag)
+        keep = filter_entry_events([event], FilterMode.CLIENT_INFO)
+        assert keep == ([event] if flag else [])
 
     def test_malformed_line_is_fatal_with_offset(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -122,8 +122,8 @@ def reference_forward(model: Autoencoder, row) -> tuple[dict, dict]:
 
 
 def theta_blob(values) -> str:
-    """``values`` as a stored ``theta``: hex of little-endian float64."""
-    return np.asarray(values, dtype="<f8").tobytes().hex()
+    """``values`` as a stored ``theta``: hex of little-endian float32."""
+    return np.asarray(values, dtype="<f4").tobytes().hex()
 
 
 # Stored hex ``theta`` strings that the strict ``binascii.unhexlify`` refuses.
@@ -631,7 +631,7 @@ class TestBank:
             assert np.array_equal(model.theta, model.theta.astype(np.float32))
             assert model.losses(job.rows).dtype == np.float64
             blob = bytes.fromhex(model.to_state()["theta"])
-            assert np.array_equal(np.frombuffer(blob, "<f8"), model.theta)
+            assert np.array_equal(np.frombuffer(blob, "<f4").astype(np.float64), model.theta)
 
     def test_float32_gradient_agrees_with_float64(self):
         # the same float32 values in a float32 and a float64 stack of two
@@ -685,6 +685,9 @@ class TestTrainConfig:
             TrainConfig(feature_weights={"geohash": -1.0})
         with pytest.raises(ValueError, match="'geohsah'"):
             TrainConfig(feature_weights={"geohsah": 2.0})
+        for weight in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(feature_weights={"geohash": weight})
 
 
 class TestPersistence:
@@ -741,7 +744,7 @@ class TestPersistence:
         [
             "one_value_short",
             "one_value_long",
-            "float32",
+            "float64",
             "base64",
             "odd_length",
             "not_hex_digit",
@@ -760,9 +763,9 @@ class TestPersistence:
             state["theta"] = theta_blob(model.theta[:-1])
         elif damage == "one_value_long":
             state["theta"] = theta_blob(np.append(model.theta, 0.0))
-        elif damage == "float32":
-            # the right value count at half the width
-            state["theta"] = model.theta.astype("<f4").tobytes().hex()
+        elif damage == "float64":
+            # the version-4 encoding: the right value count at twice the width
+            state["theta"] = model.theta.astype("<f8").tobytes().hex()
         elif damage == "base64":  # the version-3 encoding of the same bytes
             state["theta"] = base64.b64encode(bytes.fromhex(state["theta"])).decode("ascii")
         elif damage in THETA_DAMAGE:
@@ -802,7 +805,7 @@ class TestPersistence:
         state = model.to_state()
         assert sorted(state) == sorted([
             "actor_id", "feature_sizes", "feature_weights", "hidden_dim",
-            "code_dim", "loss_mode", "theta", "train_mu", "train_sigma",
+            "code_dim", "theta", "train_mu", "train_sigma",
             "chosen_n", "epoch_losses",
         ])
         dims = {name: embedding_dim(SIZES[name]) for name in FEATURE_ORDER}
@@ -815,10 +818,10 @@ class TestPersistence:
             + sum((SIZES[name] + 1) * dim for name, dim in dims.items())
         )
         blob = bytes.fromhex(state["theta"])
-        assert len(blob) == 8 * size
-        # little-endian float64, in the in-memory layout, bit for bit
-        assert blob == model.theta.astype("<f8").tobytes()
-        stored = views(model, np.frombuffer(blob, "<f8"))
+        assert len(blob) == 4 * size
+        # little-endian float32, in the in-memory layout, bit for bit
+        assert blob == model.theta.astype("<f4").tobytes()
+        stored = views(model, np.frombuffer(blob, "<f4"))
         for name, dim in dims.items():
             assert stored[name].shape == (SIZES[name] + 1, dim)
             assert np.array_equal(stored[name], views(model)[name])
@@ -831,13 +834,29 @@ class TestPersistence:
         assert np.array_equal(restored.theta, model.theta)
         assert np.array_equal(restored.losses(rows), model.losses(rows))
 
-    @pytest.mark.parametrize("loss_mode", ["PRODUCT", "sum", None])
-    def test_loss_mode_other_than_sum_refused(self, loss_mode):
-        # the stored member is a constant until format 5 drops it
+    def test_initial_values_are_float32_values(self):
+        model = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0)
+        assert model.theta.dtype == np.float64
+        assert np.array_equal(model.theta, model.theta.astype(np.float32))
+        assert np.count_nonzero(model.theta) > model.theta.size // 2
+
+    @pytest.mark.parametrize(
+        "name, weight, message",
+        [
+            ("geohash", math.nan, "finite and >= 0"),
+            ("geohash", math.inf, "finite and >= 0"),
+            ("geohash", -1.0, "finite and >= 0"),
+            ("geohash", "2", "must be a number"),
+            ("geohash", True, "must be a number"),
+            ("geohsah", 2.0, "names no feature"),
+        ],
+    )
+    def test_stored_feature_weight_refused(self, name, weight, message):
+        # as TrainConfig refuses it: a NaN weight makes every loss NaN, so
+        # the model would never flag a login
         state = Autoencoder("u1", SIZES, hidden_dim=5, code_dim=3, seed=0).to_state()
-        assert state["loss_mode"] == "SUM"
-        state["loss_mode"] = loss_mode
-        with pytest.raises(ValueError, match="loss_mode must be 'SUM'"):
+        state["feature_weights"][name] = weight
+        with pytest.raises(ValueError, match=message):
             Autoencoder.from_state(state)
 
     @settings(max_examples=80)

@@ -41,6 +41,7 @@ from loginwatch.pipeline import (
     _actor_seed,
     _encode_actor_events,
     _prepare_actor,
+    primary_sweep,
     run_score_workflow,
     run_train_workflow,
     stratified_sample,
@@ -366,13 +367,19 @@ class TestTrainWorkflow:
         assert result.skipped == {}
         for actor_id, entry in result.entries.items():
             assert entry.actor_id == actor_id
-            assert entry.metrics["best_n"] in [i / 10 for i in range(101)]
-            assert 0.0 <= entry.metrics["best_f1"] <= 1.0
-            assert len(entry.metrics["f1_curve"]) == 101
+            # each sweep result is stored once, under its kind
+            assert sorted(entry.metrics) == [
+                "per_kind", "primary_kind", "sample_size", "train_size", "val_size"
+            ]
+            assert entry.metrics["primary_kind"] == "LOCATION"
+            primary = primary_sweep(entry.metrics)
+            assert primary is entry.metrics["per_kind"]["LOCATION"]
+            assert primary["best_n"] in [i / 10 for i in range(101)]
+            assert 0.0 <= primary["best_f1"] <= 1.0
+            assert len(primary["f1_curve"]) == 101
             assert entry.metrics["train_size"] > entry.metrics["val_size"]
             assert entry.status in (EntryStatus.ACTIVE, EntryStatus.NEEDS_RETRAIN)
-            assert entry.model.chosen_n == entry.metrics["best_n"]
-            assert "LOCATION" in entry.metrics["per_kind"]
+            assert entry.model.chosen_n == primary["best_n"]
         assert registry.actors() == ["u001", "u002"]
 
     def test_vocabularies_come_from_train_partition_only(self):
@@ -565,18 +572,17 @@ class TestScoreWorkflow:
         assert result.retrained == []
         assert str(newest) in caplog.text
 
-    def test_model_of_another_loss_leaves_other_actors_scored_and_reported(
+    def test_nan_feature_weight_leaves_other_actors_scored_and_reported(
         self, corpus_events, trained_registry, tmp_path, capsys, caplog
     ):
-        # SUM is the one loss; a resealed document that names another passes
-        # its checksum, but its model cannot score
+        # a resealed document with a NaN weight passes its checksum, but its
+        # model would give every login a NaN loss and flag none
         newest = trained_registry.entry_paths("u002")[-1]
         document = json.loads(newest.read_bytes())
         del document["checksum"]
-        assert document["model"]["loss_mode"] == "SUM"
-        document["model"]["loss_mode"] = "PRODUCT"
-        newest.write_bytes(_seal(document))
-        with pytest.raises(RegistryIntegrityError, match="loss_mode must be 'SUM'"):
+        document["model"]["feature_weights"]["geohash"] = math.nan
+        newest.write_bytes(seal_allowing_nan(document))
+        with pytest.raises(RegistryIntegrityError, match="feature weight geohash"):
             trained_registry.load("u002")
         with caplog.at_level(logging.WARNING):
             result = run_score_workflow(corpus_events, fast_config(), trained_registry)
@@ -978,7 +984,11 @@ class TestCli:
         ]
         assert str(copied) in caplog.text
 
-    @pytest.mark.parametrize("damage", ["curve_value", "epoch_losses_string"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["curve_value", "curve_missing", "primary_kind_unknown", "per_kind_list",
+         "epoch_losses_string"],
+    )
     def test_report_skips_a_model_whose_curve_is_not_numbers(
         self, tmp_path, capsys, caplog, damage
     ):
@@ -990,8 +1000,15 @@ class TestCli:
         damaged = ModelRegistry(registry).entry_paths("u1")[-1]
         document = json.loads(damaged.read_bytes())
         del document["checksum"]
+        metrics = document["metrics"]
         if damage == "curve_value":
-            document["metrics"]["f1_curve"] = [0.5, "x"]
+            metrics["per_kind"][metrics["primary_kind"]]["f1_curve"] = [0.5, "x"]
+        elif damage == "curve_missing":
+            del metrics["per_kind"][metrics["primary_kind"]]["f1_curve"]
+        elif damage == "primary_kind_unknown":
+            metrics["primary_kind"] = "NOVEL"
+        elif damage == "per_kind_list":
+            metrics["per_kind"] = [metrics["per_kind"]]
         else:
             document["model"]["epoch_losses"] = "0.25"
         damaged.write_bytes(_seal(document))

@@ -8,12 +8,13 @@ import json
 import math
 import os
 import pathlib
+import struct
 import tempfile
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from loginwatch.apps import AppSuperset
@@ -36,6 +37,7 @@ from test_model import SIZES, THETA_DAMAGE, feature_columns, fit, random_rows
 
 GOLDEN_V3_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry"
 GOLDEN_V4_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry_v4"
+GOLDEN_V5_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry_v5"
 
 
 def make_encoder_state() -> EncoderState:
@@ -85,20 +87,6 @@ class TestSaveLoad:
         assert loaded.model.chosen_n == 2.5
         assert loaded.created_at == path.stem
 
-    def test_theta_round_trips_bit_exactly(self, tmp_path):
-        registry = ModelRegistry(tmp_path)
-        entry = make_entry()
-        # values decimal text could lose or mangle: signed zero, a subnormal,
-        # the extremes, and a NaN with a payload
-        special = np.array([-0.0, 5e-324, 1.7976931348623157e308, -np.inf, np.pi])
-        entry.model.theta[: special.size] = special
-        entry.model.theta[special.size] = np.frombuffer(
-            bytes.fromhex("0100000000f8ff7f"), "<f8"
-        )[0]
-        registry.save(entry)
-        loaded = registry.load("u1").model
-        assert loaded.theta.tobytes() == entry.model.theta.tobytes()
-
     def test_encoder_state_round_trips(self, tmp_path):
         registry = ModelRegistry(tmp_path)
         registry.save(make_entry())
@@ -128,6 +116,65 @@ class TestSaveLoad:
         registry.save(make_entry(actor="u2", seed=0))
         registry.save(make_entry(actor="u1", seed=1))
         assert registry.actors() == ["u1", "u2"]
+
+
+def is_signalling_nan(bits: int) -> bool:
+    """Whether a float32 bit pattern is a NaN with its quiet bit clear."""
+    return bits & 0x7F800000 == 0x7F800000 and bits & 0x7FFFFF and not bits & 0x400000
+
+
+def not_float32(value: float) -> bool:
+    """Whether float32 narrowing changes the 64 bits of ``value``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        narrowed = np.float64(np.float32(value))
+    return narrowed.tobytes() != np.float64(value).tobytes()
+
+
+def nan_with_low_payload(low: int) -> float:
+    """A quiet float64 NaN whose payload has bits below float32's 23."""
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | low))[0]
+
+
+NOT_FLOAT32 = st.floats(allow_nan=False).filter(not_float32) | st.integers(
+    1, 2**29 - 1
+).map(nan_with_low_payload)
+
+
+class TestStoredTheta:
+    """A stored ``theta`` is float32: every float32 value survives, nothing else is written."""
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bits=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12))
+    @example(  # -0.0, the smallest and largest subnormal, +-inf, quiet NaNs with payloads
+        bits=[0x80000000, 0x00000001, 0x807FFFFF, 0x7F800000, 0xFF800000, 0x7FC00001, 0xFFE5A5A5]
+    )
+    @example(bits=[0x7F800001, 0xFFA00000])  # signalling NaNs
+    def test_any_float32_value_round_trips_bit_exactly(self, tmp_path, bits):
+        entry = make_entry()
+        values = np.array(bits, dtype="<u4").view("<f4")
+        with np.errstate(invalid="ignore"):  # a signalling NaN widens to a quiet one
+            entry.model.theta[: values.size] = values
+        before = entry.model.theta.copy()
+        registry = ModelRegistry(tempfile.mkdtemp(dir=tmp_path))
+        path = registry.save(entry)
+        stored = bytes.fromhex(json.loads(path.read_bytes())["model"]["theta"])
+        quieted = [b | 0x400000 if is_signalling_nan(b) else b for b in bits]
+        assert np.frombuffer(stored, "<u4")[: len(bits)].tolist() == quieted
+        assert registry.load("u1").model.theta.tobytes() == before.tobytes()
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=NOT_FLOAT32, at=st.integers(0, 200))
+    @example(value=np.pi, at=0)
+    @example(value=5e-324, at=3)
+    @example(value=1.7976931348623157e308, at=4)
+    @example(value=nan_with_low_payload(1), at=5)
+    def test_value_float32_cannot_hold_is_not_saved(self, tmp_path, value, at):
+        entry = make_entry()
+        entry.model.theta[at] = value
+        root = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+        with pytest.raises(ValueError, match=f"theta\\[{at}\\] = .* is not a float32 value"):
+            ModelRegistry(root).save(entry)
+        assert list(root.iterdir()) == []
 
 
 class TestIntegrity:
@@ -175,6 +222,7 @@ class TestIntegrity:
             "version_1_layout",
             "version_2_sealed",
             "version_3_sealed",
+            "version_4_sealed",
         ],
     )
     def test_hostile_document_refused_naming_the_path(self, tmp_path, damage):
@@ -235,6 +283,28 @@ class TestIntegrity:
         document["model"][name] = value
         path.write_bytes(seal_allowing_nan(document))
         with pytest.raises(RegistryIntegrityError, match=f"{name} must be finite") as caught:
+            registry.load("u1")
+        assert str(path) in str(caught.value)
+        result = run_score_workflow(
+            live_events("u1") + live_events("u2"), PipelineConfig(), registry
+        )
+        assert result.unscorable == ["u1"]
+        assert list(result.reports) == ["u2"]
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+    def test_stored_feature_weight_refused_and_only_its_actor_unscorable(
+        self, tmp_path, weight
+    ):
+        # a NaN weight makes every loss NaN and an infinite one every loss
+        # inf, so the actor would never be flagged; TrainConfig refuses all three
+        registry = ModelRegistry(tmp_path)
+        path = registry.save(make_entry("u1"))
+        registry.save(make_entry("u2", seed=1))
+        document = json.loads(path.read_bytes())
+        del document["checksum"]
+        document["model"]["feature_weights"]["geohash"] = weight
+        path.write_bytes(seal_allowing_nan(document))
+        with pytest.raises(RegistryIntegrityError, match="feature weight geohash") as caught:
             registry.load("u1")
         assert str(path) in str(caught.value)
         result = run_score_workflow(
@@ -309,6 +379,13 @@ def hostile_payload(sealed: bytes, damage: str) -> bytes:
         theta = bytes.fromhex(document["model"]["theta"])
         document["model"]["theta"] = base64.b64encode(theta).decode("ascii")
         return _seal({**document, "version": 3})
+    if damage == "version_4_sealed":  # the same values as float64 hex, with loss_mode
+        document = json.loads(sealed)
+        del document["checksum"]
+        theta = np.frombuffer(bytes.fromhex(document["model"]["theta"]), "<f4")
+        document["model"]["theta"] = theta.astype("<f8").tobytes().hex()
+        document["model"]["loss_mode"] = "SUM"
+        return _seal({**document, "version": 4})
     raise ValueError(damage)
 
 
@@ -453,8 +530,9 @@ class TestSealedFormat:
         assert tail == hashlib.sha256(head).hexdigest().encode() + b'"}'
         document = json.loads(payload)
         assert list(document)[-1] == "checksum"
-        assert document["version"] == 4
-        assert document["model"]["theta"] == entry.model.theta.astype("<f8").tobytes().hex()
+        assert document["version"] == 5
+        assert document["model"]["theta"] == entry.model.theta.astype("<f4").tobytes().hex()
+        assert "loss_mode" not in document["model"]
         body = {key: value for key, value in document.items() if key != "checksum"}
         compact = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
         assert head + b"}" == compact
@@ -519,24 +597,28 @@ class TestSealedFormat:
 
 
 class TestGoldenDocument:
-    """Two committed documents of one model under ``tests/data``.
+    """Three committed documents of one model under ``tests/data``.
 
     The version-3 file under ``registry/`` was written once by
     ``ModelRegistry.save`` (3 epochs on ``random_rows(30, seed=5)``, hidden
     5, code 3, outcome weight 2), with ``theta`` in base64. The version-4
     file under ``registry_v4/`` was made from it once by a script that
-    re-encoded ``theta`` as hex of the same bytes, set ``version`` to 4 and
-    resealed it; every other member is the version-3 file's. Any change to
-    how a stored model is read makes these tests fail; such a change needs a
-    new ``FORMAT_VERSION``, not a regenerated file.
+    re-encoded ``theta`` as hex of the same float64 bytes, set ``version``
+    to 4 and resealed it. The version-5 file under ``registry_v5/`` was made
+    from the version-4 file once by a script that rounded ``theta`` to
+    float32 and stored it as hex of little-endian float32 bytes, dropped
+    ``model.loss_mode``, set ``version`` to 5 and resealed it. Every other
+    member is the version-3 file's. Any change to how a stored model is read
+    makes these tests fail; such a change needs a new ``FORMAT_VERSION``,
+    not a regenerated file.
     """
 
-    def test_golden_version_4_document_loads_with_its_losses(self):
-        entry = ModelRegistry(GOLDEN_V4_REGISTRY).load("golden")
+    def test_golden_version_5_document_loads_with_its_losses(self):
+        entry = ModelRegistry(GOLDEN_V5_REGISTRY).load("golden")
         model = entry.model
         assert model.theta.size == 744
         assert hashlib.sha256(model.theta.astype("<f8").tobytes()).hexdigest() == (
-            "d1bf35d78e3e4d4b878d5257562ff3b35aacb828bc5eefdb82549868fd8644e6"
+            "443c496589d13def0df39c417864e8705ab0e04a465f1426861a4daa8a8d27ec"
         )
         assert model.feature_weights["outcome"] == 2.0
         assert (model.hidden_dim, model.code_dim) == (5, 3)
@@ -544,12 +626,12 @@ class TestGoldenDocument:
         assert model.train_sigma == 0.0019951245321737556
         assert model.chosen_n == 2.5
         expected = [
-            0.0011322183217010728,
-            0.0060326011648934585,
-            0.001891227645230753,
-            0.0017382823037843664,
-            0.0031564899677238856,
-            0.0018351623499134329,
+            0.0011322182783389811,
+            0.006032601422343742,
+            0.001891227530153139,
+            0.0017382823831929572,
+            0.0031564899315831285,
+            0.0018351624906300934,
         ]
         # a tolerance for roundoff on other BLAS builds; a layout drift moves
         # the losses by far more
@@ -557,21 +639,38 @@ class TestGoldenDocument:
         assert entry.encoder.indices["app_id"]["mail"] == 2
         assert entry.metrics == {"best_f1": 0.9, "best_n": 2.5}
 
-    def test_golden_version_3_document_is_refused(self):
-        (path,) = ModelRegistry(GOLDEN_V3_REGISTRY).entry_paths("golden")
-        assert json.loads(path.read_bytes())["version"] == 3
-        with pytest.raises(RegistryIntegrityError, match="format version 4") as caught:
-            ModelRegistry(GOLDEN_V3_REGISTRY).load("golden")
+    @pytest.mark.parametrize(
+        "registry, version", [(GOLDEN_V3_REGISTRY, 3), (GOLDEN_V4_REGISTRY, 4)], ids=["v3", "v4"]
+    )
+    def test_older_golden_document_is_refused(self, registry, version):
+        (path,) = ModelRegistry(registry).entry_paths("golden")
+        assert json.loads(path.read_bytes())["version"] == version
+        with pytest.raises(RegistryIntegrityError, match="format version 5") as caught:
+            ModelRegistry(registry).load("golden")
         assert str(path) in str(caught.value)
         assert "retrain" in str(caught.value)
 
-    def test_both_documents_hold_the_same_theta_bytes(self):
+    def test_version_3_and_4_documents_hold_the_same_theta_bytes(self):
         (v3,) = ModelRegistry(GOLDEN_V3_REGISTRY).entry_paths("golden")
         (v4,) = ModelRegistry(GOLDEN_V4_REGISTRY).entry_paths("golden")
         old, new = json.loads(v3.read_bytes()), json.loads(v4.read_bytes())
         assert base64.b64decode(old["model"].pop("theta"), validate=True) == bytes.fromhex(
             new["model"].pop("theta")
         )
+        for document in (old, new):
+            del document["checksum"], document["version"]
+        assert old == new
+
+    def test_version_5_theta_is_the_version_4_theta_rounded_to_float32(self):
+        (v4,) = ModelRegistry(GOLDEN_V4_REGISTRY).entry_paths("golden")
+        (v5,) = ModelRegistry(GOLDEN_V5_REGISTRY).entry_paths("golden")
+        old, new = json.loads(v4.read_bytes()), json.loads(v5.read_bytes())
+        wide = np.frombuffer(bytes.fromhex(old["model"].pop("theta")), "<f8")
+        narrow = np.frombuffer(bytes.fromhex(new["model"].pop("theta")), "<f4")
+        assert narrow.tobytes() == wide.astype("<f4").tobytes()
+        # rounding moved the values, but by less than float32's half step
+        assert 0 < np.abs(narrow - wide).max() <= np.abs(wide).max() * 2.0**-24
+        assert old["model"].pop("loss_mode") == "SUM"
         for document in (old, new):
             del document["checksum"], document["version"]
         assert old == new
