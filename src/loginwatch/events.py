@@ -21,8 +21,12 @@ import logging
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from json.scanner import make_scanner
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +40,10 @@ class Outcome(str, Enum):
     SUCCESS = "SUCCESS"
     FAILURE = "FAILURE"
     OTHER = "OTHER"
+
+
+# ``outcome.result`` values other than these are OTHER.
+_OUTCOMES = {"SUCCESS": Outcome.SUCCESS, "FAILURE": Outcome.FAILURE}
 
 
 class FilterMode(str, Enum):
@@ -77,6 +85,14 @@ _FLAT_TYPES = {
     "client_device": (str, "a string"),
     "has_client_object": (bool, "a boolean"),
 }
+
+
+# The scanner under ``json.loads`` (its C form where there is one): called
+# as ``_SCAN(text, offset)``, it returns the value at ``offset`` and the
+# offset after it.
+_SCAN = make_scanner(json.JSONDecoder())
+# What ``json.loads`` skips around a value: its ``WHITESPACE`` pattern.
+_JSON_WHITESPACE = " \t\n\r"
 
 
 class _Strings(dict):
@@ -226,27 +242,21 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _is_number(value) -> bool:
-    """A JSON number: ``true``/``false`` decode to ``bool``, an ``int``, and are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _extract_location(geo) -> tuple[float | None, float | None]:
     """Coordinates of a ``geolocation`` node, or (None, None) if unusable."""
     if not isinstance(geo, dict):
         return None, None
     lat, lon = geo.get("lat"), geo.get("lon")
-    if not _is_number(lat) or not _is_number(lon):
+    # a JSON number: ``true``/``false`` decode to ``bool``, an ``int``, and are not
+    if (
+        not isinstance(lat, (int, float)) or isinstance(lat, bool)
+        or not isinstance(lon, (int, float)) or isinstance(lon, bool)
+    ):
         return None, None
     # Out-of-range coordinates are unusable; keep the event, drop the location.
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         return None, None
     return float(lat), float(lon)
-
-
-def _string(value) -> str:
-    """``value`` if it is a string, else ``""``: a number or object is no client name."""
-    return value if isinstance(value, str) else ""
 
 
 def _app_key(value) -> str:
@@ -284,7 +294,22 @@ def parse_event(line: str, line_number: int | None = None) -> LogEvent:
 
 
 def _decode(line: str, line_number: int | None):
-    """``json.loads`` of one line; invalid JSON is a :class:`MalformedLineError`."""
+    """``json.loads`` of one line; invalid JSON is a :class:`MalformedLineError`.
+
+    A line that holds one JSON value from its first character, followed by
+    nothing but JSON whitespace, is read by the scanner ``json.loads`` uses
+    underneath, which gives the same value without the wrapper's checks.
+    Every other line (leading whitespace, a BOM, extra data, invalid JSON)
+    goes to ``json.loads`` itself, so it is accepted or refused with the
+    same message as there.
+    """
+    try:
+        record, end = _SCAN(line, 0)
+    except (StopIteration, ValueError, RecursionError, TypeError):  # TypeError: bytes
+        pass
+    else:
+        if end == len(line) or not line[end:].strip(_JSON_WHITESPACE):
+            return record
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
@@ -327,38 +352,38 @@ def _okta_event(record, line_number: int | None, strings: _Strings) -> LogEvent:
 
     result = record.get("outcome")
     result = result.get("result") if isinstance(result, dict) else None
-    # ``==``, not a dict lookup: a list or object result is OTHER, not a TypeError.
-    if result == "SUCCESS":
-        outcome = Outcome.SUCCESS
-    elif result == "FAILURE":
-        outcome = Outcome.FAILURE
-    else:
-        outcome = Outcome.OTHER
+    # only a string is looked up: a list or object result is OTHER, not a TypeError
+    outcome = _OUTCOMES.get(result, Outcome.OTHER) if isinstance(result, str) else Outcome.OTHER
 
     client = record.get("client")
     has_client = isinstance(client, dict)
     latitude = longitude = None
-    client_os = client_device = ""
+    client_os = client_device = ""  # a number or object is no client name
     if has_client:
         agent = client.get("userAgent")
         if isinstance(agent, dict):
-            client_os = _string(agent.get("os"))
-        client_device = _string(client.get("device"))
+            client_os = agent.get("os")
+            if not isinstance(client_os, str):
+                client_os = ""
+        client_device = client.get("device")
+        if not isinstance(client_device, str):
+            client_device = ""
         context = client.get("geographicalContext")
         if isinstance(context, dict):
             latitude, longitude = _extract_location(context.get("geolocation"))
 
+    # positional, in field order: actor, time, type, outcome, location, app, client
     return LogEvent(
-        actor_id=strings[actor_id],
-        timestamp=timestamp,
-        event_type=strings[event_type],
-        outcome=outcome,
-        latitude=latitude,
-        longitude=longitude,
-        app_id=strings[_extract_app_id(record)],
-        client_os=strings[client_os],
-        client_device=strings[client_device],
-        has_client_object=has_client,
+        strings[actor_id],
+        timestamp,
+        strings[event_type],
+        outcome,
+        latitude,
+        longitude,
+        strings[_extract_app_id(record)],
+        strings[client_os],
+        strings[client_device],
+        has_client,
     )
 
 
@@ -436,3 +461,11 @@ def hour_and_weekday(timestamp: datetime) -> tuple[int, int]:
     if timestamp.tzinfo is not timezone.utc:
         timestamp = timestamp.astimezone(timezone.utc)
     return timestamp.hour + 1, timestamp.isoweekday() % 7 + 1
+
+
+def hours_and_weekdays(timestamps: Iterable[datetime]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hour_and_weekday` of each instant, as two int64 arrays."""
+    utc = [t if t.tzinfo is timezone.utc else t.astimezone(timezone.utc) for t in timestamps]
+    hours = np.fromiter(map(attrgetter("hour"), utc), np.int64, len(utc))
+    weekdays = np.fromiter(map(datetime.isoweekday, utc), np.int64, len(utc))
+    return hours + 1, weekdays % 7 + 1

@@ -13,6 +13,10 @@ Up to 12 characters (30 bits per axis) every edge is a float64 exactly, so
 the cell is the one the bisection reaches. The two cell numbers are
 interleaved through a 256-entry bit-spread table.
 
+``geohash_codes`` does the same arithmetic, edge checks included, for whole
+numpy arrays of coordinates, and gives each geohash as an int64 code of its
+``5 * precision`` bits; ``geohash_text`` spells a code.
+
 Distances are great-circle miles on a sphere of radius 3958.8 statute miles.
 """
 
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
 _CHAR_TO_BITS = {char: index for index, char in enumerate(GEOHASH_ALPHABET)}
@@ -136,8 +142,7 @@ def geohash_encode(latitude: float, longitude: float, precision: int = 3) -> str
         raise ValueError(f"latitude out of range: {latitude}")
     if not -180.0 <= longitude <= 180.0:
         raise ValueError(f"longitude out of range: {longitude}")
-    (lon_width, lon_top, lon_shift, lat_width, lat_top, lat_shift,
-     lead_table, lead_shift, pair_shifts) = layout
+    lon_width, lon_top, lon_shift, lat_width, lat_top, lat_shift = layout[:6]
 
     # The division can round across a cell edge; the edges themselves are
     # exact, so one comparison on each side puts the cell right. The top
@@ -163,10 +168,67 @@ def geohash_encode(latitude: float, longitude: float, precision: int = 3) -> str
         code = _SPREAD[lon_cell] << lon_shift | _SPREAD[lat_cell] << lat_shift
     else:
         code = _spread(lon_cell) << lon_shift | _spread(lat_cell) << lat_shift
+    return geohash_text(code, precision)
+
+
+def geohash_text(code: int, precision: int) -> str:
+    """Spell a geohash code of ``precision`` characters: its ``5 * precision``
+    bits, first bit highest, as :func:`geohash_codes` gives them."""
+    lead_table, lead_shift, pair_shifts = _LAYOUTS[precision][6:]
     text = lead_table[code >> lead_shift]
     for shift in pair_shifts:
         text += _PAIRS[(code >> shift) & 1023]
     return text
+
+
+_SPREAD_ARRAY = np.array(_SPREAD, dtype=np.int64)
+
+
+def _axis_codes(values: np.ndarray, low: float, width: float, top: int, shift: int) -> np.ndarray:
+    """One axis's share of each code: the cell number of each of ``values``,
+    found as :func:`geohash_encode` finds it, with its bits spread and shifted."""
+    cells = ((values - low) / width).astype(np.int64)
+    edge = low + cells * width
+    cells -= values < edge
+    cells += values >= edge + width
+    np.minimum(cells, top, out=cells)
+    spread = _SPREAD_ARRAY[cells & 255]
+    for byte in range(1, (top.bit_length() + 7) // 8):  # the bytes above the first
+        spread |= _SPREAD_ARRAY[(cells >> (8 * byte)) & 255] << (16 * byte)
+    return spread << shift if shift else spread
+
+
+def geohash_codes(
+    latitudes: np.ndarray, longitudes: np.ndarray, precision: int = 3
+) -> np.ndarray:
+    """:func:`geohash_encode` of each point of two arrays, as int64 codes.
+
+    A code holds the geohash's ``5 * precision`` bits, first bit highest;
+    :func:`geohash_text` spells it. The cells are found by the same
+    arithmetic and edge corrections as :func:`geohash_encode`, a few numpy
+    steps per axis for the whole batch, so each code spells the geohash
+    that :func:`geohash_encode` gives for its point.
+
+    Raises:
+        ValueError: a coordinate (NaN included) or the precision is out of
+            range.
+    """
+    layout = _LAYOUTS.get(precision)
+    if layout is None:
+        raise ValueError(
+            f"precision must be in 1..{MAX_GEOHASH_PRECISION}, got {precision}"
+        )
+    latitudes = np.asarray(latitudes, dtype=np.float64)
+    longitudes = np.asarray(longitudes, dtype=np.float64)
+    # min and max are NaN when any value is, and NaN fails both comparisons
+    if latitudes.size and not (latitudes.min() >= -90.0 and latitudes.max() <= 90.0):
+        raise ValueError("latitude out of range")
+    if longitudes.size and not (longitudes.min() >= -180.0 and longitudes.max() <= 180.0):
+        raise ValueError("longitude out of range")
+    lon_width, lon_top, lon_shift, lat_width, lat_top, lat_shift = layout[:6]
+    code = _axis_codes(longitudes, -180.0, lon_width, lon_top, lon_shift)
+    code |= _axis_codes(latitudes, -90.0, lat_width, lat_top, lat_shift)
+    return code
 
 
 def geohash_decode(code: str) -> BoundingBox:

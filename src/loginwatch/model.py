@@ -144,6 +144,15 @@ def is_number_list(value) -> bool:
     return isinstance(value, list) and all(type(v) in (int, float) for v in value)
 
 
+def _check_finite_theta(theta: np.ndarray) -> None:
+    """Refuse a NaN or infinite parameter: every loss of the model would be
+    NaN or infinite, never above a threshold, so it would flag no login."""
+    finite = np.isfinite(theta)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise ValueError(f"theta[{at}] = {theta[at]!r} is not finite")
+
+
 def _check_rows(rows) -> np.ndarray:
     """``rows`` as int64; anything but a 2-D integer array with 8 columns is refused."""
     rows = np.asarray(rows)
@@ -547,11 +556,12 @@ class Autoencoder:
         widens back to the same 64 bits.
 
         Raises:
-            ValueError: a value of ``theta`` does not survive that round trip
-                (``np.pi`` as float64, a float64 subnormal, a NaN with low
-                payload bits), so a stored model would differ from this one.
+            ValueError: a value of ``theta`` is NaN or infinite, or does not
+                survive that round trip (``np.pi`` as float64, a float64
+                subnormal), so a stored model would differ from this one.
         """
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        _check_finite_theta(self.theta)
+        with np.errstate(over="ignore"):  # refused just below
             narrow = self.theta.astype("<f4")
         widened = narrow.astype(np.float64)
         changed = widened.view(np.uint64) != self.theta.view(np.uint64)
@@ -588,8 +598,9 @@ class Autoencoder:
                 its byte length differs from the one that ``feature_sizes``,
                 ``hidden_dim`` and ``code_dim`` imply (checked before the
                 layout is allocated, so a huge stored size costs nothing),
-                or a feature weight names no feature or is not a finite
-                number >= 0, or ``epoch_losses`` is not a list of numbers.
+                or a value of ``theta`` is NaN or infinite, or a feature
+                weight names no feature or is not a finite number >= 0, or
+                ``epoch_losses`` is not a list of numbers.
         """
         try:
             blob = binascii.unhexlify(state["theta"])
@@ -606,7 +617,9 @@ class Autoencoder:
                 stored_bytes=len(blob),
             ),
         )
-        model.theta[...] = np.frombuffer(blob, "<f4")
+        stored = np.frombuffer(blob, "<f4")
+        _check_finite_theta(stored)  # before widening, which warns on a signalling NaN
+        model.theta[...] = stored
         model.train_mu = state.get("train_mu")
         model.train_sigma = state.get("train_sigma")
         model.chosen_n = state.get("chosen_n")

@@ -50,6 +50,7 @@ from loginwatch.encoding import (
     EncoderState,
     TimeMode,
     build_event_indices,
+    encode_columns,
     encode_event,
     observed_hours,
 )
@@ -282,13 +283,30 @@ class TrainWorkflowResult:
         return json.dumps(self.to_summary(), sort_keys=True, indent=2)
 
 
+# From this many events up, an actor's events are encoded column by column
+# (``encode_columns``), below it one ``encode_event`` call each. The column
+# encoder has a fixed cost of a few dozen numpy calls and a smaller cost per
+# event. Median per actor of a trained 60-actor registry (2 vCPUs, Python
+# 3.11, numpy 2.4), loop against columns: 1 event 4.8 us and 79 us, 32
+# events 94 us and 103 us, 48 events 141 us and 120 us, 100 events 286 us
+# and 159 us. An hourly batch holds a handful of events per actor, a
+# backfill hundreds.
+COLUMN_ENCODE_MIN_EVENTS = 32
+
+
 def _encode_actor_events(
     events: Sequence[LogEvent], encoder: EncoderState
 ) -> np.ndarray:
-    """One actor's events as an ``(N, 8)`` int64 index matrix; refuses a mix of actors."""
+    """One actor's events as an ``(N, 8)`` int64 index matrix; refuses a mix of actors.
+
+    Either encoder gives the same matrix; the batch size picks the faster
+    one (see ``COLUMN_ENCODE_MIN_EVENTS``).
+    """
     actors = {event.actor_id for event in events}
     if len(actors) > 1:
         raise ValueError(f"dataset mixes actors: {sorted(actors)}")
+    if len(events) >= COLUMN_ENCODE_MIN_EVENTS:
+        return encode_columns(events, encoder)
     rows = (encode_event(event, encoder) for event in events)
     width = len(FEATURE_ORDER)
     flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(events) * width)

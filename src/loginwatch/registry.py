@@ -20,8 +20,8 @@ retraining the actor replaces its file. An actor's versions are the
 ``*.model`` names in its directory, listed with one ``os.scandir`` and
 sorted as strings, which sorts them by creation time. The checksum is not a
 signature, so a resealed file whose content could not score is refused the
-same way: a malformed model or encoder member, a feature weight or
-threshold statistic that is not finite, or an encoder that can give an
+same way: a malformed model or encoder member, a ``theta`` value, feature
+weight or threshold statistic that is not finite, or an encoder that can give an
 index past its model's sizes (``RegistryEntry.from_document``). Writes go through a temp file, an
 ``fsync`` and an atomic rename, and a document that holds a NaN or an
 infinity is not written at all.

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loginwatch.apps import AppSuperset
 from loginwatch.encoding import (
@@ -16,6 +18,7 @@ from loginwatch.encoding import (
     build_event_indices,
     build_index,
     embedding_dim,
+    encode_columns,
     encode_event,
     geohash_value,
     observed_hours,
@@ -222,3 +225,75 @@ class TestObservedHours:
             for h in (8, 9, 9, 17)
         ]
         assert observed_hours(events) == frozenset({9, 10, 18})
+
+
+# Points that repeat across a batch, so vocabularies hold some of them; the
+# axis ends; and any point in range.
+POINTS = st.sampled_from([(40.0, -74.0), (51.5, -0.1), (-33.9, 151.2), (90.0, 180.0),
+                          (-90.0, -180.0), (0.0, -0.0)]) | st.tuples(
+    st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)
+)
+# UTC, fixed offsets (an offset moves the hour and can move the weekday) and
+# naive instants, which both encoders read as local time.
+TIMESTAMPS = st.datetimes(
+    min_value=datetime(1971, 1, 1),
+    max_value=datetime(2100, 1, 1),
+    timezones=st.none()
+    | st.just(timezone.utc)
+    | st.integers(-1439, 1439).map(lambda m: timezone(timedelta(minutes=m))),
+)
+VALUES = st.sampled_from(["mail", "docs", "Mac OS X", "", "never-seen"])
+EVENTS = st.builds(
+    lambda point, ts, app, outcome, os_name, device: make_event(
+        *(point or (None, None)), ts=ts, app=app, outcome=outcome, os_name=os_name, device=device
+    ),
+    st.none() | POINTS,
+    TIMESTAMPS,
+    VALUES,
+    st.sampled_from(list(Outcome)),
+    VALUES,
+    VALUES,
+)
+
+
+class TestEncodeColumns:
+    """``encode_columns`` is ``encode_event`` row for row."""
+
+    @settings(max_examples=150)
+    @given(
+        train=st.lists(EVENTS, min_size=1, max_size=12),
+        live=st.lists(EVENTS, max_size=40),
+        precision=st.integers(1, 12),
+        time_mode=st.sampled_from(list(TimeMode)),
+        active_hours=st.frozensets(st.integers(1, 24)),
+        superset=st.sampled_from([{"u1": ["mail"]}, {"u1": []}, {"u2": ["mail", "docs"]}, {}]),
+    )
+    @example(  # a missing location among located ones, an actor without a profile
+        train=[make_event(), make_event(None, None)],
+        live=[make_event(None, None), make_event(), make_event(1.0, 2.0, app="docs")],
+        precision=3,
+        time_mode=TimeMode.COARSE,
+        active_hours=frozenset({15}),
+        superset={},
+    )
+    def test_equals_encode_event_row_for_row(
+        self, train, live, precision, time_mode, active_hours, superset
+    ):
+        encoder = EncoderState(
+            geohash_precision=precision,
+            time_mode=time_mode,
+            active_hours=active_hours,
+            indices=build_event_indices(train, precision),
+            superset=AppSuperset(superset),
+        )
+        # the vocabulary holds each training event's scalar geohash level
+        assert encoder.indices["geohash"] == build_index(
+            geohash_value(event, precision) for event in train
+        )
+        for events in (train, live):
+            rows = encode_columns(events, encoder)
+            assert rows.dtype == np.int64
+            assert rows.shape == (len(events), len(FEATURE_ORDER))
+            assert [tuple(row) for row in rows.tolist()] == [
+                encode_event(event, encoder) for event in events
+            ]

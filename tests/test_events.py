@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loginwatch import events as events_module
 from loginwatch.apps import AppSuperset
 from loginwatch.encoding import (
     FEATURE_ORDER,
@@ -412,16 +413,23 @@ class TestLoadEvents:
         flat = parse_event(good).to_json_line()
         path = tmp_path / "events.jsonl"
         path.write_text(f"{good}\n{bad}\n{flat}\n[1, 2]\n{good}\n", encoding="utf-8")
-        decode = json.loads
-        decoded = []
+        scan, decode = events_module._SCAN, json.loads
+        scanned, decoded = [], []
+
+        def counting_scan(text, offset):
+            scanned.append(text)
+            return scan(text, offset)
 
         def counting_loads(text, *args, **kwargs):
             decoded.append(text)
             return decode(text, *args, **kwargs)
 
+        monkeypatch.setattr(events_module, "_SCAN", counting_scan)
         monkeypatch.setattr(json, "loads", counting_loads)
         events, stats = load_events(path)
-        assert len(decoded) == stats.lines == 5
+        # each line is one JSON value and a newline: the scanner reads it, once
+        assert len(scanned) == stats.lines == 5
+        assert decoded == []
         assert (stats.parsed, stats.rejected) == (3, 2)  # no actor, not an object
 
     @pytest.mark.parametrize(
@@ -505,7 +513,14 @@ class TestLoadEvents:
         assert excinfo.value.line_number == 2
 
     @pytest.mark.parametrize(
-        "line", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["long-integer", "deep-nesting"]
+        "line",
+        [
+            "1" * 5000,
+            "[" * 100_000 + "]" * 100_000,
+            json.dumps(raw_record(big=0)).replace('"big": 0', '"big": ' + "1" * 5000),
+            json.dumps(raw_record()).replace('"Rule"', "[" * 100_000 + "]" * 100_000),
+        ],
+        ids=["long-integer", "deep-nesting", "long-integer-in-record", "deep-nesting-in-record"],
     )
     def test_undecodable_line_is_fatal_with_offset(self, tmp_path, line):
         # valid JSON, but past the int-to-str digit limit or the recursion limit
@@ -515,6 +530,52 @@ class TestLoadEvents:
             load_events(path)
         assert excinfo.value.line_number == 2
         assert str(excinfo.value).startswith("line 2: undecodable JSON: ")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            json.dumps(raw_record()) + " {}",
+            json.dumps(raw_record()) + json.dumps(raw_record()),
+            json.dumps(raw_record()) + " x",
+            "\ufeff" + json.dumps(raw_record()),
+            json.dumps(raw_record())[:-1],
+            "\x0c" + json.dumps(raw_record()),
+        ],
+        ids=["extra-data", "two-objects", "trailing-text", "bom", "unclosed", "form-feed"],
+    )
+    def test_invalid_line_is_fatal_with_the_json_loads_message(self, tmp_path, line):
+        with pytest.raises(json.JSONDecodeError) as refused:
+            json.loads(line)
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(raw_record()) + f"\n{line}\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as excinfo:
+            load_events(path)
+        assert str(excinfo.value) == f"line 2: invalid JSON: {refused.value.msg}"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            " \t" + json.dumps(raw_record()),
+            json.dumps(raw_record()) + " \t\r ",
+            json.dumps(raw_record()).replace("39.1031", "NaN"),
+            json.dumps(raw_record()).replace("-84.512", "-Infinity"),
+            json.dumps(raw_record(deep=0)).replace('"deep": 0', '"deep": ' + "[" * 500 + "]" * 500),
+            json.dumps(raw_record(big=0)).replace('"big": 0', '"big": ' + "7" * 4000),
+        ],
+        ids=[
+            "leading-whitespace", "trailing-whitespace", "nan-literal",
+            "infinity-literal", "deep-nesting-json-reads", "long-integer-json-reads",
+        ],
+    )
+    def test_line_is_read_as_json_loads_reads_it(self, tmp_path, line):
+        path = tmp_path / "events.jsonl"
+        path.write_text(f"{line}\n", encoding="utf-8")
+        events, stats = load_events(path)
+        assert (stats.parsed, stats.rejected) == (1, 0)
+        assert events == [parse_record(json.loads(line))]
+        # the same value (NaN is unequal to itself, so compare as JSON text)
+        decoded = events_module._decode(line, 1)
+        assert json.dumps(decoded, sort_keys=True) == json.dumps(json.loads(line), sort_keys=True)
 
     def test_write_then_load(self, tmp_path):
         events = [parse_event(json.dumps(raw_record())) for _ in range(3)]

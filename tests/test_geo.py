@@ -12,8 +12,10 @@ from loginwatch.geo import (
     GEOHASH_ALPHABET,
     MAX_GEOHASH_PRECISION,
     displace,
+    geohash_codes,
     geohash_decode,
     geohash_encode,
+    geohash_text,
     haversine_miles,
 )
 
@@ -107,9 +109,15 @@ class TestGeohashEncode:
     @example((math.nextafter(90.0, 0.0), math.nextafter(180.0, 0.0), 11))
     def test_equals_oracle_on_cell_edges(self, case):
         latitude, longitude, precision = case
-        assert geohash_encode(latitude, longitude, precision) == oracle_geohash(
-            latitude, longitude, precision
+        expected = oracle_geohash(latitude, longitude, precision)
+        assert geohash_encode(latitude, longitude, precision) == expected
+        # the numpy form, for a batch of one and with the point among others
+        (code,) = geohash_codes(np.array([latitude]), np.array([longitude]), precision).tolist()
+        assert geohash_text(code, precision) == expected
+        batch = geohash_codes(
+            np.array([0.0, latitude, -90.0]), np.array([0.0, longitude, 180.0]), precision
         )
+        assert geohash_text(int(batch[1]), precision) == expected
 
     def test_prefix_property(self):
         rng = np.random.default_rng(7)
@@ -119,6 +127,34 @@ class TestGeohashEncode:
             long_code = geohash_encode(lat, lon, 9)
             for precision in range(1, 9):
                 assert geohash_encode(lat, lon, precision) == long_code[:precision]
+
+    def test_codes_of_a_batch_equal_each_scalar_geohash(self):
+        rng = np.random.default_rng(11)
+        latitudes = rng.uniform(-90, 90, 300)
+        longitudes = rng.uniform(-180, 180, 300)
+        for precision in range(1, MAX_GEOHASH_PRECISION + 1):
+            codes = geohash_codes(latitudes, longitudes, precision)
+            assert codes.dtype == np.int64
+            assert [geohash_text(code, precision) for code in codes.tolist()] == [
+                geohash_encode(lat, lon, precision)
+                for lat, lon in zip(latitudes.tolist(), longitudes.tolist())
+            ]
+        assert geohash_codes(np.array([]), np.array([]), 5).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "latitudes, longitudes, precision, message",
+        [
+            ([0.0], [0.0], 0, "precision"),
+            ([0.0], [0.0], 13, r"1\.\.12"),
+            ([0.0, 91.0], [0.0, 0.0], 3, "latitude"),
+            ([0.0, math.nan], [0.0, 0.0], 3, "latitude"),
+            ([0.0], [-180.5], 3, "longitude"),
+            ([0.0], [math.nan], 3, "longitude"),
+        ],
+    )
+    def test_codes_reject_bad_inputs(self, latitudes, longitudes, precision, message):
+        with pytest.raises(ValueError, match=message):
+            geohash_codes(np.array(latitudes), np.array(longitudes), precision)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

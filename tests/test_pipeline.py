@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loginwatch import pipeline as pipeline_module
 from loginwatch.apps import build_superset, login_frequencies
 from loginwatch.cli import main
 from loginwatch.encoding import (
@@ -36,6 +37,7 @@ from loginwatch.events import (
 from loginwatch.inject import InjectionKind, InjectionSpec
 from loginwatch.model import TrainConfig
 from loginwatch.pipeline import (
+    COLUMN_ENCODE_MIN_EVENTS,
     PipelineConfig,
     WorkflowError,
     _actor_seed,
@@ -176,6 +178,31 @@ class TestEncodeActorEvents:
             else:
                 time_columns = (hour, weekday)
             assert tuple(row[4:6].tolist()) == time_columns
+
+    @pytest.mark.parametrize("time_mode", list(TimeMode))
+    def test_rows_are_the_same_on_both_sides_of_the_column_threshold(
+        self, corpus_events, time_mode, monkeypatch
+    ):
+        events = [e for e in corpus_events if e.actor_id == "u001"]
+        encoder = self._encoder(events[: len(events) // 2], time_mode)
+        scalar_calls = []
+        scalar = pipeline_module.encode_event
+
+        def counting_encode_event(event, encoder):
+            scalar_calls.append(event)
+            return scalar(event, encoder)
+
+        monkeypatch.setattr(pipeline_module, "encode_event", counting_encode_event)
+        threshold = COLUMN_ENCODE_MIN_EVENTS
+        for count in (1, threshold - 1, threshold, threshold + 1, len(events)):
+            batch = events[-count:]
+            scalar_calls.clear()
+            rows = _encode_actor_events(batch, encoder)
+            # below the threshold each event goes through encode_event, from it none does
+            assert len(scalar_calls) == (count if count < threshold else 0)
+            assert [tuple(row) for row in rows.tolist()] == [
+                scalar(event, encoder) for event in batch
+            ]
 
     def test_no_events_give_an_empty_matrix(self):
         encoder = self._encoder(crafted_events("u1", 10))

@@ -118,9 +118,9 @@ class TestSaveLoad:
         assert registry.actors() == ["u1", "u2"]
 
 
-def is_signalling_nan(bits: int) -> bool:
-    """Whether a float32 bit pattern is a NaN with its quiet bit clear."""
-    return bits & 0x7F800000 == 0x7F800000 and bits & 0x7FFFFF and not bits & 0x400000
+def is_finite_float32(bits: int) -> bool:
+    """Whether a float32 bit pattern is finite: its exponent is not all ones."""
+    return bits & 0x7F800000 != 0x7F800000
 
 
 def not_float32(value: float) -> bool:
@@ -135,39 +135,79 @@ def nan_with_low_payload(low: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | low))[0]
 
 
-NOT_FLOAT32 = st.floats(allow_nan=False).filter(not_float32) | st.integers(
-    1, 2**29 - 1
-).map(nan_with_low_payload)
+NOT_FLOAT32 = st.floats(allow_nan=False, allow_infinity=False).filter(not_float32)
+FINITE_FLOAT32_BITS = st.integers(0, 2**32 - 1).filter(is_finite_float32)
+NON_FINITE_FLOAT32_BITS = st.integers(0, 2**23 - 1).flatmap(
+    lambda fraction: st.sampled_from([0x7F800000 | fraction, 0xFF800000 | fraction])
+)
 
 
 class TestStoredTheta:
-    """A stored ``theta`` is float32: every float32 value survives, nothing else is written."""
+    """A stored ``theta`` is finite float32: every such value survives, nothing else is written."""
 
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(bits=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12))
-    @example(  # -0.0, the smallest and largest subnormal, +-inf, quiet NaNs with payloads
-        bits=[0x80000000, 0x00000001, 0x807FFFFF, 0x7F800000, 0xFF800000, 0x7FC00001, 0xFFE5A5A5]
+    @given(bits=st.lists(FINITE_FLOAT32_BITS, min_size=1, max_size=12))
+    @example(  # -0.0, the smallest and largest subnormal, the largest finite values
+        bits=[0x80000000, 0x00000001, 0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF]
     )
-    @example(bits=[0x7F800001, 0xFFA00000])  # signalling NaNs
     def test_any_float32_value_round_trips_bit_exactly(self, tmp_path, bits):
         entry = make_entry()
         values = np.array(bits, dtype="<u4").view("<f4")
-        with np.errstate(invalid="ignore"):  # a signalling NaN widens to a quiet one
-            entry.model.theta[: values.size] = values
+        entry.model.theta[: values.size] = values
         before = entry.model.theta.copy()
         registry = ModelRegistry(tempfile.mkdtemp(dir=tmp_path))
         path = registry.save(entry)
         stored = bytes.fromhex(json.loads(path.read_bytes())["model"]["theta"])
-        quieted = [b | 0x400000 if is_signalling_nan(b) else b for b in bits]
-        assert np.frombuffer(stored, "<u4")[: len(bits)].tolist() == quieted
+        assert np.frombuffer(stored, "<u4")[: len(bits)].tolist() == bits
         assert registry.load("u1").model.theta.tobytes() == before.tobytes()
+
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bits=NON_FINITE_FLOAT32_BITS, at=st.integers(0, 200))
+    @example(bits=0x7F800000, at=0)  # +inf
+    @example(bits=0xFF800000, at=7)  # -inf
+    @example(bits=0x7FC00001, at=1)  # quiet NaNs with payloads
+    @example(bits=0xFFE5A5A5, at=2)
+    @example(bits=0x7F800001, at=3)  # signalling NaNs
+    @example(bits=0xFFA00000, at=4)
+    def test_non_finite_value_is_neither_saved_nor_loaded(self, tmp_path, bits, at):
+        # a NaN or infinite parameter makes every loss NaN or infinite, which
+        # is never above the threshold: the actor would score every login NORMAL
+        value = np.array([bits], dtype="<u4").view("<f4")
+        entry = make_entry()
+        with np.errstate(invalid="ignore"):  # a signalling NaN widens to a quiet one
+            entry.model.theta[at] = value[0]
+        root = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+        registry = ModelRegistry(root)
+        with pytest.raises(ValueError, match=f"theta\\[{at}\\] = .* is not finite"):
+            registry.save(entry)
+        entry.model.theta[at] = nan_with_low_payload(1)  # a float64 NaN no float32 holds
+        with pytest.raises(ValueError, match="is not finite"):
+            registry.save(entry)
+        assert list(root.iterdir()) == []
+
+        # a sealed document that holds one is refused, and only its actor is unscorable
+        path = registry.save(make_entry("u1"))
+        registry.save(make_entry("u2", seed=1))
+        document = json.loads(path.read_bytes())
+        del document["checksum"]
+        stored = bytearray(bytes.fromhex(document["model"]["theta"]))
+        stored[4 * at : 4 * at + 4] = value.tobytes()
+        document["model"]["theta"] = stored.hex()
+        path.write_bytes(_seal(document))
+        with pytest.raises(RegistryIntegrityError, match="is not finite") as caught:
+            registry.load("u1")
+        assert str(path) in str(caught.value)
+        result = run_score_workflow(
+            live_events("u1") + live_events("u2"), PipelineConfig(), registry
+        )
+        assert result.unscorable == ["u1"]
+        assert list(result.reports) == ["u2"]
 
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(value=NOT_FLOAT32, at=st.integers(0, 200))
     @example(value=np.pi, at=0)
     @example(value=5e-324, at=3)
     @example(value=1.7976931348623157e308, at=4)
-    @example(value=nan_with_low_payload(1), at=5)
     def test_value_float32_cannot_hold_is_not_saved(self, tmp_path, value, at):
         entry = make_entry()
         entry.model.theta[at] = value
