@@ -117,7 +117,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    events, _ = load_events(args.input)
+    events, stats = load_events(args.input)
     registry = ModelRegistry(args.registry)
     result = run_score_workflow(events, config, registry)
     if args.out:
@@ -128,6 +128,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if args.summary:
         Path(args.summary).write_text(summary + "\n", encoding="utf-8")
     print(summary)
+    if stats.rejected:
+        logger.warning("%d records were rejected during ingest", stats.rejected)
     return 0
 
 

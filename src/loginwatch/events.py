@@ -3,14 +3,18 @@
 Raw input is JSON Lines in the Okta System Log shape (``actor.id``,
 ``eventType``, ``published``, ``outcome.result``, ``client.*``, ``target``).
 Parsing flattens each record into a :class:`LogEvent`; downstream stages only
-ever see the flattened form.
+ever see the flattened form. :func:`load_events` reads, decodes and parses
+each line in one loop. A raw record is checked and flattened in one pass, and
+its event is built by setting its slots directly (:func:`_checked_event`),
+since the pass has made every check of the frozen ``__init__``;
+``LogEvent(...)`` and the flat form's parse still validate.
 
 A :class:`LogEvent` has slots and no instance ``__dict__``. Its five
 categorical strings (``actor_id``, ``event_type``, ``app_id``, ``client_os``,
 ``client_device``) repeat across a log, so :func:`load_events` keeps one
 string object per distinct value for the length of the call and every event
 it returns holds that object; nothing is cached across calls. A loaded login
-then costs about 220 bytes: the event, its timestamp and its two
+then costs about 217 bytes: the event, its timestamp and its two
 coordinates.
 """
 
@@ -18,13 +22,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from json.scanner import make_scanner
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -167,6 +171,41 @@ class LogEvent:
         return _flat_event(record, _Strings())
 
 
+# ``_set_x(event, value)`` stores ``value`` in slot ``x`` through the slot's
+# member descriptor, past the frozen ``__setattr__``.
+(
+    _set_actor_id, _set_timestamp, _set_event_type, _set_outcome, _set_latitude,
+    _set_longitude, _set_app_id, _set_client_os, _set_client_device, _set_has_client_object,
+) = (LogEvent.__dict__[field.name].__set__ for field in fields(LogEvent))
+
+
+def _checked_event(
+    actor_id, timestamp, event_type, outcome, latitude, longitude, app_id, client_os,
+    client_device, has_client_object,
+) -> LogEvent:
+    """A :class:`LogEvent` of values that already hold its invariants.
+
+    The frozen ``__init__`` stores each field with ``object.__setattr__`` and
+    then runs ``__post_init__``, whose coordinate checks the raw parse has
+    already made; storing through each slot's member descriptor costs less
+    than half as much. Only :func:`_okta_event` calls this: it checks
+    that the coordinates are in-range floats, both or neither, and every
+    other value's type. ``LogEvent(...)`` stays the validating constructor.
+    """
+    event = object.__new__(LogEvent)
+    _set_actor_id(event, actor_id)
+    _set_timestamp(event, timestamp)
+    _set_event_type(event, event_type)
+    _set_outcome(event, outcome)
+    _set_latitude(event, latitude)
+    _set_longitude(event, longitude)
+    _set_app_id(event, app_id)
+    _set_client_os(event, client_os)
+    _set_client_device(event, client_device)
+    _set_has_client_object(event, has_client_object)
+    return event
+
+
 def _flat_event(record: dict, strings: _Strings) -> LogEvent:
     """:meth:`LogEvent.from_flat_dict`, its strings taken from ``strings``."""
     for key, (kinds, expected) in _FLAT_TYPES.items():
@@ -242,23 +281,6 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _extract_location(geo) -> tuple[float | None, float | None]:
-    """Coordinates of a ``geolocation`` node, or (None, None) if unusable."""
-    if not isinstance(geo, dict):
-        return None, None
-    lat, lon = geo.get("lat"), geo.get("lon")
-    # a JSON number: ``true``/``false`` decode to ``bool``, an ``int``, and are not
-    if (
-        not isinstance(lat, (int, float)) or isinstance(lat, bool)
-        or not isinstance(lon, (int, float)) or isinstance(lon, bool)
-    ):
-        return None, None
-    # Out-of-range coordinates are unusable; keep the event, drop the location.
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        return None, None
-    return float(lat), float(lon)
-
-
 def _app_key(value) -> str:
     """A target's ``id`` or ``alternateId`` as an app id: a string as it is, a
     JSON integer as its digits, any other value (``true``, an object, a list)
@@ -267,16 +289,6 @@ def _app_key(value) -> str:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    return ""
-
-
-def _extract_app_id(record: dict) -> str:
-    """The ``id`` of the first ``AppInstance`` target, else its ``alternateId``, else ``""``."""
-    targets = record.get("target")
-    if isinstance(targets, list):
-        for item in targets:
-            if isinstance(item, dict) and item.get("type") == "AppInstance":
-                return _app_key(item.get("id")) or _app_key(item.get("alternateId"))
     return ""
 
 
@@ -335,14 +347,15 @@ def _okta_event(record, line_number: int | None, strings: _Strings) -> LogEvent:
     if not isinstance(record, dict):
         raise MalformedLineError("top-level value is not an object", line_number)
 
-    actor = record.get("actor")
+    get = record.get
+    actor = get("actor")
     actor_id = actor.get("id") if isinstance(actor, dict) else None
     if not actor_id or not isinstance(actor_id, str):
         raise RecordRejectedError("missing actor.id", line_number)
-    event_type = record.get("eventType")
+    event_type = get("eventType")
     if not event_type or not isinstance(event_type, str):
         raise RecordRejectedError("missing eventType", line_number)
-    published = record.get("published")
+    published = get("published")
     if not published or not isinstance(published, str):
         raise RecordRejectedError("missing published timestamp", line_number)
     try:
@@ -350,12 +363,12 @@ def _okta_event(record, line_number: int | None, strings: _Strings) -> LogEvent:
     except RecordRejectedError as exc:
         raise RecordRejectedError(str(exc), line_number) from None
 
-    result = record.get("outcome")
+    result = get("outcome")
     result = result.get("result") if isinstance(result, dict) else None
     # only a string is looked up: a list or object result is OTHER, not a TypeError
     outcome = _OUTCOMES.get(result, Outcome.OTHER) if isinstance(result, str) else Outcome.OTHER
 
-    client = record.get("client")
+    client = get("client")
     has_client = isinstance(client, dict)
     latitude = longitude = None
     client_os = client_device = ""  # a number or object is no client name
@@ -369,30 +382,40 @@ def _okta_event(record, line_number: int | None, strings: _Strings) -> LogEvent:
         if not isinstance(client_device, str):
             client_device = ""
         context = client.get("geographicalContext")
-        if isinstance(context, dict):
-            latitude, longitude = _extract_location(context.get("geolocation"))
+        geo = context.get("geolocation") if isinstance(context, dict) else None
+        if isinstance(geo, dict):
+            lat, lon = geo.get("lat"), geo.get("lon")
+            # a JSON number (``true``/``false`` decode to ``bool``, an ``int``,
+            # and are not) inside its range; any other location is unusable,
+            # and the event is kept without it
+            if (
+                isinstance(lat, (int, float)) and not isinstance(lat, bool)
+                and isinstance(lon, (int, float)) and not isinstance(lon, bool)
+                and -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
+            ):
+                latitude, longitude = float(lat), float(lon)
 
-    # positional, in field order: actor, time, type, outcome, location, app, client
-    return LogEvent(
+    # the id of the first AppInstance target, else its alternateId, else ""
+    app_id = ""
+    targets = get("target")
+    if isinstance(targets, list):
+        for item in targets:
+            if isinstance(item, dict) and item.get("type") == "AppInstance":
+                app_id = _app_key(item.get("id")) or _app_key(item.get("alternateId"))
+                break
+
+    return _checked_event(
         strings[actor_id],
         timestamp,
         strings[event_type],
         outcome,
         latitude,
         longitude,
-        strings[_extract_app_id(record)],
+        strings[app_id],
         strings[client_os],
         strings[client_device],
         has_client,
     )
-
-
-def iter_raw_lines(path: Path | str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line) for non-blank lines of a file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if line.strip():
-                yield number, line
 
 
 def load_events(path: Path | str) -> tuple[list[LogEvent], IngestStats]:
@@ -400,29 +423,31 @@ def load_events(path: Path | str) -> tuple[list[LogEvent], IngestStats]:
 
     Lines may be in the raw Okta shape or the flattened snake_case shape;
     the two are distinguished per line by their identity keys, and each line
-    is decoded once. Records missing required fields, and JSON values that
-    are not objects, are counted in ``stats.rejected`` and skipped.
-    Lines that are not valid JSON, or too deep or long for ``json.loads``,
-    raise :class:`MalformedLineError` with the line offset. Equal strings
-    of the returned events are one object, shared within this call only.
+    is decoded once. Blank lines are skipped and not counted. Records
+    missing required fields, and JSON values that are not objects, are
+    counted in ``stats.rejected`` and skipped. Lines that are not valid
+    JSON, or too deep or long for ``json.loads``, raise
+    :class:`MalformedLineError` with the line offset. Equal strings of the
+    returned events are one object, shared within this call only.
     """
     events: list[LogEvent] = []
-    stats = IngestStats()
     strings = _Strings()
-    for number, line in iter_raw_lines(path):
-        stats.lines += 1
-        record = _decode(line, number)
-        try:
-            if isinstance(record, dict) and "actor_id" in record:
-                events.append(_flat_event(record, strings))
-            else:
-                events.append(_okta_event(record, number, strings))
-        except (RecordRejectedError, KeyError, ValueError) as exc:
-            logger.warning("rejected record at line %d: %s", number, exc)
-            stats.rejected += 1
-            continue
-        stats.parsed += 1
-    return events, stats
+    lines = rejected = 0
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            record = _decode(line, number)
+            lines += 1
+            try:
+                if isinstance(record, dict) and "actor_id" in record:
+                    events.append(_flat_event(record, strings))
+                else:
+                    events.append(_okta_event(record, number, strings))
+            except (RecordRejectedError, KeyError, ValueError) as exc:
+                logger.warning("rejected record at line %d: %s", number, exc)
+                rejected += 1
+    return events, IngestStats(lines=lines, parsed=len(events), rejected=rejected)
 
 
 def write_events(events: Iterable[LogEvent], path: Path | str) -> int:

@@ -8,12 +8,17 @@ characters give a cell of 1.40625 degrees per side, five characters roughly
 
 The encoder does not bisect. It finds each axis's cell number by arithmetic,
 ``int((lon + 180) / width)``, and then compares the coordinate once with the
-exact cell edge on each side, because the division can round across an edge.
-Up to 12 characters (30 bits per axis) every edge is a float64 exactly, so
-the cell is the one the bisection reaches. The two cell numbers are
-interleaved through a 256-entry bit-spread table.
+exact lower edge of that cell. Up to 12 characters (30 bits per axis) the
+width ``w``, every ``k * w`` and every edge ``low + k * w`` are float64s
+exactly. Rounding is monotonic, so ``x >= low + k * w`` gives
+``fl(x - low) >= k * w`` and then ``fl(fl(x - low) / w) >= k``: the
+arithmetic never puts a coordinate in a cell below its own. It can put one
+a cell too high, when ``x - low`` rounds up onto an edge (``x`` a tiny bit
+below ``0.0``, say), and the one comparison moves it back down. The cell is
+then the one the bisection reaches. The two cell numbers are interleaved
+through a 256-entry bit-spread table.
 
-``geohash_codes`` does the same arithmetic, edge checks included, for whole
+``geohash_codes`` does the same arithmetic, edge check included, for whole
 numpy arrays of coordinates, and gives each geohash as an int64 code of its
 ``5 * precision`` bits; ``geohash_text`` spells a code.
 
@@ -144,23 +149,17 @@ def geohash_encode(latitude: float, longitude: float, precision: int = 3) -> str
         raise ValueError(f"longitude out of range: {longitude}")
     lon_width, lon_top, lon_shift, lat_width, lat_top, lat_shift = layout[:6]
 
-    # The division can round across a cell edge; the edges themselves are
-    # exact, so one comparison on each side puts the cell right. The top
-    # edge (180 or 90) belongs to the last cell.
+    # The arithmetic can round up across a cell edge, never down (see the
+    # module docstring), so one comparison with the exact lower edge puts
+    # the cell right. The top edge (180 or 90) belongs to the last cell.
     lon_cell = int((longitude + 180.0) / lon_width)
-    edge = -180.0 + lon_cell * lon_width
-    if longitude < edge:
+    if longitude < -180.0 + lon_cell * lon_width:
         lon_cell -= 1
-    elif longitude >= edge + lon_width:
-        lon_cell += 1
     if lon_cell > lon_top:
         lon_cell = lon_top
     lat_cell = int((latitude + 90.0) / lat_width)
-    edge = -90.0 + lat_cell * lat_width
-    if latitude < edge:
+    if latitude < -90.0 + lat_cell * lat_width:
         lat_cell -= 1
-    elif latitude >= edge + lat_width:
-        lat_cell += 1
     if lat_cell > lat_top:
         lat_cell = lat_top
 
@@ -188,9 +187,7 @@ def _axis_codes(values: np.ndarray, low: float, width: float, top: int, shift: i
     """One axis's share of each code: the cell number of each of ``values``,
     found as :func:`geohash_encode` finds it, with its bits spread and shifted."""
     cells = ((values - low) / width).astype(np.int64)
-    edge = low + cells * width
-    cells -= values < edge
-    cells += values >= edge + width
+    cells -= values < low + cells * width
     np.minimum(cells, top, out=cells)
     spread = _SPREAD_ARRAY[cells & 255]
     for byte in range(1, (top.bit_length() + 7) // 8):  # the bytes above the first
@@ -205,7 +202,7 @@ def geohash_codes(
 
     A code holds the geohash's ``5 * precision`` bits, first bit highest;
     :func:`geohash_text` spells it. The cells are found by the same
-    arithmetic and edge corrections as :func:`geohash_encode`, a few numpy
+    arithmetic and edge correction as :func:`geohash_encode`, a few numpy
     steps per axis for the whole batch, so each code spells the geohash
     that :func:`geohash_encode` gives for its point.
 

@@ -4,6 +4,7 @@ Lines are generated JSON values, raw Okta records and flat records whose fields
 are replaced by generated values or deleted, and text that may not be JSON.
 """
 
+import dataclasses
 import json
 import tempfile
 from datetime import timedelta, timezone
@@ -45,6 +46,8 @@ RAW_PATHS = (
     ("target", 0, "type"),
 )
 FLAT_RECORD = parse_record(raw_record()).to_flat_dict()
+LAT = ("client", "geographicalContext", "geolocation", "lat")
+LON = ("client", "geographicalContext", "geolocation", "lon")
 
 
 def replaced(record: dict, changes: list[tuple[tuple, object]]) -> dict:
@@ -117,8 +120,17 @@ def app_ids(record: dict) -> set[str]:
 
 def check_event(event, line: str) -> None:
     assert type(event) is LogEvent
+    # replace runs the validating __init__ on every slot's value, so an
+    # unset slot or an invalid value fails here as it would at LogEvent(...)
+    copy = dataclasses.replace(event)
+    assert copy == event and hash(copy) == hash(event)
     for field in STRING_FIELDS:
         assert type(getattr(event, field)) is str, field
+    if event.latitude is None:
+        assert event.longitude is None
+    else:
+        assert type(event.latitude) is float and -90.0 <= event.latitude <= 90.0
+        assert type(event.longitude) is float and -180.0 <= event.longitude <= 180.0
     record = json.loads(line)
     if "actor_id" in record:
         assert event.app_id == record.get("app_id", "")
@@ -130,6 +142,9 @@ def check_event(event, line: str) -> None:
 @given(st.lists(LINES, min_size=1, max_size=4))
 @example([json.dumps(raw_record(target=[{"type": "AppInstance", "id": True}]))])
 @example([json.dumps(raw_record(published="0001-01-01T00:00:00+00:01"))])
+# an integer location is kept as floats, one out of range is dropped
+@example([json.dumps(replaced(raw_record(), [(LAT, 45), (LON, -120)]))])
+@example([json.dumps(replaced(raw_record(), [(LAT, 90.5)]))])
 def test_each_line_is_parsed_rejected_or_refused(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.jsonl"

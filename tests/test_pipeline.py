@@ -893,6 +893,24 @@ class TestCli:
             "actors": {}, "retrained": [], "unscorable": []
         }
 
+    def test_score_warns_about_rejected_records(self, tmp_path, capsys, caplog):
+        registry = tmp_path / "registry"
+        run_train_workflow(
+            crafted_events("u1", 120), fast_config(train=TrainConfig(epochs=2)),
+            ModelRegistry(registry),
+        )
+        live = tmp_path / "live.jsonl"
+        write_events(crafted_events("u1", 5), live)
+        with open(live, "a", encoding="utf-8") as handle:  # a raw record without actor.id
+            handle.write(json.dumps({"eventType": "user.authentication.sso"}) + "\n")
+        with caplog.at_level(logging.WARNING):
+            assert main(["score", "--input", str(live), "--registry", str(registry)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["actors"]["u1"]["event_count"] == 5
+        assert "1 records were rejected during ingest" in [
+            r.getMessage() for r in caplog.records
+        ]
+
     def test_train_summary_does_not_depend_on_where_the_registry_lives(
         self, tmp_path, capsys, monkeypatch
     ):
