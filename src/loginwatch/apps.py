@@ -3,7 +3,8 @@
 For each (actor, app) pair we count successful logins against the actor's
 total login volume and summarize the success proportion with a Wilson score
 interval. Apps whose interval mean clears a threshold form the actor's
-"known app" superset; logins to anything else carry an unknown-app indicator.
+"known app" superset; logins to anything else carry an unknown-app indicator
+(the encoder keeps each actor's own set, ``EncoderState.known_apps``).
 """
 
 from __future__ import annotations
@@ -110,7 +111,11 @@ def login_frequencies(
 
 
 class AppSuperset:
-    """Per-actor sets of known apps, queryable for the unknown-app indicator."""
+    """Per-actor sets of known apps, as ``loginwatch profile`` writes them.
+
+    The pipeline keeps one actor's set, ``apps_for(actor)``, in that actor's
+    encoder (``encoding.EncoderState.known_apps``).
+    """
 
     def __init__(self, apps_by_actor: Mapping[str, Iterable[str]]):
         self._apps = {actor: frozenset(apps) for actor, apps in apps_by_actor.items()}
@@ -121,6 +126,7 @@ class AppSuperset:
     def actors(self) -> list[str]:
         return sorted(self._apps)
 
+    # no caller in loginwatch; kept because perfbench/tracing.py wraps it
     def known_app(self, actor_id: str, app_id: str) -> int:
         """0 when the app is in the actor's superset, 1 otherwise.
 

@@ -6,6 +6,8 @@ registers per-actor models, ``score`` runs stored models over new events,
 and ``report`` dumps per-actor threshold and loss curves as CSV, skipping
 (with a warning) an actor whose newest model is refused or whose stored
 metrics hold no F1 curve of numbers for the primary injection kind.
+``ingest`` prints how many input records it rejected; ``profile``,
+``train`` and ``score`` log that count as a warning.
 
 Failures exit non-zero with a one-line JSON error object on stderr.
 """
@@ -24,6 +26,7 @@ from loginwatch import synth
 from loginwatch.apps import build_superset, login_frequencies
 from loginwatch.events import (
     FilterMode,
+    IngestStats,
     filter_entry_events,
     load_events,
     write_events,
@@ -84,8 +87,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _log_rejected(stats: IngestStats) -> None:
+    if stats.rejected:
+        logger.warning("%d records were rejected during ingest", stats.rejected)
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
-    events, _ = load_events(args.input)
+    events, stats = load_events(args.input)
     frequencies = login_frequencies(events, z=args.z)
     superset = build_superset(frequencies, threshold=args.threshold)
     superset.to_jsonl(args.out)
@@ -98,6 +106,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             }
         )
     )
+    _log_rejected(stats)
     return 0
 
 
@@ -110,8 +119,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.summary:
         Path(args.summary).write_text(summary + "\n", encoding="utf-8")
     print(summary)
-    if stats.rejected:
-        logger.warning("%d records were rejected during ingest", stats.rejected)
+    _log_rejected(stats)
     return 0
 
 
@@ -128,8 +136,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if args.summary:
         Path(args.summary).write_text(summary + "\n", encoding="utf-8")
     print(summary)
-    if stats.rejected:
-        logger.warning("%d records were rejected during ingest", stats.rejected)
+    _log_rejected(stats)
     return 0
 
 

@@ -9,21 +9,21 @@ of (levels + 1) rows in the model, so index 0 always resolves to a trainable
 out-of-vocabulary row.
 
 ``EncoderState`` holds everything that decides how a login becomes a row:
-the vocabularies, the app superset behind the known-app bit, the time mode
-with the actor's active hours, and the geohash precision. It is learned from
-an actor's training side, stored beside the model (``to_dict`` and
-``from_dict``), and applied by ``encode_event(event, encoder)``. An encoded
-event is a row of 8 ints in ``FEATURE_ORDER``; a stream is an ``(N, 8)``
-int64 matrix of them.
+the vocabularies, the actor's known apps behind the known-app bit, the time
+mode with the actor's active hours, and the geohash precision. It is learned
+from one actor's training side, stored beside that actor's model
+(``to_dict`` and ``from_dict``), and applied by
+``encode_event(event, encoder)``. An encoded event is a row of 8 ints in
+``FEATURE_ORDER``; a stream is an ``(N, 8)`` int64 matrix of them.
 
 Two encoders give that matrix. ``encode_event`` builds one row, and is the
-reference the tests hold the other to. ``encode_columns`` builds one
-actor's whole matrix a column at a time: one numpy geohash over the batch
-with each distinct cell looked up once, the actor's superset read once, the
-time levels as arrays, and one dict lookup per string value. Its fixed cost,
-a few dozen numpy calls, is that of some 15 ``encode_event`` rows, and its
-cost per event about a third of one. The two break even between 32 and 48
-events, and ``pipeline._encode_actor_events`` takes the column encoder from
+reference the tests hold the other to. ``encode_columns`` builds a whole
+batch's matrix a column at a time: one numpy geohash over the batch with
+each distinct cell looked up once, the time levels as arrays, and one dict
+or set lookup per string value. Its fixed cost, a few dozen numpy calls, is
+that of some 15 ``encode_event`` rows, and its cost per event about a third
+of one. The two break even between 32 and 48 events, and
+``pipeline._encode_actor_events`` takes the column encoder from
 ``pipeline.COLUMN_ENCODE_MIN_EVENTS`` (32) events up, where the measurement
 is given.
 """
@@ -38,7 +38,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from loginwatch.apps import AppSuperset
 from loginwatch.events import (
     LogEvent,
     Outcome,
@@ -126,14 +125,16 @@ class EncoderState:
     ``indices`` holds one vocabulary per string feature: a plain dict from
     each value to its index, 1..m in UTF-8 byte order (see ``build_index``).
     Its length is the feature's size and its keys, in order, are what a
-    stored document keeps.
+    stored document keeps. ``known_apps`` is the actor's Wilson-filtered app
+    set (``apps.build_superset``); a login to any other app gets known-app
+    bit 1.
     """
 
     geohash_precision: int
     time_mode: TimeMode
     active_hours: frozenset[int]
     indices: dict[str, dict[str, int]]
-    superset: AppSuperset
+    known_apps: frozenset[str]
 
     def feature_sizes(self) -> dict[str, int]:
         """Largest valid index per feature, in model feature order.
@@ -160,10 +161,7 @@ class EncoderState:
             "time_mode": self.time_mode.value,
             "active_hours": sorted(self.active_hours),
             "indices": {name: list(index) for name, index in self.indices.items()},
-            "superset": {
-                actor: sorted(self.superset.apps_for(actor))
-                for actor in self.superset.actors()
-            },
+            "known_apps": sorted(self.known_apps),
         }
 
     @classmethod
@@ -176,7 +174,7 @@ class EncoderState:
                 1..``MAX_GEOHASH_PRECISION``, active hours that are not ints
                 in 1..24, a vocabulary that is not a list of distinct strings
                 (a repeat would give an index past the vocabulary's size), or
-                a superset that is not an object of string lists.
+                known apps that are not a list of strings.
         """
         precision = data["geohash_precision"]
         if type(precision) is not int or not 1 <= precision <= MAX_GEOHASH_PRECISION:
@@ -194,15 +192,15 @@ class EncoderState:
             if not is_string_list(values) or len(set(values)) != len(values):
                 raise ValueError(f"indices.{name} must be a list of distinct strings")
             indices[name] = {value: i for i, value in enumerate(values, 1)}
-        superset = json_object(data, "superset")
-        if not all(is_string_list(apps) for apps in superset.values()):
-            raise ValueError("superset must be an object of string lists")
+        known_apps = data["known_apps"]
+        if not is_string_list(known_apps):
+            raise ValueError(f"known_apps must be a list of strings, got {known_apps!r:.40}")
         return cls(
             geohash_precision=precision,
             time_mode=TimeMode(data["time_mode"]),
             active_hours=frozenset(hours),
             indices=indices,
-            superset=AppSuperset(superset),
+            known_apps=frozenset(known_apps),
         )
 
 
@@ -212,8 +210,9 @@ def encode_event(event: LogEvent, encoder: EncoderState) -> tuple[int, ...]:
     String features (geohash cell at the encoder's precision, app id,
     outcome, client os, client device) go through the encoder's
     vocabularies; values unseen when they were built land on 0. The
-    known-app bit comes from the encoder's superset. Time features pass
-    through per the encoder's time mode; COARSE reads its active hours.
+    known-app bit is 0 for an app in the encoder's known apps and 1 for any
+    other. Time features pass through per the encoder's time mode; COARSE
+    reads its active hours.
     """
     hour_value, weekday_value = hour_and_weekday(event.timestamp)
     if encoder.time_mode is TimeMode.COARSE:
@@ -223,7 +222,7 @@ def encode_event(event: LogEvent, encoder: EncoderState) -> tuple[int, ...]:
     return (
         indices["geohash"].get(geohash_value(event, encoder.geohash_precision), 0),
         indices["app_id"].get(event.app_id, 0),
-        encoder.superset.known_app(event.actor_id, event.app_id),
+        0 if event.app_id in encoder.known_apps else 1,
         indices["outcome"].get(event.outcome.value, 0),
         hour_value,
         weekday_value,
@@ -256,12 +255,8 @@ def geohash_levels(
 
 
 def encode_columns(events: Sequence[LogEvent], encoder: EncoderState) -> np.ndarray:
-    """:func:`encode_event` of each of one actor's events, as an ``(N, 8)``
-    int64 matrix built one column at a time (see the module docstring).
-
-    ``events`` must all be of one actor: the known-app bit is read from the
-    first event's superset.
-    """
+    """:func:`encode_event` of each event, as an ``(N, 8)`` int64 matrix
+    built one column at a time (see the module docstring)."""
     count = len(events)
     if not count:
         return np.empty((0, len(FEATURE_ORDER)), dtype=np.int64)
@@ -273,7 +268,7 @@ def encode_columns(events: Sequence[LogEvent], encoder: EncoderState) -> np.ndar
 
     levels, positions = geohash_levels(events, encoder.geohash_precision)
     geohash = np.array([indices["geohash"].get(level, 0) for level in levels], np.int64)
-    known = encoder.superset.apps_for(events[0].actor_id).__contains__
+    known = encoder.known_apps.__contains__
     outcomes = {member: indices["outcome"].get(member.value, 0) for member in Outcome}
     hours, weekdays = hours_and_weekdays(map(attrgetter("timestamp"), events))
     if encoder.time_mode is TimeMode.COARSE:

@@ -45,8 +45,8 @@ float32, and a trained model is the bank's float32 values, widened exactly
 when it is copied out.
 
 A stored model keeps ``theta`` whole, as lowercase hex of its little-endian
-float32 bytes (registry format version 5; version 4 stored float64 bytes,
-version 3 base64), beside the scalars that fix its layout
+float32 bytes (registry format versions 5 and 6; version 4 stored float64
+bytes, version 3 base64), beside the scalars that fix its layout
 (``feature_sizes``, ``hidden_dim``, ``code_dim``). Since every value is a
 float32 value, the narrowing is lossless, and ``to_state`` refuses a
 ``theta`` for which it would not be. Loading decodes it with the strict

@@ -1,8 +1,8 @@
 """End-to-end training and scoring workflows.
 
 Training runs in three phases. First, per actor: filter the stream, split
-train/validation by time order, learn vocabularies and the app superset
-from the training side only, encode the training side once and
+train/validation by time order, learn vocabularies and the actor's known
+apps from the training side only, encode the training side once and
 bootstrap-sample positions into its rows, and inject labelled anomalies
 into the validation side. Then one ``train`` call fits
 every prepared actor's autoencoder in one stacked SGD loop. Last, per
@@ -355,9 +355,9 @@ def _prepare_actor(
         time_mode=config.time_mode,
         indices=build_event_indices(train_part, config.geohash_precision),
         active_hours=observed_hours(train_part),
-        superset=build_superset(
+        known_apps=build_superset(
             login_frequencies(train_part, config.wilson_z), config.superset_threshold
-        ),
+        ).apps_for(actor_id),
     )
 
     sample = stratified_sample(

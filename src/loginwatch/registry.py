@@ -8,18 +8,19 @@ A document is sealed: compact sorted-key JSON whose last member,
 ``"checksum":"<64 hex>"``, is the sha256 of every byte before it, so
 ``load`` checks the stored bytes and then parses them once. Model
 parameters sit in it as one ``theta`` string, lowercase hex of their
-little-endian float32 bytes (format version 5): every model holds float32
-values, so this is lossless, and ``Autoencoder.to_state`` refuses a model
-for which it would not be, so ``save`` writes nothing. The validation
-metrics hold each sweep result once, under ``per_kind``, and name the
-primary kind; the model has no ``loss_mode`` member. A file that fails the
-check, cannot be read, or carries another version is refused: the spaced
-version-1 layout, the per-key version-2 layout, the base64 ``theta`` of
-version 3 and the float64 ``theta`` of version 4 have no reader, and
-retraining the actor replaces its file. An actor's versions are the
-``*.model`` names in its directory, listed with one ``os.scandir`` and
-sorted as strings, which sorts them by creation time. The checksum is not a
-signature, so a resealed file whose content could not score is refused the
+little-endian float32 bytes: every model holds float32 values, so this is
+lossless, and ``Autoencoder.to_state`` refuses a model for which it would
+not be, so ``save`` writes nothing. The validation metrics hold each sweep
+result once, under ``per_kind``, and name the primary kind; the model has no
+``loss_mode`` member. The encoder keeps the actor's own known apps as one
+sorted ``known_apps`` list (format version 6). A file that fails the check,
+cannot be read, or carries another version is refused: the spaced version-1
+layout, the per-key version-2 layout, the base64 ``theta`` of version 3, the
+float64 ``theta`` of version 4 and the actor-keyed ``superset`` object of
+version 5 have no reader, and retraining the actor replaces its file. An
+actor's versions are the ``*.model`` names in its directory, listed with one
+``os.scandir`` and sorted as strings, which sorts them by creation time.
+The checksum is not a signature, so a resealed file whose content could not score is refused the
 same way: a malformed model or encoder member, a ``theta`` value, feature
 weight or threshold statistic that is not finite, or an encoder that can give an
 index past its model's sizes (``RegistryEntry.from_document``). Writes go through a temp file, an
@@ -44,7 +45,7 @@ from loginwatch.model import Autoencoder
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 MODEL_SUFFIX = ".model"
 _CHECKSUM_MEMBER = b',"checksum":"'
 _TRAILER_LENGTH = len(_CHECKSUM_MEMBER) + 64 + len(b'"}')

@@ -97,7 +97,7 @@ def test_single_actor_perfect_separation(capsys):
         time_mode=TimeMode.RAW,
         active_hours=observed_hours(train_part),
         indices=build_event_indices(train_part, 3),
-        superset=build_superset(login_frequencies(train_part)),
+        known_apps=build_superset(login_frequencies(train_part)).apps_for("u900"),
     )
     sizes = encoder.feature_sizes()
 

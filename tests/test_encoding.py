@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loginwatch.apps import AppSuperset
 from loginwatch.encoding import (
     FEATURE_ORDER,
     MAX_EMBEDDING_DIM,
@@ -97,14 +97,14 @@ class TestEmbeddingDim:
 def make_encoder(
     events, time_mode=TimeMode.RAW, active_hours=frozenset(), known_apps=("mail",)
 ) -> EncoderState:
-    """An encoder with vocabularies from ``events`` at precision 3, in which
-    actor u1 knows ``known_apps``."""
+    """An encoder with vocabularies from ``events`` at precision 3 that knows
+    ``known_apps``."""
     return EncoderState(
         geohash_precision=3,
         time_mode=time_mode,
         active_hours=frozenset(active_hours),
         indices=build_event_indices(events),
-        superset=AppSuperset({"u1": known_apps}),
+        known_apps=frozenset(known_apps),
     )
 
 
@@ -162,8 +162,8 @@ class TestEncodeEvent:
         encoder = make_encoder([make_event()], known_apps=("mail",))
         assert encode(make_event(app="mail"), encoder)["known_app"] == 0
         assert encode(make_event(app="docs"), encoder)["known_app"] == 1
-        # an actor without a profile knows no app
-        assert encode(make_event(actor="u2", app="mail"), encoder)["known_app"] == 1
+        # an encoder is one actor's, so the event's actor id plays no part
+        assert encode(make_event(actor="u2", app="mail"), encoder)["known_app"] == 0
 
     def test_missing_location_encodes_empty_cell(self):
         event = make_event(lat=None, lon=None)
@@ -254,6 +254,12 @@ EVENTS = st.builds(
     VALUES,
     VALUES,
 )
+# The same events, each of one of three actors.
+MIXED_ACTOR_EVENTS = st.builds(
+    lambda event, actor: dataclasses.replace(event, actor_id=actor),
+    EVENTS,
+    st.sampled_from(["u1", "u2", "u3"]),
+)
 
 
 class TestEncodeColumns:
@@ -262,29 +268,38 @@ class TestEncodeColumns:
     @settings(max_examples=150)
     @given(
         train=st.lists(EVENTS, min_size=1, max_size=12),
-        live=st.lists(EVENTS, max_size=40),
+        live=st.lists(MIXED_ACTOR_EVENTS, max_size=40),
         precision=st.integers(1, 12),
         time_mode=st.sampled_from(list(TimeMode)),
         active_hours=st.frozensets(st.integers(1, 24)),
-        superset=st.sampled_from([{"u1": ["mail"]}, {"u1": []}, {"u2": ["mail", "docs"]}, {}]),
+        # "off-vocabulary" is an app no event has, so no vocabulary holds it
+        known_apps=st.frozensets(st.sampled_from(["mail", "docs", "", "off-vocabulary"])),
     )
-    @example(  # a missing location among located ones, an actor without a profile
+    @example(  # a missing location among located ones, no known app
         train=[make_event(), make_event(None, None)],
         live=[make_event(None, None), make_event(), make_event(1.0, 2.0, app="docs")],
         precision=3,
         time_mode=TimeMode.COARSE,
         active_hours=frozenset({15}),
-        superset={},
+        known_apps=frozenset(),
+    )
+    @example(  # a batch of three actors, led by one that did not train the encoder
+        train=[make_event(app="docs")],
+        live=[make_event(actor="u2"), make_event(app="docs"), make_event(actor="u3", app="docs")],
+        precision=3,
+        time_mode=TimeMode.RAW,
+        active_hours=frozenset(),
+        known_apps=frozenset({"docs", "off-vocabulary"}),
     )
     def test_equals_encode_event_row_for_row(
-        self, train, live, precision, time_mode, active_hours, superset
+        self, train, live, precision, time_mode, active_hours, known_apps
     ):
         encoder = EncoderState(
             geohash_precision=precision,
             time_mode=time_mode,
             active_hours=active_hours,
             indices=build_event_indices(train, precision),
-            superset=AppSuperset(superset),
+            known_apps=known_apps,
         )
         # the vocabulary holds each training event's scalar geohash level
         assert encoder.indices["geohash"] == build_index(

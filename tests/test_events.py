@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loginwatch import events as events_module
-from loginwatch.apps import AppSuperset
 from loginwatch.encoding import (
     FEATURE_ORDER,
     EncoderState,
@@ -721,7 +720,7 @@ def coarse_time_columns(ts: datetime, active_hours) -> tuple[int, int]:
         time_mode=TimeMode.COARSE,
         active_hours=frozenset(active_hours),
         indices=build_event_indices([event]),
-        superset=AppSuperset({}),
+        known_apps=frozenset(),
     )
     row = encode_event(event, encoder)
     return row[FEATURE_ORDER.index("event_hour")], row[FEATURE_ORDER.index("weekday")]

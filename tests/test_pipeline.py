@@ -158,7 +158,7 @@ class TestEncodeActorEvents:
             time_mode=time_mode,
             active_hours=observed_hours(events),
             indices=build_event_indices(events, 3),
-            superset=build_superset(login_frequencies(events)),
+            known_apps=build_superset(login_frequencies(events)).apps_for(events[0].actor_id),
         )
 
     @pytest.mark.parametrize("time_mode", list(TimeMode))
@@ -421,7 +421,7 @@ class TestTrainWorkflow:
         assert entry.metrics["val_size"] == 50
         assert "app-mail" in entry.encoder.indices["app_id"]
         assert "app-valonly" not in entry.encoder.indices["app_id"]
-        assert "app-valonly" not in entry.encoder.superset.apps_for("u1")
+        assert "app-valonly" not in entry.encoder.known_apps
 
     def test_small_actor_skipped_with_warning(self, corpus_events, caplog):
         events = corpus_events + crafted_events("tiny", 12)
@@ -628,7 +628,7 @@ class TestScoreWorkflow:
         "damage",
         [
             "extra_vocabulary", "precision_13", "vocabulary_string", "vocabulary_repeat",
-            "precision_true", "precision_string", "hour_25", "superset_strings",
+            "precision_true", "precision_string", "hour_25", "known_apps_string",
         ],
     )
     def test_encoder_that_cannot_feed_its_model_leaves_other_actors_scored(
@@ -648,9 +648,8 @@ class TestScoreWorkflow:
             encoder["indices"]["app_id"] = "".join(apps)[: len(apps)]
         elif damage == "vocabulary_repeat":  # the repeat would index past the table
             apps[-1] = apps[0]
-        elif damage == "superset_strings":
-            superset = encoder["superset"]
-            encoder["superset"] = {actor: "".join(known) for actor, known in superset.items()}
+        elif damage == "known_apps_string":  # a frozenset would take its characters
+            encoder["known_apps"] = "".join(encoder["known_apps"])
         else:
             member, value = {
                 "precision_13": ("geohash_precision", 13),
@@ -907,6 +906,19 @@ class TestCli:
             assert main(["score", "--input", str(live), "--registry", str(registry)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["actors"]["u1"]["event_count"] == 5
+        assert "1 records were rejected during ingest" in [
+            r.getMessage() for r in caplog.records
+        ]
+
+    def test_profile_warns_about_rejected_records(self, tmp_path, capsys, caplog):
+        live = tmp_path / "live.jsonl"
+        write_events(crafted_events("u1", 5), live)
+        with open(live, "a", encoding="utf-8") as handle:  # a raw record without actor.id
+            handle.write(json.dumps({"eventType": "user.authentication.sso"}) + "\n")
+        out = tmp_path / "superset.jsonl"
+        with caplog.at_level(logging.WARNING):
+            assert main(["profile", "--input", str(live), "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["actors"] == 1
         assert "1 records were rejected during ingest" in [
             r.getMessage() for r in caplog.records
         ]

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from loginwatch.apps import AppSuperset
 from loginwatch.encoding import FEATURE_ORDER, EncoderState, TimeMode, build_index
 from loginwatch.events import LogEvent, Outcome
 from loginwatch.model import Autoencoder, TrainConfig
@@ -38,6 +37,7 @@ from test_model import SIZES, THETA_DAMAGE, feature_columns, fit, random_rows
 GOLDEN_V3_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry"
 GOLDEN_V4_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry_v4"
 GOLDEN_V5_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry_v5"
+GOLDEN_V6_REGISTRY = pathlib.Path(__file__).parent / "data" / "registry_v6"
 
 
 def make_encoder_state() -> EncoderState:
@@ -52,7 +52,7 @@ def make_encoder_state() -> EncoderState:
             "client_os": build_index(["Linux"]),
             "client_device": build_index(["Computer"]),
         },
-        superset=AppSuperset({"u1": ["mail"]}),
+        known_apps=frozenset({"mail"}),
     )
 
 
@@ -95,8 +95,7 @@ class TestSaveLoad:
         assert encoder.time_mode is TimeMode.RAW
         assert encoder.active_hours == frozenset({9, 10, 11})
         assert encoder.indices["app_id"] == {"docs": 1, "mail": 2}
-        assert encoder.superset.known_app("u1", "mail") == 0
-        assert encoder.superset.known_app("u1", "other") == 1
+        assert encoder.known_apps == frozenset({"mail"})
 
     def test_newest_entry_wins(self, tmp_path):
         registry = ModelRegistry(tmp_path)
@@ -263,6 +262,7 @@ class TestIntegrity:
             "version_2_sealed",
             "version_3_sealed",
             "version_4_sealed",
+            "version_5_sealed",
         ],
     )
     def test_hostile_document_refused_naming_the_path(self, tmp_path, damage):
@@ -426,6 +426,12 @@ def hostile_payload(sealed: bytes, damage: str) -> bytes:
         document["model"]["theta"] = theta.astype("<f8").tobytes().hex()
         document["model"]["loss_mode"] = "SUM"
         return _seal({**document, "version": 4})
+    if damage == "version_5_sealed":  # the known apps in an actor-keyed superset
+        document = json.loads(sealed)
+        del document["checksum"]
+        encoder = document["encoder"]
+        encoder["superset"] = {document["actor_id"]: encoder.pop("known_apps")}
+        return _seal({**document, "version": 5})
     raise ValueError(damage)
 
 
@@ -511,12 +517,72 @@ JSON_VALUES = st.recursive(
 )
 
 
+# What a member of a stored document is set to, unless it is deleted.
+RETYPED_VALUES = [None, "x", 0, -1, 2**70, 1e308, True, [], ["x", 1], {}, {"x": 1}]
+MEMBER_CHANGES = [("delete", None)] + [("replace", value) for value in RETYPED_VALUES]
+
+
+def golden_document() -> dict:
+    """The version-6 golden document, without its checksum."""
+    (path,) = ModelRegistry(GOLDEN_V6_REGISTRY).entry_paths("golden")
+    document = json.loads(path.read_bytes())
+    del document["checksum"]
+    return document
+
+
+def member_paths(document: dict) -> list[tuple]:
+    """The path of every member and item of a document, nested ones
+    included, apart from ``model.theta`` and ``metrics``."""
+    return [
+        path
+        for path in document_paths(document)
+        if path and path[0] != "metrics" and path[:2] != ("model", "theta")
+    ]
+
+
 class TestStoredDocumentProperties:
     """Whatever the stored bytes, a document hurts only its own actor."""
 
     @pytest.fixture(scope="class")
     def sealed(self) -> bytes:
         return _seal(make_entry().to_document())
+
+    @pytest.fixture(scope="class")
+    def healthy(self) -> bytes:
+        return _seal(make_entry("u2", seed=1).to_document())
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        path=st.deferred(lambda: st.sampled_from(member_paths(golden_document()))),
+        change=st.sampled_from(MEMBER_CHANGES),
+    )
+    @example(path=("encoder", "known_apps"), change=("delete", None))
+    @example(path=("encoder", "known_apps"), change=("replace", "x"))
+    @example(path=("encoder", "known_apps"), change=("replace", ["x", 1]))
+    @example(path=("encoder", "known_apps"), change=("replace", {"x": 1}))
+    def test_deleted_or_retyped_member_hurts_only_its_actor(
+        self, healthy, tmp_path, path, change
+    ):
+        # the golden document with one member changed, beside u2's healthy one
+        directory = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+        changed = _seal(mutated(golden_document(), path, *change))
+        for actor, payload in (("golden", changed), ("u2", healthy)):
+            target = directory / actor / "20230101T000000.000000Z.model"
+            target.parent.mkdir()
+            target.write_bytes(payload)
+        registry = ModelRegistry(directory)
+        try:
+            registry.load("golden")
+        except RegistryIntegrityError:
+            loaded = False
+        else:
+            loaded = True
+        events = live_events("golden") + live_events("u2")
+        result = run_score_workflow(events, PipelineConfig(), registry)
+        assert sorted(result.reports) == (["golden", "u2"] if loaded else ["u2"])
+        assert result.unscorable == ([] if loaded else ["golden"])
+        for report in result.reports.values():
+            assert np.isfinite(report.losses).all()
 
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
@@ -570,7 +636,9 @@ class TestSealedFormat:
         assert tail == hashlib.sha256(head).hexdigest().encode() + b'"}'
         document = json.loads(payload)
         assert list(document)[-1] == "checksum"
-        assert document["version"] == 5
+        assert document["version"] == 6
+        assert document["encoder"]["known_apps"] == ["mail"]
+        assert "superset" not in document["encoder"]
         assert document["model"]["theta"] == entry.model.theta.astype("<f4").tobytes().hex()
         assert "loss_mode" not in document["model"]
         body = {key: value for key, value in document.items() if key != "checksum"}
@@ -637,7 +705,7 @@ class TestSealedFormat:
 
 
 class TestGoldenDocument:
-    """Three committed documents of one model under ``tests/data``.
+    """Four committed documents of one model under ``tests/data``.
 
     The version-3 file under ``registry/`` was written once by
     ``ModelRegistry.save`` (3 epochs on ``random_rows(30, seed=5)``, hidden
@@ -647,14 +715,18 @@ class TestGoldenDocument:
     to 4 and resealed it. The version-5 file under ``registry_v5/`` was made
     from the version-4 file once by a script that rounded ``theta`` to
     float32 and stored it as hex of little-endian float32 bytes, dropped
-    ``model.loss_mode``, set ``version`` to 5 and resealed it. Every other
-    member is the version-3 file's. Any change to how a stored model is read
-    makes these tests fail; such a change needs a new ``FORMAT_VERSION``,
-    not a regenerated file.
+    ``model.loss_mode``, set ``version`` to 5 and resealed it. The version-6
+    file under ``registry_v6/`` was made from the version-5 file once by a
+    script that set ``version`` to 6, replaced ``encoder.superset`` with
+    ``superset.get(actor_id, [])``, the set the version-5 loader applied to
+    this actor's logins, and resealed it. Every other member is the
+    version-3 file's. Any change to how a stored model is read makes these
+    tests fail; such a change needs a new ``FORMAT_VERSION``, not a
+    regenerated file.
     """
 
-    def test_golden_version_5_document_loads_with_its_losses(self):
-        entry = ModelRegistry(GOLDEN_V5_REGISTRY).load("golden")
+    def test_golden_version_6_document_loads_with_its_losses(self):
+        entry = ModelRegistry(GOLDEN_V6_REGISTRY).load("golden")
         model = entry.model
         assert model.theta.size == 744
         assert hashlib.sha256(model.theta.astype("<f8").tobytes()).hexdigest() == (
@@ -677,15 +749,18 @@ class TestGoldenDocument:
         # the losses by far more
         assert model.losses(random_rows(6, seed=22)) == pytest.approx(expected, rel=1e-9)
         assert entry.encoder.indices["app_id"]["mail"] == 2
+        assert entry.encoder.known_apps == frozenset()
         assert entry.metrics == {"best_f1": 0.9, "best_n": 2.5}
 
     @pytest.mark.parametrize(
-        "registry, version", [(GOLDEN_V3_REGISTRY, 3), (GOLDEN_V4_REGISTRY, 4)], ids=["v3", "v4"]
+        "registry, version",
+        [(GOLDEN_V3_REGISTRY, 3), (GOLDEN_V4_REGISTRY, 4), (GOLDEN_V5_REGISTRY, 5)],
+        ids=["v3", "v4", "v5"],
     )
     def test_older_golden_document_is_refused(self, registry, version):
         (path,) = ModelRegistry(registry).entry_paths("golden")
         assert json.loads(path.read_bytes())["version"] == version
-        with pytest.raises(RegistryIntegrityError, match="format version 5") as caught:
+        with pytest.raises(RegistryIntegrityError, match="format version 6") as caught:
             ModelRegistry(registry).load("golden")
         assert str(path) in str(caught.value)
         assert "retrain" in str(caught.value)
@@ -711,6 +786,19 @@ class TestGoldenDocument:
         # rounding moved the values, but by less than float32's half step
         assert 0 < np.abs(narrow - wide).max() <= np.abs(wide).max() * 2.0**-24
         assert old["model"].pop("loss_mode") == "SUM"
+        for document in (old, new):
+            del document["checksum"], document["version"]
+        assert old == new
+
+    def test_version_6_known_apps_are_the_version_5_superset_of_its_actor(self):
+        (v5,) = ModelRegistry(GOLDEN_V5_REGISTRY).entry_paths("golden")
+        (v6,) = ModelRegistry(GOLDEN_V6_REGISTRY).entry_paths("golden")
+        old, new = json.loads(v5.read_bytes()), json.loads(v6.read_bytes())
+        assert (old["version"], new["version"]) == (5, 6)
+        # the only key is u1, so version 5 gave every login of "golden" bit 1
+        superset = old["encoder"].pop("superset")
+        assert superset == {"u1": ["mail"]}
+        assert new["encoder"].pop("known_apps") == superset.get(new["actor_id"], []) == []
         for document in (old, new):
             del document["checksum"], document["version"]
         assert old == new
