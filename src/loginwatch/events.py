@@ -4,10 +4,9 @@ Raw input is JSON Lines in the Okta System Log shape (``actor.id``,
 ``eventType``, ``published``, ``outcome.result``, ``client.*``, ``target``).
 Parsing flattens each record into a :class:`LogEvent`; downstream stages only
 ever see the flattened form. :func:`load_events` reads, decodes and parses
-each line in one loop. A raw record is checked and flattened in one pass, and
-its event is built by setting its slots directly (:func:`_checked_event`),
-since the pass has made every check of the frozen ``__init__``;
-``LogEvent(...)`` and the flat form's parse still validate.
+each line in one loop. A raw record is checked and flattened in one pass.
+Every event, parsed, replaced or made by hand, is built by the validating
+``LogEvent(...)``.
 
 A :class:`LogEvent` has slots and no instance ``__dict__``. Its five
 categorical strings (``actor_id``, ``event_type``, ``app_id``, ``client_os``,
@@ -108,7 +107,7 @@ class _Strings(dict):
         return key
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LogEvent:
     """One flattened login event.
 
@@ -127,14 +126,30 @@ class LogEvent:
     client_device: str = ""
     has_client_object: bool = False
 
-    def __post_init__(self) -> None:
-        if (self.latitude is None) != (self.longitude is None):
+    def __init__(
+        self, actor_id: str, timestamp: datetime, event_type: str, outcome: Outcome,
+        latitude: float | None = None, longitude: float | None = None, app_id: str = "",
+        client_os: str = "", client_device: str = "", has_client_object: bool = False,
+    ) -> None:
+        """The frozen dataclass ``__init__`` with its coordinate checks; a slot's
+        member descriptor stores in half the time of ``object.__setattr__``."""
+        if (latitude is None) != (longitude is None):
             raise ValueError("latitude and longitude must be set together")
-        if self.latitude is not None:
-            if not -90.0 <= self.latitude <= 90.0:
-                raise ValueError(f"latitude out of range: {self.latitude}")
-            if not -180.0 <= self.longitude <= 180.0:
-                raise ValueError(f"longitude out of range: {self.longitude}")
+        if latitude is not None:
+            if not -90.0 <= latitude <= 90.0:
+                raise ValueError(f"latitude out of range: {latitude}")
+            if not -180.0 <= longitude <= 180.0:
+                raise ValueError(f"longitude out of range: {longitude}")
+        _set_actor_id(self, actor_id)
+        _set_timestamp(self, timestamp)
+        _set_event_type(self, event_type)
+        _set_outcome(self, outcome)
+        _set_latitude(self, latitude)
+        _set_longitude(self, longitude)
+        _set_app_id(self, app_id)
+        _set_client_os(self, client_os)
+        _set_client_device(self, client_device)
+        _set_has_client_object(self, has_client_object)
 
     @property
     def has_location(self) -> bool:
@@ -165,45 +180,17 @@ class LogEvent:
         Raises:
             KeyError: a required key is missing.
             RecordRejectedError: a value has the wrong JSON type.
-            ValueError: the outcome is unknown, or the coordinates are not a
-                valid pair.
+            ValueError: the outcome is unknown, or the coordinates are not a valid pair.
         """
         return _flat_event(record, _Strings())
 
 
 # ``_set_x(event, value)`` stores ``value`` in slot ``x`` through the slot's
-# member descriptor, past the frozen ``__setattr__``.
+# member descriptor, past the frozen ``__setattr__``. Only ``LogEvent.__init__`` calls them.
 (
     _set_actor_id, _set_timestamp, _set_event_type, _set_outcome, _set_latitude,
     _set_longitude, _set_app_id, _set_client_os, _set_client_device, _set_has_client_object,
 ) = (LogEvent.__dict__[field.name].__set__ for field in fields(LogEvent))
-
-
-def _checked_event(
-    actor_id, timestamp, event_type, outcome, latitude, longitude, app_id, client_os,
-    client_device, has_client_object,
-) -> LogEvent:
-    """A :class:`LogEvent` of values that already hold its invariants.
-
-    The frozen ``__init__`` stores each field with ``object.__setattr__`` and
-    then runs ``__post_init__``, whose coordinate checks the raw parse has
-    already made; storing through each slot's member descriptor costs less
-    than half as much. Only :func:`_okta_event` calls this: it checks
-    that the coordinates are in-range floats, both or neither, and every
-    other value's type. ``LogEvent(...)`` stays the validating constructor.
-    """
-    event = object.__new__(LogEvent)
-    _set_actor_id(event, actor_id)
-    _set_timestamp(event, timestamp)
-    _set_event_type(event, event_type)
-    _set_outcome(event, outcome)
-    _set_latitude(event, latitude)
-    _set_longitude(event, longitude)
-    _set_app_id(event, app_id)
-    _set_client_os(event, client_os)
-    _set_client_device(event, client_device)
-    _set_has_client_object(event, has_client_object)
-    return event
 
 
 def _flat_event(record: dict, strings: _Strings) -> LogEvent:
@@ -404,17 +391,9 @@ def _okta_event(record, line_number: int | None, strings: _Strings) -> LogEvent:
                 app_id = _app_key(item.get("id")) or _app_key(item.get("alternateId"))
                 break
 
-    return _checked_event(
-        strings[actor_id],
-        timestamp,
-        strings[event_type],
-        outcome,
-        latitude,
-        longitude,
-        strings[app_id],
-        strings[client_os],
-        strings[client_device],
-        has_client,
+    return LogEvent(
+        strings[actor_id], timestamp, strings[event_type], outcome, latitude, longitude,
+        strings[app_id], strings[client_os], strings[client_device], has_client,
     )
 
 
@@ -426,28 +405,48 @@ def load_events(path: Path | str) -> tuple[list[LogEvent], IngestStats]:
     is decoded once. Blank lines are skipped and not counted. Records
     missing required fields, and JSON values that are not objects, are
     counted in ``stats.rejected`` and skipped. Lines that are not valid
-    JSON, or too deep or long for ``json.loads``, raise
+    JSON or not UTF-8, or too deep or long for ``json.loads``, raise
     :class:`MalformedLineError` with the line offset. Equal strings of the
     returned events are one object, shared within this call only.
     """
     events: list[LogEvent] = []
     strings = _Strings()
-    lines = rejected = 0
+    number = lines = rejected = 0
     with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            record = _decode(line, number)
-            lines += 1
-            try:
-                if isinstance(record, dict) and "actor_id" in record:
-                    events.append(_flat_event(record, strings))
-                else:
-                    events.append(_okta_event(record, number, strings))
-            except (RecordRejectedError, KeyError, ValueError) as exc:
-                logger.warning("rejected record at line %d: %s", number, exc)
-                rejected += 1
+        try:
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                record = _decode(line, number)
+                lines += 1
+                try:
+                    if isinstance(record, dict) and "actor_id" in record:
+                        events.append(_flat_event(record, strings))
+                    else:
+                        events.append(_okta_event(record, number, strings))
+                except (RecordRejectedError, KeyError, ValueError) as exc:
+                    logger.warning("rejected record at line %d: %s", number, exc)
+                    rejected += 1
+        except UnicodeDecodeError:
+            raise _undecodable(path, number) from None
     return events, IngestStats(lines=lines, parsed=len(events), rejected=rejected)
+
+
+def _undecodable(path: Path | str, loaded: int) -> MalformedLineError:
+    """The error for a file that is not UTF-8, met after its first ``loaded``
+    lines. The reader decodes ahead of the lines it gives, so an invalid JSON
+    line between those and the bad byte's line is the first error."""
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the reader's line ends: "\r\n", "\r" and "\n"
+        text = exc.object[: exc.start].decode("utf-8")
+        head = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for number, line in enumerate(head[:-1], start=1):
+            if number > loaded and line.strip():
+                _decode(line, number)
+        return MalformedLineError(f"invalid UTF-8: {exc.reason}", len(head))
+    return MalformedLineError("invalid UTF-8")  # the file changed under the reader
 
 
 def write_events(events: Iterable[LogEvent], path: Path | str) -> int:

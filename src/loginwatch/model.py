@@ -100,6 +100,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if self.code_dim < 1:
+            raise ValueError(f"code_dim must be >= 1, got {self.code_dim}")
         checked_weights(self.feature_weights)
 
 

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -50,6 +51,7 @@ from loginwatch.encoding import (
     EncoderState,
     TimeMode,
     build_event_indices,
+    embedding_dim,
     encode_columns,
     encode_event,
     observed_hours,
@@ -144,6 +146,8 @@ class PipelineConfig:
         self.time_mode = TimeMode(self.time_mode)
         if not 1 <= self.geohash_precision <= MAX_GEOHASH_PRECISION:
             raise ValueError(f"geohash_precision must be in 1..{MAX_GEOHASH_PRECISION}")
+        if not 0.0 < self.wilson_z < math.inf:
+            raise ValueError(f"wilson_z must be finite and > 0, got {self.wilson_z}")
         if not 0.0 < self.train_split < 1.0:
             raise ValueError("train_split must be in (0, 1)")
         if not 0.0 <= self.sample_fraction <= 1.0:
@@ -154,6 +158,11 @@ class PipelineConfig:
             raise ValueError("min_events must be >= 2")
         if not self.injections:
             raise ValueError("at least one injection spec is required")
+        # each kind's sweep is kept once, under its kind
+        kinds = [spec.kind for spec in self.injections]
+        for i, kind in enumerate(kinds):
+            if kind in kinds[:i]:
+                raise ValueError(f"injections[{i}] repeats kind {kind.value}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
@@ -359,6 +368,10 @@ def _prepare_actor(
             login_frequencies(train_part, config.wilson_z), config.superset_threshold
         ).apps_for(actor_id),
     )
+    # an actor with few distinct values has too narrow an input for the code
+    input_dim = sum(embedding_dim(size) for size in encoder.feature_sizes().values())
+    if not config.train.code_dim < input_dim:
+        return None, f"code_dim {config.train.code_dim} must be < input_dim {input_dim}"
 
     sample = stratified_sample(
         len(train_part),

@@ -2,7 +2,9 @@
 
 import calendar
 import dataclasses
+import inspect
 import json
+import math
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
@@ -394,6 +396,70 @@ class TestFlatRoundTrip:
             )
 
 
+class _Lenient(float):
+    """A float that passes every range comparison, as a caller's decoded
+    value may: then only ``LogEvent.__init__`` checks the raw path's value."""
+
+    def __le__(self, other):
+        return True
+
+    __ge__ = __le__
+
+
+def _event_by_route(route: str, latitude, longitude) -> LogEvent:
+    """An event at these coordinates, built the way ``route`` builds one."""
+    base = parse_record(raw_record())
+    if route == "init":
+        values = {field.name: getattr(base, field.name) for field in dataclasses.fields(base)}
+        return LogEvent(**{**values, "latitude": latitude, "longitude": longitude})
+    if route == "replace":
+        return dataclasses.replace(base, latitude=latitude, longitude=longitude)
+    if route == "flat":
+        flat = {**base.to_flat_dict(), "latitude": latitude, "longitude": longitude}
+        return LogEvent.from_flat_dict(flat)
+    record = raw_record()
+    geolocation = {"lat": _Lenient(latitude), "lon": _Lenient(longitude)}
+    record["client"]["geographicalContext"]["geolocation"] = geolocation
+    return parse_record(record)
+
+
+BAD_COORDINATES = {
+    "latitude-high": (91.0, 0.0, "latitude out of range: 91.0"),
+    "latitude-low": (-90.5, 0.0, "latitude out of range: -90.5"),
+    "longitude-high": (0.0, 181.0, "longitude out of range: 181.0"),
+    "latitude-nan": (math.nan, 0.0, "latitude out of range: nan"),
+    "latitude-only": (0.0, None, "latitude and longitude must be set together"),
+    "longitude-only": (None, 0.0, "latitude and longitude must be set together"),
+}
+
+
+class TestOneConstructor:
+    def test_init_takes_the_fields_in_order_with_their_defaults(self):
+        parameters = inspect.signature(LogEvent).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(LogEvent)
+        ]
+
+    @pytest.mark.parametrize(
+        "route, latitude, longitude, message",
+        [
+            pytest.param(route, *case, id=f"{route}-{name}")
+            for name, case in BAD_COORDINATES.items()
+            for route in ("init", "replace", "flat", "raw")
+            # the raw parse reads both coordinates or neither
+            if not (route == "raw" and None in case[:2])
+        ],
+    )
+    def test_every_route_refuses_bad_coordinates_alike(
+        self, route, latitude, longitude, message
+    ):
+        with pytest.raises(ValueError) as refused:
+            _event_by_route(route, latitude, longitude)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == message
+
+
 class TestLoadEvents:
     def test_mixed_stream_counts_rejects(self, tmp_path):
         good = json.dumps(raw_record())
@@ -510,6 +576,43 @@ class TestLoadEvents:
         with pytest.raises(MalformedLineError) as excinfo:
             load_events(path)
         assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "before, bad, reason",
+        [
+            (3, b"app-\xffmail", "invalid start byte"),
+            # past the reader's first decoded chunk
+            (600, b"app-\xe2\x82mail", "invalid continuation byte"),
+        ],
+        ids=["line-4", "line-601"],
+    )
+    def test_invalid_utf8_is_fatal_with_its_line(self, tmp_path, end, before, bad, reason):
+        good = json.dumps(raw_record()).encode()
+        lines = [good] * before + [good.replace(b"app-mail", bad), good]
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(end.encode().join(lines) + end.encode())
+        with pytest.raises(MalformedLineError) as excinfo:
+            load_events(path)
+        assert excinfo.value.line_number == before + 1
+        assert str(excinfo.value) == f"line {before + 1}: invalid UTF-8: {reason}"
+
+    def test_invalid_utf8_at_the_end_of_the_file(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(json.dumps(raw_record()).encode() + b"\n\n\xe2\x82")
+        with pytest.raises(MalformedLineError) as excinfo:
+            load_events(path)
+        assert str(excinfo.value) == "line 3: invalid UTF-8: unexpected end of data"
+
+    def test_invalid_json_before_invalid_utf8_is_the_first_error(self, tmp_path):
+        # every line falls in the reader's first decoded chunk
+        good = json.dumps(raw_record()).encode()
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b"\n".join([good, b"", b"{broken", good, b"\xff", good]) + b"\n")
+        with pytest.raises(MalformedLineError) as excinfo:
+            load_events(path)
+        assert excinfo.value.line_number == 3
+        assert str(excinfo.value).startswith("line 3: invalid JSON: ")
 
     @pytest.mark.parametrize(
         "line",

@@ -120,8 +120,8 @@ def app_ids(record: dict) -> set[str]:
 
 def check_event(event, line: str) -> None:
     assert type(event) is LogEvent
-    # replace runs the validating __init__ on every slot's value, so an
-    # unset slot or an invalid value fails here as it would at LogEvent(...)
+    # replace runs LogEvent.__init__, the one constructor both parses use,
+    # again on every slot's value: an unset slot or an invalid value fails here
     copy = dataclasses.replace(event)
     assert copy == event and hash(copy) == hash(event)
     for field in STRING_FIELDS:

@@ -79,6 +79,16 @@ def crafted_events(
     return events
 
 
+def single_valued_events(actor: str, count: int) -> list[LogEvent]:
+    """A service account's logins: one cell, app, outcome, OS and device. In
+    COARSE time mode each of its features has one level, so its input is 8
+    wide, too narrow for the default ``code_dim`` of 8."""
+    return [
+        dataclasses.replace(event, latitude=40.7, longitude=-74.0)
+        for event in crafted_events(actor, count)
+    ]
+
+
 @pytest.fixture(scope="module")
 def corpus_events() -> list[LogEvent]:
     records = generate_corpus(actor_count=2, days=30, seed=2)
@@ -367,6 +377,34 @@ class TestPipelineConfig:
         assert isinstance(config, PipelineConfig)
         assert len(config.config_hash()) == 64
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"wilson_z": 0}, "wilson_z must be finite and > 0, got 0"),
+            ({"wilson_z": -1.96}, "wilson_z must be finite and > 0, got -1.96"),
+            ({"wilson_z": math.nan}, "wilson_z must be finite and > 0, got nan"),
+            ({"wilson_z": math.inf}, "wilson_z must be finite and > 0, got inf"),
+            ({"train": {"hidden_dim": 0}}, "hidden_dim must be >= 1, got 0"),
+            ({"train": {"code_dim": -2}}, "code_dim must be >= 1, got -2"),
+            # each kind's sweep is kept once, so the second would replace the first
+            (
+                {"injections": [
+                    {"kind": "LOCATION", "fraction": 0.1},
+                    {"kind": "WEEKDAY"},
+                    {"kind": "LOCATION", "fraction": 0.5},
+                ]},
+                r"injections\[2\] repeats kind LOCATION",
+            ),
+        ],
+        ids=[
+            "zero-wilson-z", "negative-wilson-z", "nan-wilson-z", "infinite-wilson-z",
+            "zero-hidden-dim", "negative-code-dim", "repeated-injection-kind",
+        ],
+    )
+    def test_out_of_range_setting_refused_when_loaded(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig.from_dict(data)
+
     def test_hash_tracks_content(self):
         assert fast_config().config_hash() == fast_config().config_hash()
         assert fast_config().config_hash() != fast_config(seed=4).config_hash()
@@ -479,6 +517,15 @@ class TestTrainWorkflow:
         assert summary["skipped"]["small"] == (
             "cannot validate: sweep needs at least one injected and one normal event"
         )
+
+    def test_single_valued_actor_skipped_and_the_others_train(self, corpus_events, tmp_path):
+        registry = ModelRegistry(tmp_path / "registry")
+        config = fast_config(time_mode=TimeMode.COARSE, train=TrainConfig(epochs=2))
+        events = corpus_events + single_valued_events("svc", 120)
+        summary = run_train_workflow(events, config, registry).to_summary()
+        assert summary["skipped"] == {"svc": "code_dim 8 must be < input_dim 8"}
+        assert set(summary["actors"]) == {"u001", "u002"}
+        assert registry.actors() == ["u001", "u002"]
 
     def test_job_rows_are_the_sampled_events_encoded(self):
         # three logins share each timestamp and arrive shuffled, so ties are
@@ -744,6 +791,28 @@ class TestScoreWorkflow:
         report = result.reports["u001"]
         assert report.threshold_n == fresh.model.chosen_n
         assert len(report.losses) == len(live)
+
+    def test_retrain_that_cannot_fit_scores_with_the_stored_model(
+        self, corpus_events, tmp_path, caplog
+    ):
+        config = fast_config(time_mode=TimeMode.COARSE, train=TrainConfig(epochs=2))
+        registry = ModelRegistry(tmp_path / "registry")
+        run_train_workflow(corpus_events, config, registry)
+        entry = registry.load("u001")
+        entry.status = EntryStatus.NEEDS_RETRAIN
+        registry.save(entry)
+        before = len(registry.entry_paths("u001"))
+        live = single_valued_events("u001", 120)
+        with caplog.at_level(logging.WARNING, logger="loginwatch.pipeline"):
+            result = run_score_workflow(live, config, registry)
+        assert result.retrained == [] and result.unscorable == []
+        assert len(result.reports["u001"].losses) == 120
+        assert result.reports["u001"].threshold_n == entry.model.chosen_n
+        assert len(registry.entry_paths("u001")) == before
+        assert any(
+            "retrain of u001 failed (code_dim 8 must be < input_dim 8)" in r.getMessage()
+            for r in caplog.records
+        )
 
     def test_stale_model_scores_when_too_few_new_events(
         self, corpus_events, trained_registry
