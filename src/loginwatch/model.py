@@ -30,19 +30,31 @@ parameter layout: built from each actor's feature sizes, it places the
 dense blocks, each actor's embedding tables and one zero slot, and gives
 each actor its gather positions and own-shape named views of any vector in
 its layout. A model is a stack of one, whose ``flat`` without the zero slot
-is its ``theta``. ``train`` fits every job of a call in a stack of many,
-the bank, whose narrower actors are padded to the widest ``input_dim`` with
-columns that read the zero slot and belong to no feature, so their
+is its ``theta``. ``train`` fits a call's jobs in stacks of many, the
+banks, whose narrower actors are padded to the call's widest ``input_dim``
+with columns that read the zero slot and belong to no feature, so their
 parameters stay exactly 0 and each actor's fit equals its fit alone up to
 float32 roundoff.
 
-The bank is the one float32 stack: a step is mostly elementwise arithmetic,
-so half-width floats make it cheaper. Everything else is float64 through the
-same code: a model's ``theta``, its losses and so its scores and
-``train_mu``/``train_sigma``, and ``gradient_check``. A model's ``theta``
-holds float32 values all the same: its initial values are rounded to
-float32, and a trained model is the bank's float32 values, widened exactly
-when it is copied out.
+``train`` splits its jobs into one group per CPU that the process may run
+on (its affinity mask; one group where the platform does not say), at most
+one group per job, balanced by row count. Each group has its own bank. The
+parent process fits group 0 and one forked worker fits each other group;
+a worker runs only the SGD loop and sends back its bank's ``flat``, its
+jobs' summed batch losses and the epochs in which any of them diverged.
+Every bank is padded to the same width, and every batch to the row count
+it has in a one-process fit, so each job's arrays have the same shapes in
+any split and its model comes out bit-identical to a one-process fit. The
+parent builds every model before it forks, and copies every model out of
+its bank afterwards. A one-job call never forks.
+
+The banks are the only float32 stacks: a step is mostly elementwise
+arithmetic, so half-width floats make it cheaper. Everything else is
+float64 through the same code: a model's ``theta``, its losses and so its
+scores and ``train_mu``/``train_sigma``, and ``gradient_check``. A model's
+``theta`` holds float32 values all the same: its initial values are
+rounded to float32, and a trained model is its bank's float32 values,
+widened exactly when it is copied out.
 
 A stored model keeps ``theta`` whole, as lowercase hex of its little-endian
 float32 bytes (registry format versions 5 and 6; version 4 stored float64
@@ -63,8 +75,9 @@ import binascii
 import copy
 import logging
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -98,8 +111,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.code_dim < 1:
@@ -218,10 +231,11 @@ class _Stack:
     ``hidden_dim``, ``code_dim`` and feature weights, and it is the only
     code that works out where a parameter sits. ``flat`` starts with one
     block per dense parameter, in ``_DENSE_KEYS`` order; a block holds that
-    parameter of actor 0, then actor 1, and so on, each padded to the
-    widest ``input_dim``. Each actor's embedding tables follow in turn,
-    then one zero slot. A stack of one has no padding, so its ``flat``
-    without the zero slot is exactly a model's ``theta``.
+    parameter of actor 0, then actor 1, and so on, each padded to
+    ``width`` (default: the widest ``input_dim``). Each actor's embedding
+    tables follow in turn, then one zero slot. A stack of one at its own
+    width has no padding, so its ``flat`` without the zero slot is exactly
+    a model's ``theta``.
 
     Column ``j`` of actor ``k``'s input reads
     ``flat[idx[f] * dim + base]`` through that column's feature ``f``,
@@ -248,6 +262,7 @@ class _Stack:
         feature_weights: Mapping[str, float] | None = None,
         stored_bytes: int | None = None,
         dtype: type = np.float64,
+        width: int | None = None,
     ):
         self.feature_sizes = [_checked_sizes(sizes) for sizes in feature_sizes]
         if hidden_dim < 1 or code_dim < 1:
@@ -262,7 +277,11 @@ class _Stack:
         self.feature_weights = checked_weights(feature_weights)
         self.weights = np.array(list(self.feature_weights.values()), dtype=dtype)
 
-        actors, width = len(dims), max(self.input_dims)
+        actors = len(dims)
+        if width is None:
+            width = max(self.input_dims)
+        elif width < max(self.input_dims):
+            raise ValueError(f"width {width} is below input_dim {max(self.input_dims)}")
         # (start, shape, size) of each dense block, shape and size per actor
         self._blocks: list[tuple[int, tuple[int, ...], int]] = []
         offset = 0
@@ -648,21 +667,202 @@ class TrainJob:
     seed: int
 
 
+def _cpu_count() -> int:
+    """How many CPUs this process may run on: the size of its affinity mask,
+    or 1 where the platform has no ``sched_getaffinity``."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split(counts: Sequence[int], groups: int) -> list[list[int]]:
+    """Positions into ``counts`` (row counts, most first) in ``groups``
+    groups of about equal row totals: each position joins the group with the
+    fewest rows so far, so each group lists its positions most rows first."""
+    members: list[list[int]] = [[] for _ in range(groups)]
+    totals = [0] * groups
+    for k, count in enumerate(counts):
+        g = totals.index(min(totals))
+        members[g].append(k)
+        totals[g] += count
+    return members
+
+
+class _Group:
+    """The jobs that one process fits: their bank and the SGD loop's state.
+
+    The jobs come most rows first, so batch ``b`` of an epoch runs on a
+    leading slice of the bank: the jobs that still have rows. ``outputs``
+    are the arrays that ``fit`` writes, which a worker sends back: the
+    bank's ``flat``, each job's summed batch losses per epoch, and the epoch
+    in which each job's batch loss went non-finite (0 for none).
+
+    ``width`` and ``longest`` are the call's widest ``input_dim`` and its
+    longest job's row count: every batch gets as many rows as that job gives
+    it, as in a one-process fit, so every array of a job's step has the same
+    shape in any split.
+    """
+
+    def __init__(
+        self,
+        models: Sequence[Autoencoder],
+        rows: Sequence[np.ndarray],
+        seeds: Sequence[int],
+        config: TrainConfig,
+        width: int,
+        longest: int,
+    ):
+        self.config = config
+        self.longest = longest
+        self.bank = _Stack(
+            [model.feature_sizes for model in models],
+            config.hidden_dim, config.code_dim, config.feature_weights,
+            dtype=np.float32, width=width,
+        )
+        for k, model in enumerate(models):
+            _copy(self.bank.views(k), model._stack.views(0))
+        self.counts = np.array([len(actor_rows) for actor_rows in rows])
+        self.rngs = [
+            np.random.default_rng(np.random.SeedSequence([seed, len(actor_rows)]))
+            for seed, actor_rows in zip(seeds, rows)
+        ]
+        # Every job's gather positions, then one padding row of zero slots.
+        self.table = np.concatenate(
+            [self.bank.positions(k, actor_rows) for k, actor_rows in enumerate(rows)]
+            + [np.full((1, width), self.bank.zero)]
+        )
+        self.loss_sums = np.zeros((config.epochs, len(models)))
+        self.diverged = np.zeros(len(models), dtype=np.int64)
+
+    def outputs(self) -> tuple[np.ndarray, ...]:
+        return self.bank.flat, self.loss_sums, self.diverged
+
+    def fit(self) -> None:
+        """Run every epoch."""
+        config, bank, counts = self.config, self.bank, self.counts
+        size = config.batch_size
+        batches = -(-counts // size)
+        first_row = np.concatenate([[0], np.cumsum(counts)])
+        # epoch_rows[k] is job k's epoch: its permuted table rows, then the
+        # padding row; batch b is a slice of its columns.
+        epoch_rows = np.full((len(counts), batches[0] * size), len(self.table) - 1)
+
+        # per batch: the bank's leading slice, columns, row weights, 0/1 real-row mask
+        steps = []
+        for b in range(batches[0]):
+            live = np.clip(counts - b * size, 0, size)[: np.count_nonzero(batches > b), None]
+            real = (np.arange(min(size, self.longest - b * size)) < live).astype(np.float32)
+            columns = slice(b * size, b * size + real.shape[1])
+            steps.append((bank.lead(len(live)), columns, (real / live).astype(np.float32), real))
+
+        flat = bank.flat
+        for epoch in range(config.epochs):
+            for k, rng in enumerate(self.rngs):
+                epoch_rows[k, : counts[k]] = first_row[k] + rng.permutation(counts[k])
+            for stack, columns, weight, real in steps:
+                pos = self.table[epoch_rows[: real.shape[0], columns]]
+                cache = stack.forward(pos)
+                sums = (cache["losses"] * real).sum(axis=1)
+                if not np.isfinite(sums).all():
+                    # Zero the diverged jobs, so that no NaN reaches a gradient
+                    # (a weight of 0 would not do: 0 * NaN is NaN), and rerun.
+                    for k in np.flatnonzero(~np.isfinite(sums)).tolist():
+                        self.diverged[k] = epoch + 1
+                        bank.clear(k)
+                        for _, _, w, r in steps[: batches[k]]:
+                            w[k] = 0.0
+                            r[k] = 0.0
+                    cache = stack.forward(pos)
+                    sums = (cache["losses"] * real).sum(axis=1)
+                self.loss_sums[epoch, : len(sums)] += sums
+                flat -= config.learning_rate * stack.gradient(cache, weight)
+
+    def receive(self, data: bytes) -> None:
+        """Take ``outputs`` as a worker sent them."""
+        outputs = self.outputs()
+        expected = sum(array.nbytes for array in outputs)
+        if len(data) != expected:
+            raise RuntimeError(f"a training worker sent {len(data)} bytes, expected {expected}")
+        offset = 0
+        for array in outputs:
+            array[...] = np.frombuffer(data, array.dtype, array.size, offset).reshape(array.shape)
+            offset += array.nbytes
+
+
+def _work(group: _Group, write: int, inherited: Sequence[int]) -> NoReturn:
+    """A forked worker: fit ``group``, send its outputs through ``write``, exit."""
+    status = 1
+    try:
+        for fd in inherited:  # pipe ends of the parent's
+            os.close(fd)
+        group.fit()
+        with open(write, "wb") as pipe:
+            for array in group.outputs():
+                pipe.write(array.tobytes())
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fit_all(groups: Sequence[_Group]) -> None:
+    """Fit group 0 in this process and each other group in a forked worker.
+
+    Raises:
+        RuntimeError: a worker exited with a non-zero status or sent fewer
+            or more bytes than its group's outputs hold.
+    """
+    pids: list[int] = []
+    reads: list[int] = []  # read end of each worker's pipe
+    try:
+        for group in groups[1:]:
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(group, write, reads)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        groups[0].fit()
+        sent = []
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+    finally:
+        for read in reads:
+            os.close(read)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status, group, data in zip(pids, statuses, groups[1:], sent):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError(f"training worker {pid} exited with status {code}")
+        group.receive(data)
+
+
 def train(
     jobs: Sequence[TrainJob], config: TrainConfig
 ) -> list[Autoencoder | TrainingDivergedError]:
-    """Fit one autoencoder per job by mini-batch SGD, all jobs in one loop.
+    """Fit one autoencoder per job by mini-batch SGD, the jobs in groups.
 
     Every job gets the model, seed, per-epoch permutation stream, batch
     count and per-batch mean loss it would get alone, so its fit equals a
-    one-job ``train`` up to float32 roundoff; the jobs only share the
-    numpy calls. The jobs share one float32 ``_Stack``, the bank: each model
-    starts as its own float64 stack of one, is copied in through the bank's
-    views of its actor (exactly, as its initial values are float32) and,
-    once trained, copied back out the same way (widened exactly). Jobs are
-    stacked by row count, most first, so batch ``b`` of an epoch runs on a leading
-    slice of the stack: only the jobs that still have rows. A batch that is
-    short for some of them pads their rows with weight 0.
+    one-job ``train`` up to float32 roundoff; the jobs of a group only share
+    the numpy calls. The jobs are split into ``min(CPUs, jobs)`` groups of
+    about equal row totals, where CPUs is the size of the process's affinity
+    mask (1 where the platform does not have one). This process fits group
+    0, and one forked worker fits each other group; ``taskset`` or a cpuset
+    limits their number. Each group's jobs share one float32 ``_Stack``, a
+    bank: each model starts as its own float64 stack of one and is copied
+    in through the bank's views of its actor (exactly, as its initial values
+    are float32). Every bank is padded to the call's widest ``input_dim``,
+    and every batch to the rows it has in a one-process fit, so the models
+    are bit-identical however the jobs are split. A worker runs only the SGD
+    loop and sends its bank back; this process copies each trained model
+    out (widened exactly) and computes its statistics. Within a bank, jobs
+    are stacked by row count, most first, so batch ``b`` of an epoch runs on
+    a leading slice of the stack: only the jobs that still have rows. A
+    batch that is short for some of them pads their rows with weight 0.
 
     Embedding rows are parameters: each step updates them together with the
     layer weights. After the last epoch a model's ``train_mu`` and
@@ -679,6 +879,7 @@ def train(
     Raises:
         ValueError: a job's rows are not a 2-D integer array with 8 columns,
             are empty, or hold an index outside its feature's size.
+        RuntimeError: a worker failed.
     """
     models, indices = [], []
     for job in jobs:
@@ -699,79 +900,37 @@ def train(
     if not models:
         return []
 
-    # From here on, k counts actors in stack order: most rows, so most batches, first.
-    size = config.batch_size
+    # Jobs by row count, most first; each group keeps that order.
     order = sorted(range(len(models)), key=lambda j: -len(indices[j]))
-    bank = _Stack(
-        [models[j].feature_sizes for j in order],
-        config.hidden_dim, config.code_dim, config.feature_weights,
-        dtype=np.float32,
-    )
-    for k, j in enumerate(order):
-        _copy(bank.views(k), models[j]._stack.views(0))
-    counts = np.array([len(indices[j]) for j in order])
-    batches = -(-counts // size)
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence([jobs[j].seed, len(indices[j])]))
-        for j in order
+    counts = [len(indices[j]) for j in order]
+    width = max(model.input_dim for model in models)
+    members = [
+        [order[k] for k in group] for group in _split(counts, min(_cpu_count(), len(models)))
     ]
+    groups = [
+        _Group(
+            [models[j] for j in group], [indices[j] for j in group],
+            [jobs[j].seed for j in group], config, width, counts[0],
+        )
+        for group in members
+    ]
+    _fit_all(groups)
 
-    # Every actor's gather positions, then one padding row of zero slots.
-    width = bank.segments.shape[1]
-    table = np.concatenate(
-        [bank.positions(k, indices[j]) for k, j in enumerate(order)]
-        + [np.full((1, width), bank.zero)]
-    )
-    first_row = np.concatenate([[0], np.cumsum(counts)])
-    # epoch_rows[k] is actor k's epoch: its permuted table rows, then the
-    # padding row; batch b is a slice of its columns.
-    epoch_rows = np.full((len(order), batches[0] * size), len(table) - 1)
-
-    # per batch: the stack's leading slice, columns, row weights, 0/1 real-row mask
-    steps = []
-    for b in range(batches[0]):
-        live = np.clip(counts - b * size, 0, size)[: np.count_nonzero(batches > b), None]
-        real = (np.arange(live.max()) < live).astype(np.float32)
-        columns = slice(b * size, b * size + real.shape[1])
-        steps.append((bank.lead(len(live)), columns, (real / live).astype(np.float32), real))
-
-    errors: dict[int, TrainingDivergedError] = {}
-    loss_sums = np.zeros((config.epochs, len(order)))
-    flat = bank.flat
-    for epoch in range(config.epochs):
-        for k, rng in enumerate(rngs):
-            epoch_rows[k, : counts[k]] = first_row[k] + rng.permutation(counts[k])
-        for stack, columns, weight, real in steps:
-            pos = table[epoch_rows[: real.shape[0], columns]]
-            cache = stack.forward(pos)
-            sums = (cache["losses"] * real).sum(axis=1)
-            if not np.isfinite(sums).all():
-                # Zero the diverged actors, so that no NaN reaches a gradient
-                # (a weight of 0 would not do: 0 * NaN is NaN), and rerun.
-                for k in np.flatnonzero(~np.isfinite(sums)).tolist():
-                    errors[k] = TrainingDivergedError(f"non-finite loss in epoch {epoch + 1}")
-                    bank.clear(k)
-                    for _, _, w, r in steps[: batches[k]]:
-                        w[k] = 0.0
-                        r[k] = 0.0
-                cache = stack.forward(pos)
-                sums = (cache["losses"] * real).sum(axis=1)
-            loss_sums[epoch, : len(sums)] += sums
-            flat -= config.learning_rate * stack.gradient(cache, weight)
-
-    results: dict[int, Autoencoder | TrainingDivergedError] = {}
-    for k, j in enumerate(order):
-        if k in errors:
-            results[j] = errors[k]
-            continue
-        model = models[j]
-        _copy(model._stack.views(0), bank.views(k))
-        model.epoch_losses = (loss_sums[:, k] / counts[k]).tolist()
-        final_losses = model.losses(indices[j])
-        model.train_mu = float(final_losses.mean())
-        model.train_sigma = float(final_losses.std())
-        results[j] = model
-    return [results[j] for j in range(len(models))]
+    results: list[Autoencoder | TrainingDivergedError] = list(models)
+    for group, fitted in zip(members, groups):
+        for k, j in enumerate(group):
+            if fitted.diverged[k]:
+                results[j] = TrainingDivergedError(
+                    f"non-finite loss in epoch {fitted.diverged[k]}"
+                )
+                continue
+            model = models[j]
+            _copy(model._stack.views(0), fitted.bank.views(k))
+            model.epoch_losses = (fitted.loss_sums[:, k] / fitted.counts[k]).tolist()
+            final_losses = model.losses(indices[j])
+            model.train_mu = float(final_losses.mean())
+            model.train_sigma = float(final_losses.std())
+    return results
 
 
 def _copy(target: Mapping[str, np.ndarray], source: Mapping[str, np.ndarray]) -> None:

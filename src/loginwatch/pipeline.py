@@ -148,6 +148,15 @@ class PipelineConfig:
             raise ValueError(f"geohash_precision must be in 1..{MAX_GEOHASH_PRECISION}")
         if not 0.0 < self.wilson_z < math.inf:
             raise ValueError(f"wilson_z must be finite and > 0, got {self.wilson_z}")
+        # NaN fails both comparisons, so it is refused too
+        if not 0.0 <= self.superset_threshold <= 1.0:
+            raise ValueError(
+                f"superset_threshold must be in [0, 1], got {self.superset_threshold}"
+            )
+        # NaN would make every model NEEDS_RETRAIN; a floor above 1 is allowed
+        # and forces a retrain
+        if math.isnan(self.retrain_f1_floor):
+            raise ValueError(f"retrain_f1_floor must be a number, got {self.retrain_f1_floor}")
         if not 0.0 < self.train_split < 1.0:
             raise ValueError("train_split must be in (0, 1)")
         if not 0.0 <= self.sample_fraction <= 1.0:

@@ -6,6 +6,7 @@ import base64
 import copy
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -20,6 +21,8 @@ from loginwatch.model import (
     TrainingDivergedError,
     TrainJob,
     _copy,
+    _cpu_count,
+    _Group,
     _finite_differences,
     _relative_error,
     _sigmoid,
@@ -513,6 +516,8 @@ class TestBank:
             assert_same_fit(model, solo)
 
     def test_diverged_job_is_reported_and_the_others_carry_on(self, monkeypatch):
+        # one process, so that the three jobs share one bank
+        monkeypatch.setattr("loginwatch.model._cpu_count", lambda: 1)
         config = TrainConfig(epochs=3, learning_rate=0.1, hidden_dim=6, code_dim=4)
         jobs = self.jobs()[:3]
         solos = [train([job], config)[0] for job in jobs]
@@ -671,6 +676,121 @@ class TestBank:
         assert np.count_nonzero(~owned) == (31 - 13) * (2 * 5 + 1) + 1  # padding, zero slot
         for grad in grads.values():
             assert np.all(grad[~owned] == 0.0)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_bit_identical(model: Autoencoder, reference: Autoencoder) -> None:
+    assert model.actor_id == reference.actor_id
+    assert np.array_equal(model.theta.view(np.uint64), reference.theta.view(np.uint64))
+    assert np.array_equal(
+        np.array(model.epoch_losses).view(np.uint64),
+        np.array(reference.epoch_losses).view(np.uint64),
+    )
+    assert (model.train_mu, model.train_sigma) == (reference.train_mu, reference.train_sigma)
+
+
+class TestSplit:
+    """A ``train`` call split over forked workers fits as one process does."""
+
+    def pin(self, monkeypatch, cpus: int) -> list[int]:
+        """Force ``cpus`` CPUs; returns a list that grows by one per fork."""
+        monkeypatch.setattr("loginwatch.model._cpu_count", lambda: cpus)
+        forks, fork = [], os.fork
+        parent = os.getpid()
+
+        def counted_fork():
+            if os.getpid() == parent:
+                forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_split_fit_is_bit_identical_to_one_process(self, monkeypatch, cpus):
+        config = TrainConfig(
+            epochs=4, batch_size=32, learning_rate=0.1, hidden_dim=6, code_dim=4,
+            feature_weights={"outcome": 2.0},
+        )
+        # widths 31, 28, 13, 28 and 32; 70, 40, 100, 20 and 50 rows. With the
+        # 32-wide job, a group padded only to its own widest job, or a batch
+        # padded only to its group's longest job, gives some jobs other bits.
+        widest = {**SIZES, "geohash": 11}
+        jobs = TestBank().jobs() + [
+            TrainJob("widest", rows_within(widest, 50, seed=5), widest, seed=15)
+        ]
+        forks = self.pin(monkeypatch, 1)
+        single = train(jobs, config)
+        assert forks == []
+        forks = self.pin(monkeypatch, cpus)
+        split = train(jobs, config)
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+        for model, reference in zip(split, single):
+            assert_bit_identical(model, reference)
+
+    def test_divergence_in_a_worker_is_reported_with_its_epoch(self, monkeypatch):
+        config = TrainConfig(epochs=3, learning_rate=0.1, hidden_dim=6, code_dim=4)
+        jobs = TestBank().jobs()[:3]
+        solos = [train([job], config)[0] for job in jobs]
+        parent = os.getpid()
+        forward = _Stack.forward
+        calls = []
+
+        def poisoned_forward(stack, pos):
+            if os.getpid() != parent:
+                calls.append(1)
+                # Split by row count, the worker fits wide and plain; wide has
+                # 3 batches, so its 4th is the first batch of epoch 2.
+                assert stack.feature_sizes[0] == WIDE_SIZES
+                if len(calls) == 4:
+                    stack.params[0][0, 0, 0] = np.nan  # w1 of "wide"
+            return forward(stack, pos)
+
+        forks = self.pin(monkeypatch, 2)
+        monkeypatch.setattr(_Stack, "forward", poisoned_forward)
+        wide, plain, coarse = train(jobs, config)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert isinstance(wide, TrainingDivergedError)
+        assert str(wide) == "non-finite loss in epoch 2"
+        assert_same_fit(plain, solos[1])
+        assert_same_fit(coarse, solos[2])
+
+    def test_failed_worker_makes_train_raise(self, monkeypatch):
+        parent = os.getpid()
+        fit = _Group.fit
+
+        def failing_fit(group):
+            if os.getpid() != parent:
+                os._exit(3)
+            fit(group)
+
+        self.pin(monkeypatch, 2)
+        monkeypatch.setattr(_Group, "fit", failing_fit)
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            train(TestBank().jobs(), TrainConfig(epochs=1, hidden_dim=6, code_dim=4))
+        assert_no_child_left()
+
+    def test_one_job_never_forks(self, monkeypatch):
+        forks = self.pin(monkeypatch, 4)
+        model = fit(random_rows(40, seed=3), TrainConfig(epochs=2))
+        assert forks == [] and model.epoch_losses
+
+    def test_one_cpu_where_the_platform_has_no_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _cpu_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _cpu_count() == 1
+
+    def test_width_below_an_input_dim_refused(self):
+        _Stack([WIDE_SIZES, COARSE_SIZES], 5, 3, width=40)  # 31 and 13 fit in 40
+        with pytest.raises(ValueError, match="width 30 is below input_dim 31"):
+            _Stack([WIDE_SIZES, COARSE_SIZES], 5, 3, width=30)
 
 
 class TestTrainConfig:

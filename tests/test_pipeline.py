@@ -386,6 +386,21 @@ class TestPipelineConfig:
             ({"wilson_z": math.inf}, "wilson_z must be finite and > 0, got inf"),
             ({"train": {"hidden_dim": 0}}, "hidden_dim must be >= 1, got 0"),
             ({"train": {"code_dim": -2}}, "code_dim must be >= 1, got -2"),
+            # -1.0 makes every app known, 2.0 none
+            ({"superset_threshold": -1.0}, r"superset_threshold must be in \[0, 1\], got -1.0"),
+            ({"superset_threshold": 2.0}, r"superset_threshold must be in \[0, 1\], got 2.0"),
+            ({"superset_threshold": math.nan}, r"superset_threshold must be in \[0, 1\], got nan"),
+            # NaN makes every model NEEDS_RETRAIN
+            ({"retrain_f1_floor": math.nan}, "retrain_f1_floor must be a number, got nan"),
+            # every actor would diverge
+            (
+                {"train": {"learning_rate": math.nan}},
+                "learning_rate must be finite and > 0, got nan",
+            ),
+            (
+                {"train": {"learning_rate": math.inf}},
+                "learning_rate must be finite and > 0, got inf",
+            ),
             # each kind's sweep is kept once, so the second would replace the first
             (
                 {"injections": [
@@ -398,7 +413,10 @@ class TestPipelineConfig:
         ],
         ids=[
             "zero-wilson-z", "negative-wilson-z", "nan-wilson-z", "infinite-wilson-z",
-            "zero-hidden-dim", "negative-code-dim", "repeated-injection-kind",
+            "zero-hidden-dim", "negative-code-dim",
+            "negative-superset-threshold", "superset-threshold-above-1", "nan-superset-threshold",
+            "nan-retrain-f1-floor", "nan-learning-rate", "infinite-learning-rate",
+            "repeated-injection-kind",
         ],
     )
     def test_out_of_range_setting_refused_when_loaded(self, data, message):
