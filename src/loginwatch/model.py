@@ -39,9 +39,9 @@ float32 roundoff.
 ``train`` splits its jobs into one group per CPU that the process may run
 on (its affinity mask; one group where the platform does not say), at most
 one group per job, balanced by row count. Each group has its own bank. The
-parent process fits group 0 and one forked worker fits each other group;
-a worker runs only the SGD loop and sends back its bank's ``flat``, its
-jobs' summed batch losses and the epochs in which any of them diverged.
+parent process fits group 0 and one forked worker fits each other group in
+place: a bank's ``flat``, its jobs' summed batch losses and the epochs in
+which any of them diverged are shared memory, read only after reaping.
 Every bank is padded to the same width, and every batch to the row count
 it has in a one-process fit, so each job's arrays have the same shapes in
 any split and its model comes out bit-identical to a one-process fit. The
@@ -75,7 +75,9 @@ import binascii
 import copy
 import logging
 import math
+import mmap
 import os
+import signal
 from dataclasses import dataclass, field
 from typing import Mapping, NoReturn, Sequence
 
@@ -688,14 +690,21 @@ def _split(counts: Sequence[int], groups: int) -> list[list[int]]:
     return members
 
 
+def _shared(array: np.ndarray) -> np.ndarray:
+    """A copy of ``array`` in anonymous shared memory, which forked workers share."""
+    shared = np.frombuffer(mmap.mmap(-1, array.nbytes), array.dtype).reshape(array.shape)
+    shared[...] = array
+    return shared
+
+
 class _Group:
     """The jobs that one process fits: their bank and the SGD loop's state.
 
     The jobs come most rows first, so batch ``b`` of an epoch runs on a
-    leading slice of the bank: the jobs that still have rows. ``outputs``
-    are the arrays that ``fit`` writes, which a worker sends back: the
-    bank's ``flat``, each job's summed batch losses per epoch, and the epoch
-    in which each job's batch loss went non-finite (0 for none).
+    leading slice of the bank: the jobs that still have rows. ``fit``
+    writes the bank's ``flat``, each job's summed batch losses per epoch
+    and the epoch in which each job's batch loss went non-finite (0 for
+    none); these, and ``error`` for a worker's exception, are shared memory.
 
     ``width`` and ``longest`` are the call's widest ``input_dim`` and its
     longest job's row count: every batch gets as many rows as that job gives
@@ -719,6 +728,8 @@ class _Group:
             config.hidden_dim, config.code_dim, config.feature_weights,
             dtype=np.float32, width=width,
         )
+        self.bank.flat = _shared(self.bank.flat)
+        self.bank._bind(len(models))
         for k, model in enumerate(models):
             _copy(self.bank.views(k), model._stack.views(0))
         self.counts = np.array([len(actor_rows) for actor_rows in rows])
@@ -731,11 +742,9 @@ class _Group:
             [self.bank.positions(k, actor_rows) for k, actor_rows in enumerate(rows)]
             + [np.full((1, width), self.bank.zero)]
         )
-        self.loss_sums = np.zeros((config.epochs, len(models)))
-        self.diverged = np.zeros(len(models), dtype=np.int64)
-
-    def outputs(self) -> tuple[np.ndarray, ...]:
-        return self.bank.flat, self.loss_sums, self.diverged
+        self.loss_sums = _shared(np.zeros((config.epochs, len(models))))
+        self.diverged = _shared(np.zeros(len(models), dtype=np.int64))
+        self.error = mmap.mmap(-1, 512)
 
     def fit(self) -> None:
         """Run every epoch."""
@@ -777,29 +786,17 @@ class _Group:
                 self.loss_sums[epoch, : len(sums)] += sums
                 flat -= config.learning_rate * stack.gradient(cache, weight)
 
-    def receive(self, data: bytes) -> None:
-        """Take ``outputs`` as a worker sent them."""
-        outputs = self.outputs()
-        expected = sum(array.nbytes for array in outputs)
-        if len(data) != expected:
-            raise RuntimeError(f"a training worker sent {len(data)} bytes, expected {expected}")
-        offset = 0
-        for array in outputs:
-            array[...] = np.frombuffer(data, array.dtype, array.size, offset).reshape(array.shape)
-            offset += array.nbytes
 
-
-def _work(group: _Group, write: int, inherited: Sequence[int]) -> NoReturn:
-    """A forked worker: fit ``group``, send its outputs through ``write``, exit."""
+def _work(group: _Group) -> NoReturn:
+    """A forked worker: fit ``group`` in place and exit, with status 1 and
+    its exception's type and message in ``group.error`` if the fit raises."""
     status = 1
     try:
-        for fd in inherited:  # pipe ends of the parent's
-            os.close(fd)
         group.fit()
-        with open(write, "wb") as pipe:
-            for array in group.outputs():
-                pipe.write(array.tobytes())
         status = 0
+    except BaseException as exc:
+        text = f"{type(exc).__name__}: {exc}".encode(errors="replace")[: len(group.error)]
+        group.error[: len(text)] = text
     finally:
         os._exit(status)
 
@@ -807,37 +804,36 @@ def _work(group: _Group, write: int, inherited: Sequence[int]) -> NoReturn:
 def _fit_all(groups: Sequence[_Group]) -> None:
     """Fit group 0 in this process and each other group in a forked worker.
 
+    If this process fails first (its fit raises, a fork fails, an
+    interrupt), it kills every worker it started before reaping them.
+
     Raises:
-        RuntimeError: a worker exited with a non-zero status or sent fewer
-            or more bytes than its group's outputs hold.
+        RuntimeError: a worker raised, exited with a non-zero status or was
+            killed by a signal.
     """
     pids: list[int] = []
-    reads: list[int] = []  # read end of each worker's pipe
     try:
         for group in groups[1:]:
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(group, write, reads)
-            finally:
-                os.close(write)
+            pid = os.fork()
+            if pid == 0:
+                _work(group)
             pids.append(pid)
         groups[0].fit()
-        sent = []
-        for read in reads:
-            with open(read, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        for read in reads:
-            os.close(read)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for pid, status, group, data in zip(pids, statuses, groups[1:], sent):
+    for pid, status, group in zip(pids, statuses, groups[1:]):
         code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise RuntimeError(f"training worker {pid} exited with status {code}")
-        group.receive(data)
+        if code == 0:
+            continue
+        # code is -N for signal N; most real-time signals have no name
+        killed = {-sig.value: f"was killed by {sig.name}" for sig in signal.Signals}
+        why = killed.get(code, f"exited with status {code}")
+        error = group.error[:].rstrip(b"\0").decode(errors="replace")
+        raise RuntimeError(f"training worker {pid} {why}" + (f": {error}" if error else ""))
 
 
 def train(
@@ -858,11 +854,11 @@ def train(
     are float32). Every bank is padded to the call's widest ``input_dim``,
     and every batch to the rows it has in a one-process fit, so the models
     are bit-identical however the jobs are split. A worker runs only the SGD
-    loop and sends its bank back; this process copies each trained model
-    out (widened exactly) and computes its statistics. Within a bank, jobs
-    are stacked by row count, most first, so batch ``b`` of an epoch runs on
-    a leading slice of the stack: only the jobs that still have rows. A
-    batch that is short for some of them pads their rows with weight 0.
+    loop, in its group's shared memory; this process copies each trained
+    model out (widened exactly) and computes its statistics. Within a bank,
+    jobs are stacked by row count, most first, so batch ``b`` of an epoch
+    runs on a leading slice of the stack: only the jobs that still have
+    rows. A batch short for some of them pads their rows with weight 0.
 
     Embedding rows are parameters: each step updates them together with the
     layer weights. After the last epoch a model's ``train_mu`` and
@@ -879,7 +875,8 @@ def train(
     Raises:
         ValueError: a job's rows are not a 2-D integer array with 8 columns,
             are empty, or hold an index outside its feature's size.
-        RuntimeError: a worker failed.
+        RuntimeError: a worker raised, exited with a non-zero status or was
+            killed by a signal.
     """
     models, indices = [], []
     for job in jobs:

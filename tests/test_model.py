@@ -5,8 +5,11 @@ from __future__ import annotations
 import base64
 import copy
 import json
+import errno
 import math
 import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -683,6 +686,10 @@ def assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def raise_(exc: BaseException):
+    raise exc
+
+
 def assert_bit_identical(model: Autoencoder, reference: Autoencoder) -> None:
     assert model.actor_id == reference.actor_id
     assert np.array_equal(model.theta.view(np.uint64), reference.theta.view(np.uint64))
@@ -761,20 +768,116 @@ class TestSplit:
         assert_same_fit(plain, solos[1])
         assert_same_fit(coarse, solos[2])
 
-    def test_failed_worker_makes_train_raise(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "fail, message",
+        [
+            (lambda: os._exit(3), "exited with status 3"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+            (lambda: raise_(ValueError("boom")), "exited with status 1: ValueError: boom"),
+            (  # cut to the worker's 512-byte error buffer
+                lambda: raise_(ValueError("boom" * 1000)),
+                "exited with status 1: ValueError: (boom){125}",
+            ),
+        ],
+        ids=["exit", "signal", "raise", "long raise"],
+    )
+    def test_failed_worker_makes_train_raise(self, monkeypatch, fail, message):
         parent = os.getpid()
         fit = _Group.fit
 
         def failing_fit(group):
             if os.getpid() != parent:
-                os._exit(3)
+                fail()
             fit(group)
 
         self.pin(monkeypatch, 2)
         monkeypatch.setattr(_Group, "fit", failing_fit)
-        with pytest.raises(RuntimeError, match="exited with status 3"):
+        with pytest.raises(RuntimeError, match=rf"^training worker \d+ {message}$"):
             train(TestBank().jobs(), TrainConfig(epochs=1, hidden_dim=6, code_dim=4))
         assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", ["fit", "fork"])
+    def test_failing_parent_stops_its_workers(self, monkeypatch, failing):
+        # A worker's fit sleeps 5 s. The parent fails at once, by an
+        # interrupt in its own fit or by a second fork that fails, and must
+        # not wait for the worker.
+        parent = os.getpid()
+
+        def fit(group):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(5)
+
+        forks = self.pin(monkeypatch, 3)
+        fork = os.fork
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        if failing == "fork":
+            monkeypatch.setattr(os, "fork", fork_once)
+        monkeypatch.setattr(_Group, "fit", fit)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt if failing == "fit" else BlockingIOError):
+            train(TestBank().jobs(), TrainConfig(epochs=1, hidden_dim=6, code_dim=4))
+        assert time.monotonic() - start < 2.0
+        assert len(forks) == (2 if failing == "fit" else 1)
+        assert_no_child_left()
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_any_split_is_bit_identical_to_one_process(self, data):
+        count = data.draw(st.integers(2, 6), label="jobs")
+        # The marked job has a geohash size that no other job draws; its
+        # own n-th forward call in the bank puts a NaN in its w1, in
+        # whichever process fits it.
+        marked = data.draw(st.integers(0, count - 1), label="marked job")
+        jobs = []
+        for j in range(count):
+            sizes = {name: data.draw(st.integers(1, 29), label=name) for name in FEATURE_ORDER}
+            if j == marked:
+                sizes["geohash"] = 30
+            rows = rows_within(sizes, data.draw(st.integers(1, 100), label="rows"), seed=j)
+            jobs.append(TrainJob(f"u{j}", rows, sizes, seed=j))
+        config = TrainConfig(
+            epochs=data.draw(st.integers(1, 3), label="epochs"),
+            batch_size=data.draw(st.integers(1, 32), label="batch size"),
+            learning_rate=0.1, hidden_dim=6, code_dim=4,
+        )
+        calls = -(-len(jobs[marked].rows) // config.batch_size) * config.epochs
+        poison_at = data.draw(st.integers(1, calls), label="poisoned call")
+        cpus = data.draw(st.integers(2, 4), label="cpus")
+
+        forward = _Stack.forward
+        seen = []
+
+        def poisoned_forward(stack, pos):
+            if stack.flat.dtype == np.float32:
+                for k in range(len(pos)):  # the bank's live jobs
+                    if stack.feature_sizes[k] == jobs[marked].feature_sizes:
+                        seen.append(1)
+                        if len(seen) == poison_at:
+                            stack.params[0][k, 0, 0] = np.nan
+            return forward(stack, pos)
+
+        results = {}
+        for forced in (1, cpus):
+            seen.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                forks = self.pin(patch, forced)
+                patch.setattr(_Stack, "forward", poisoned_forward)
+                results[forced] = train(jobs, config)
+            assert len(forks) == min(forced, count) - 1
+            assert_no_child_left()
+        assert isinstance(results[1][marked], TrainingDivergedError)
+        for result, reference in zip(results[cpus], results[1]):
+            if isinstance(reference, TrainingDivergedError):
+                assert type(result) is TrainingDivergedError
+                assert str(result) == str(reference)
+            else:
+                assert_bit_identical(result, reference)
 
     def test_one_job_never_forks(self, monkeypatch):
         forks = self.pin(monkeypatch, 4)
