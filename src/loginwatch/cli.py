@@ -18,12 +18,14 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from datetime import date
 from pathlib import Path
 
 from loginwatch import synth
 from loginwatch.apps import build_superset, login_frequencies
+from loginwatch.backfill import score_file
 from loginwatch.events import (
     FilterMode,
     IngestStats,
@@ -38,7 +40,7 @@ from loginwatch.pipeline import (
     run_score_workflow,
     run_train_workflow,
 )
-from loginwatch.registry import ModelRegistry, RegistryIntegrityError
+from loginwatch.registry import ModelRegistry, RegistryIntegrityError, name_max
 
 logger = logging.getLogger(__name__)
 
@@ -125,9 +127,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    events, stats = load_events(args.input)
     registry = ModelRegistry(args.registry)
-    result = run_score_workflow(events, config, registry)
+    split = score_file(args.input, config, registry)
+    if split is None:
+        events, stats = load_events(args.input)
+        result = run_score_workflow(events, config, registry)
+    else:
+        result, stats = split
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             for actor_id in sorted(result.reports):
@@ -146,7 +152,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     actors = registry.actors()
     written, unreadable = [], []
+    # the curve files' names hold the id, which must leave room for the rest
+    longest = name_max(out_dir) - len("loss_epochs_.csv")
     for actor_id in actors:
+        if len(os.fsencode(actor_id)) > longest:
+            logger.warning(
+                "cannot report %s: its id is longer than the %d bytes that its "
+                "curve file names leave it", actor_id, longest,
+            )
+            unreadable.append(actor_id)
+            continue
         try:
             entry = registry.load(actor_id)
             try:  # metrics are free-form in a document

@@ -27,7 +27,7 @@ from enum import Enum
 from json.scanner import make_scanner
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -420,16 +420,95 @@ def load_events(path: Path | str) -> tuple[list[LogEvent], IngestStats]:
                 record = _decode(line, number)
                 lines += 1
                 try:
-                    if isinstance(record, dict) and "actor_id" in record:
-                        events.append(_flat_event(record, strings))
-                    else:
-                        events.append(_okta_event(record, number, strings))
+                    events.append(_event(record, number, strings))
                 except (RecordRejectedError, KeyError, ValueError) as exc:
-                    logger.warning("rejected record at line %d: %s", number, exc)
+                    _log_rejected(number, exc)
                     rejected += 1
         except UnicodeDecodeError:
             raise _undecodable(path, number) from None
     return events, IngestStats(lines=lines, parsed=len(events), rejected=rejected)
+
+
+def _event(record, number: int, strings: _Strings) -> LogEvent:
+    """The event of one decoded line, in the flat shape or the raw one.
+
+    Raises:
+        RecordRejectedError, KeyError, ValueError: the record is rejected.
+    """
+    if isinstance(record, dict) and "actor_id" in record:
+        return _flat_event(record, strings)
+    return _okta_event(record, number, strings)
+
+
+def _log_rejected(number: int, exc: Exception) -> None:
+    logger.warning("rejected record at line %d: %s", number, exc)
+
+
+# Bytes a ``load_range`` call reads at a time.
+RANGE_CHUNK_BYTES = 1 << 16
+
+
+def load_range(
+    path: Path | str,
+    start: int,
+    end: int,
+    first_line: int = 1,
+    rejected: Callable[[int, int, int, Exception], None] | None = None,
+) -> tuple[list[LogEvent], IngestStats, int]:
+    """Parse the lines in bytes ``[start, end)`` of a JSONL file, as
+    :func:`load_events` parses a whole one.
+
+    ``start`` must be 0 or follow a ``"\\n"``. The range is read
+    ``RANGE_CHUNK_BYTES`` at a time, so it is never held whole. Its lines
+    end as a text-mode reader ends them, at ``"\\r\\n"``, ``"\\r"`` or
+    ``"\\n"``, and are numbered from ``first_line``. Each rejected record
+    is passed to ``rejected`` as (byte offset of its line, byte length of
+    its line, line number, exception); the default logs it as
+    :func:`load_events` does. So the lines ``[offset, offset + length)``
+    and ``first_line=number`` parse that one line again.
+
+    Returns:
+        The events, the stats, and the number of lines read, blank ones
+        included: ranges that meet at a line end number their lines from
+        the previous range's ``first_line`` plus that count.
+
+    Raises:
+        MalformedLineError: a line is not valid JSON or not UTF-8. Unlike
+            :func:`load_events`, whose reader decodes ahead of the lines it
+            gives, this reports the lines before a bad byte first.
+    """
+    report = rejected or (lambda offset, length, number, exc: _log_rejected(number, exc))
+    events: list[LogEvent] = []
+    strings = _Strings()
+    number, offset, parsed_lines, rejected_count = first_line - 1, start, 0, 0
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        rest, left = b"", end - start
+        while rest or left > 0:
+            data = handle.read(min(RANGE_CHUNK_BYTES, left)) if left > 0 else b""
+            left -= len(data)
+            # the last line may go on in the next chunk, even after a "\r"
+            raws = (rest + data).splitlines(keepends=True)
+            rest = raws.pop() if data and left > 0 else b""
+            for raw in raws:
+                number += 1
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise MalformedLineError(f"invalid UTF-8: {exc.reason}", number) from None
+                if line.strip():
+                    record = _decode(line, number)
+                    parsed_lines += 1
+                    try:
+                        events.append(_event(record, number, strings))
+                    except (RecordRejectedError, KeyError, ValueError) as exc:
+                        report(offset, len(raw), number, exc)
+                        rejected_count += 1
+                offset += len(raw)
+            if not data:
+                break
+    stats = IngestStats(lines=parsed_lines, parsed=len(events), rejected=rejected_count)
+    return events, stats, number - first_line + 1
 
 
 def _undecodable(path: Path | str, loaded: int) -> MalformedLineError:

@@ -11,6 +11,7 @@ with the returned event list.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import Enum
@@ -52,9 +53,10 @@ class InjectionSpec:
         object.__setattr__(self, "kind", InjectionKind(self.kind))
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
-        if self.distance_miles <= 0:
+        # NaN fails the comparison, so it is refused too
+        if not 0 < self.distance_miles < math.inf:
             raise ValueError(
-                f"distance_miles must be > 0, got {self.distance_miles}"
+                f"distance_miles must be finite and > 0, got {self.distance_miles}"
             )
 
 

@@ -40,8 +40,9 @@ float32 roundoff.
 on (its affinity mask; one group where the platform does not say), at most
 one group per job, balanced by row count. Each group has its own bank. The
 parent process fits group 0 and one forked worker fits each other group in
-place: a bank's ``flat``, its jobs' summed batch losses and the epochs in
-which any of them diverged are shared memory, read only after reaping.
+place (``workers.run``): a bank's ``flat``, its jobs' summed batch losses
+and the epochs in which any of them diverged are shared memory, read only
+after reaping.
 Every bank is padded to the same width, and every batch to the row count
 it has in a one-process fit, so each job's arrays have the same shapes in
 any split and its model comes out bit-identical to a one-process fit. The
@@ -75,19 +76,19 @@ import binascii
 import copy
 import logging
 import math
-import mmap
-import os
-import signal
 from dataclasses import dataclass, field
-from typing import Mapping, NoReturn, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from loginwatch import workers
 from loginwatch.encoding import FEATURE_ORDER, embedding_dim
 
 logger = logging.getLogger(__name__)
 
 _DENSE_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "head", "head_bias")
+# The largest feature weight: float32's largest finite value.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Row f is the segment row of a column of feature f; the last row, all 0, is
 # that of a padded column.
 _SEGMENT_ROWS = np.eye(len(FEATURE_ORDER) + 1, len(FEATURE_ORDER))
@@ -127,8 +128,8 @@ def checked_weights(feature_weights: Mapping[str, float] | None) -> dict[str, fl
 
     Raises:
         ValueError: a weight names no feature, is not a number, or is not a
-            finite value >= 0 (a NaN weight makes every loss NaN, so nothing
-            is ever flagged).
+            value >= 0 that float32 holds as a finite value (a NaN weight
+            makes every loss NaN, so nothing is ever flagged).
     """
     weights = dict(feature_weights or {})
     for name, weight in weights.items():
@@ -136,8 +137,12 @@ def checked_weights(feature_weights: Mapping[str, float] | None) -> dict[str, fl
             raise ValueError(f"feature weight {name!r:.40} names no feature of {FEATURE_ORDER}")
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise ValueError(f"feature weight {name} must be a number, got {weight!r:.40}")
-        if not 0 <= weight < math.inf:
-            raise ValueError(f"feature weight {name} must be finite and >= 0, got {weight}")
+        # the bank trains in float32, where a larger weight is infinite
+        if not 0 <= weight <= FLOAT32_MAX:
+            raise ValueError(
+                f"feature weight {name} must be finite and >= 0, and at most "
+                f"float32's largest finite value {FLOAT32_MAX}, got {weight}"
+            )
     return {name: float(weights.get(name, 1.0)) for name in FEATURE_ORDER}
 
 
@@ -669,14 +674,6 @@ class TrainJob:
     seed: int
 
 
-def _cpu_count() -> int:
-    """How many CPUs this process may run on: the size of its affinity mask,
-    or 1 where the platform has no ``sched_getaffinity``."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _split(counts: Sequence[int], groups: int) -> list[list[int]]:
     """Positions into ``counts`` (row counts, most first) in ``groups``
     groups of about equal row totals: each position joins the group with the
@@ -690,13 +687,6 @@ def _split(counts: Sequence[int], groups: int) -> list[list[int]]:
     return members
 
 
-def _shared(array: np.ndarray) -> np.ndarray:
-    """A copy of ``array`` in anonymous shared memory, which forked workers share."""
-    shared = np.frombuffer(mmap.mmap(-1, array.nbytes), array.dtype).reshape(array.shape)
-    shared[...] = array
-    return shared
-
-
 class _Group:
     """The jobs that one process fits: their bank and the SGD loop's state.
 
@@ -704,7 +694,7 @@ class _Group:
     leading slice of the bank: the jobs that still have rows. ``fit``
     writes the bank's ``flat``, each job's summed batch losses per epoch
     and the epoch in which each job's batch loss went non-finite (0 for
-    none); these, and ``error`` for a worker's exception, are shared memory.
+    none); these are shared memory.
 
     ``width`` and ``longest`` are the call's widest ``input_dim`` and its
     longest job's row count: every batch gets as many rows as that job gives
@@ -728,7 +718,7 @@ class _Group:
             config.hidden_dim, config.code_dim, config.feature_weights,
             dtype=np.float32, width=width,
         )
-        self.bank.flat = _shared(self.bank.flat)
+        self.bank.flat = workers.shared(self.bank.flat)
         self.bank._bind(len(models))
         for k, model in enumerate(models):
             _copy(self.bank.views(k), model._stack.views(0))
@@ -742,9 +732,8 @@ class _Group:
             [self.bank.positions(k, actor_rows) for k, actor_rows in enumerate(rows)]
             + [np.full((1, width), self.bank.zero)]
         )
-        self.loss_sums = _shared(np.zeros((config.epochs, len(models))))
-        self.diverged = _shared(np.zeros(len(models), dtype=np.int64))
-        self.error = mmap.mmap(-1, 512)
+        self.loss_sums = workers.shared_zeros((config.epochs, len(models)), np.float64)
+        self.diverged = workers.shared_zeros(len(models), np.int64)
 
     def fit(self) -> None:
         """Run every epoch."""
@@ -785,55 +774,6 @@ class _Group:
                     sums = (cache["losses"] * real).sum(axis=1)
                 self.loss_sums[epoch, : len(sums)] += sums
                 flat -= config.learning_rate * stack.gradient(cache, weight)
-
-
-def _work(group: _Group) -> NoReturn:
-    """A forked worker: fit ``group`` in place and exit, with status 1 and
-    its exception's type and message in ``group.error`` if the fit raises."""
-    status = 1
-    try:
-        group.fit()
-        status = 0
-    except BaseException as exc:
-        text = f"{type(exc).__name__}: {exc}".encode(errors="replace")[: len(group.error)]
-        group.error[: len(text)] = text
-    finally:
-        os._exit(status)
-
-
-def _fit_all(groups: Sequence[_Group]) -> None:
-    """Fit group 0 in this process and each other group in a forked worker.
-
-    If this process fails first (its fit raises, a fork fails, an
-    interrupt), it kills every worker it started before reaping them.
-
-    Raises:
-        RuntimeError: a worker raised, exited with a non-zero status or was
-            killed by a signal.
-    """
-    pids: list[int] = []
-    try:
-        for group in groups[1:]:
-            pid = os.fork()
-            if pid == 0:
-                _work(group)
-            pids.append(pid)
-        groups[0].fit()
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for pid, status, group in zip(pids, statuses, groups[1:]):
-        code = os.waitstatus_to_exitcode(status)
-        if code == 0:
-            continue
-        # code is -N for signal N; most real-time signals have no name
-        killed = {-sig.value: f"was killed by {sig.name}" for sig in signal.Signals}
-        why = killed.get(code, f"exited with status {code}")
-        error = group.error[:].rstrip(b"\0").decode(errors="replace")
-        raise RuntimeError(f"training worker {pid} {why}" + (f": {error}" if error else ""))
 
 
 def train(
@@ -902,7 +842,8 @@ def train(
     counts = [len(indices[j]) for j in order]
     width = max(model.input_dim for model in models)
     members = [
-        [order[k] for k in group] for group in _split(counts, min(_cpu_count(), len(models)))
+        [order[k] for k in group]
+        for group in _split(counts, min(workers.cpu_count(), len(models)))
     ]
     groups = [
         _Group(
@@ -911,7 +852,7 @@ def train(
         )
         for group in members
     ]
-    _fit_all(groups)
+    workers.run([group.fit for group in groups], "training")
 
     results: list[Autoencoder | TrainingDivergedError] = list(models)
     for group, fitted in zip(members, groups):

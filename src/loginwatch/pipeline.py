@@ -67,6 +67,7 @@ from loginwatch.model import (
     train,
 )
 from loginwatch.registry import (
+    DEFAULT_NAME_MAX,
     EntryStatus,
     ModelRegistry,
     RegistryEntry,
@@ -348,14 +349,16 @@ def _prepare_actor(
     actor_id: str,
     actor_events: Sequence[LogEvent],
     config: PipelineConfig,
+    name_max: int = DEFAULT_NAME_MAX,
 ) -> tuple[_PreparedActor | None, str | None]:
     """Everything before training: split, vocabularies, sample and injected validation.
 
     Returns (prepared actor, None), or (None, skip reason) for an actor that
-    cannot be trained or validated.
+    cannot be trained or validated, or whose id is not a file name of at
+    most ``name_max`` bytes.
     """
     try:
-        check_actor_id(actor_id)
+        check_actor_id(actor_id, name_max)
     except UnsafeActorIdError as exc:
         return None, str(exc)
     count = len(actor_events)
@@ -509,8 +512,9 @@ def run_train_workflow(
 
     reasons: dict[str, str] = {}
     prepared: list[_PreparedActor] = []
+    name_max = DEFAULT_NAME_MAX if registry is None else registry.name_max
     for actor_id in sorted(groups):
-        actor, reason = _prepare_actor(actor_id, groups[actor_id], config)
+        actor, reason = _prepare_actor(actor_id, groups[actor_id], config, name_max)
         if actor is None:
             reasons[actor_id] = reason
         else:
@@ -592,20 +596,13 @@ def run_score_workflow(
     retrained: list[str] = []
     for actor_id in sorted(groups):
         actor_events = groups[actor_id]
-        try:
-            entry = registry.load(actor_id)
-        except (RegistryNotFoundError, UnsafeActorIdError):
-            unscorable.append(actor_id)
-            continue
-        except RegistryIntegrityError as exc:
-            logger.warning("cannot score %s: %s", actor_id, exc)
+        entry = load_for_scoring(registry, actor_id)
+        if not isinstance(entry, RegistryEntry):
+            warn_unscorable(actor_id, entry)
             unscorable.append(actor_id)
             continue
 
-        if (
-            entry.status is EntryStatus.NEEDS_RETRAIN
-            and len(actor_events) >= config.min_events
-        ):
+        if needs_retrain(entry, len(actor_events), config):
             fresh, reason = _train_single_actor(actor_id, actor_events, config)
             if fresh is not None:
                 registry.save(fresh)
@@ -618,17 +615,47 @@ def run_score_workflow(
                     reason,
                 )
 
-        stored_hash = entry.metadata.get("config_hash")
-        if stored_hash is not None and stored_hash != config_hash:
-            logger.warning(
-                "config drift for %s: its model was trained with config %s, "
-                "this call uses %s; scoring with it anyway",
-                actor_id,
-                stored_hash,
-                config_hash,
-            )
         rows = _encode_actor_events(actor_events, entry.encoder)
-        reports[actor_id] = score_events(entry.model, rows)
+        reports[actor_id] = score_entry(entry, rows, config_hash)
     return ScoreWorkflowResult(
         reports=reports, unscorable=unscorable, retrained=retrained
     )
+
+
+# What makes an actor unscorable: no stored model, a newest document that
+# fails its check, or an id that cannot name a registry directory.
+Unscorable = RegistryNotFoundError | RegistryIntegrityError | UnsafeActorIdError
+
+
+def load_for_scoring(registry: ModelRegistry, actor_id: str) -> RegistryEntry | Unscorable:
+    """The actor's newest entry, or the error that makes the actor unscorable."""
+    try:
+        return registry.load(actor_id)
+    except (RegistryNotFoundError, RegistryIntegrityError, UnsafeActorIdError) as exc:
+        return exc
+
+
+def warn_unscorable(actor_id: str, error: Unscorable) -> None:
+    """Log why an actor is unscorable, if its registry holds a refused document."""
+    if isinstance(error, RegistryIntegrityError):
+        logger.warning("cannot score %s: %s", actor_id, error)
+
+
+def needs_retrain(entry: RegistryEntry, count: int, config: PipelineConfig) -> bool:
+    """Whether a score call with ``count`` of the actor's logins retrains it first."""
+    return entry.status is EntryStatus.NEEDS_RETRAIN and count >= config.min_events
+
+
+def score_entry(entry: RegistryEntry, rows: np.ndarray, config_hash: str) -> DetectionReport:
+    """Score one actor's encoded logins with its entry, in one ``score_events``
+    call; warn first if the entry was trained under another config."""
+    stored_hash = entry.metadata.get("config_hash")
+    if stored_hash is not None and stored_hash != config_hash:
+        logger.warning(
+            "config drift for %s: its model was trained with config %s, "
+            "this call uses %s; scoring with it anyway",
+            entry.actor_id,
+            stored_hash,
+            config_hash,
+        )
+    return score_events(entry.model, rows)

@@ -38,6 +38,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from loginwatch.encoding import EncoderState, json_object
@@ -68,13 +69,20 @@ class UnsafeActorIdError(ValueError):
     """An actor id cannot serve as a directory or file name."""
 
 
-def check_actor_id(actor_id: str) -> str:
+# The longest file name, in bytes, where a file system cannot be
+# asked (Linux's NAME_MAX).
+DEFAULT_NAME_MAX = 255
+
+
+def check_actor_id(actor_id: str, name_max: int = DEFAULT_NAME_MAX) -> str:
     """Return ``actor_id`` if it is one plain path component.
 
     Registry directories and report file names are built from actor ids,
     which come from the logs. An id that is empty, ``.`` or ``..``, or that
     contains ``/``, ``\\`` or NUL would name a path outside the directory it
-    is joined onto (or no path at all).
+    is joined onto (or no path at all). An id with no file name form (a
+    lone surrogate, which ``os.fsencode`` refuses), or whose form is longer
+    than ``name_max`` bytes, names no directory the file system can make.
 
     Raises:
         UnsafeActorIdError: the id is not one plain path component.
@@ -83,7 +91,25 @@ def check_actor_id(actor_id: str) -> str:
         raise UnsafeActorIdError(
             f"actor id {actor_id!r} is not usable as a directory name"
         )
+    try:
+        size = len(os.fsencode(actor_id))
+    except UnicodeEncodeError:
+        raise UnsafeActorIdError(f"actor id {actor_id!r} has no file name form") from None
+    if size > name_max:
+        raise UnsafeActorIdError(
+            f"actor id of {size} bytes is longer than the {name_max}-byte file name limit"
+        )
     return actor_id
+
+
+def name_max(directory: Path | str) -> int:
+    """The longest file name, in bytes, that ``directory``'s file system
+    takes: ``os.pathconf``'s ``PC_NAME_MAX``, or ``DEFAULT_NAME_MAX`` where
+    that cannot be asked (no such directory yet, or no ``pathconf``)."""
+    try:
+        return os.pathconf(directory, "PC_NAME_MAX")
+    except (OSError, ValueError, AttributeError):
+        return DEFAULT_NAME_MAX
 
 
 @dataclass
@@ -97,6 +123,8 @@ class RegistryEntry:
     metrics: dict
     metadata: dict = field(default_factory=dict)
     created_at: str = ""
+    # the name of the file ``ModelRegistry.load`` read, "" for an entry made in memory
+    source: str = field(default="", compare=False)
 
     def to_document(self) -> dict:
         return {
@@ -227,8 +255,13 @@ class ModelRegistry:
     def __init__(self, root: Path | str):
         self.root = Path(root)
 
+    @cached_property
+    def name_max(self) -> int:
+        """The longest actor id, in bytes, that can name a directory under the root."""
+        return name_max(self.root)
+
     def _actor_dir(self, actor_id: str) -> Path:
-        return self.root / check_actor_id(actor_id)
+        return self.root / check_actor_id(actor_id, self.name_max)
 
     def save(self, entry: RegistryEntry) -> Path:
         """Persist an entry atomically; returns the written model path.
@@ -286,6 +319,7 @@ class ModelRegistry:
                 f"{newest} names actor {entry.actor_id!r} (model {entry.model.actor_id!r}), "
                 f"not {actor_id!r}; retrain the actor to replace it"
             )
+        entry.source = newest.name
         return entry
 
     def actors(self) -> list[str]:

@@ -24,7 +24,6 @@ from loginwatch.model import (
     TrainingDivergedError,
     TrainJob,
     _copy,
-    _cpu_count,
     _Group,
     _finite_differences,
     _relative_error,
@@ -34,6 +33,7 @@ from loginwatch.model import (
     gradient_check,
     train,
 )
+from loginwatch.workers import cpu_count
 
 SIZES = {
     "geohash": 3,
@@ -520,7 +520,7 @@ class TestBank:
 
     def test_diverged_job_is_reported_and_the_others_carry_on(self, monkeypatch):
         # one process, so that the three jobs share one bank
-        monkeypatch.setattr("loginwatch.model._cpu_count", lambda: 1)
+        monkeypatch.setattr("loginwatch.workers.cpu_count", lambda: 1)
         config = TrainConfig(epochs=3, learning_rate=0.1, hidden_dim=6, code_dim=4)
         jobs = self.jobs()[:3]
         solos = [train([job], config)[0] for job in jobs]
@@ -705,7 +705,7 @@ class TestSplit:
 
     def pin(self, monkeypatch, cpus: int) -> list[int]:
         """Force ``cpus`` CPUs; returns a list that grows by one per fork."""
-        monkeypatch.setattr("loginwatch.model._cpu_count", lambda: cpus)
+        monkeypatch.setattr("loginwatch.workers.cpu_count", lambda: cpus)
         forks, fork = [], os.fork
         parent = os.getpid()
 
@@ -886,9 +886,9 @@ class TestSplit:
 
     def test_one_cpu_where_the_platform_has_no_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert _cpu_count() == 3
+        assert cpu_count() == 3
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert _cpu_count() == 1
+        assert cpu_count() == 1
 
     def test_width_below_an_input_dim_refused(self):
         _Stack([WIDE_SIZES, COARSE_SIZES], 5, 3, width=40)  # 31 and 13 fit in 40
@@ -1069,6 +1069,7 @@ class TestPersistence:
             ("geohash", math.nan, "finite and >= 0"),
             ("geohash", math.inf, "finite and >= 0"),
             ("geohash", -1.0, "finite and >= 0"),
+            ("geohash", 1e308, "at most float32's largest finite value"),
             ("geohash", "2", "must be a number"),
             ("geohash", True, "must be a number"),
             ("geohsah", 2.0, "names no feature"),

@@ -401,6 +401,21 @@ class TestPipelineConfig:
                 {"train": {"learning_rate": math.inf}},
                 "learning_rate must be finite and > 0, got inf",
             ),
+            # a NaN distance passes "<= 0", and an infinite one moves nothing
+            (
+                {"injections": [{"distance_miles": math.nan}]},
+                "distance_miles must be finite and > 0, got nan",
+            ),
+            (
+                {"injections": [{"distance_miles": math.inf}]},
+                "distance_miles must be finite and > 0, got inf",
+            ),
+            # the bank trains in float32, where this weight is infinite
+            (
+                {"train": {"feature_weights": {"geohash": 1e308}}},
+                "feature weight geohash must be finite and >= 0, and at most float32's "
+                r"largest finite value 3.4028234663852886e\+38, got 1e\+308",
+            ),
             # each kind's sweep is kept once, so the second would replace the first
             (
                 {"injections": [
@@ -416,12 +431,22 @@ class TestPipelineConfig:
             "zero-hidden-dim", "negative-code-dim",
             "negative-superset-threshold", "superset-threshold-above-1", "nan-superset-threshold",
             "nan-retrain-f1-floor", "nan-learning-rate", "infinite-learning-rate",
+            "nan-distance", "infinite-distance", "weight-above-float32",
             "repeated-injection-kind",
         ],
     )
     def test_out_of_range_setting_refused_when_loaded(self, data, message):
         with pytest.raises(ValueError, match=message):
             PipelineConfig.from_dict(data)
+
+    def test_largest_finite_distance_and_weight_load(self):
+        largest = float(np.finfo(np.float32).max)
+        config = PipelineConfig.from_dict({
+            "train": {"feature_weights": {"geohash": largest}},
+            "injections": [{"distance_miles": 1e300}],
+        })
+        assert config.train.feature_weights == {"geohash": largest}
+        assert config.injections[0].distance_miles == 1e300
 
     def test_hash_tracks_content(self):
         assert fast_config().config_hash() == fast_config().config_hash()
@@ -1033,6 +1058,62 @@ class TestCli:
         assert first == (tmp_path / "second.json").read_bytes()
         config = PipelineConfig.from_dict(json.loads(config_path.read_text()))
         assert json.loads(first)["config_hash"] == config.config_hash()
+
+    def test_id_too_long_for_a_file_name_is_skipped_and_unscorable(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        assert main(["synth", "--actors", "3", "--days", "30", "--seed", "7",
+                     "--out", str(raw)]) == 0
+        long_id = "x" * 300
+        records = [json.loads(line) for line in raw.read_text().splitlines()]
+        for record in records:
+            if record["actor"]["id"] == "u003":
+                record["actor"]["id"] = long_id
+        raw.write_text("".join(json.dumps(record) + "\n" for record in records))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"min_events": 50, "retrain_f1_floor": 0.0, "train": {"epochs": 2}}
+        ))
+        registry = tmp_path / "registry"
+        common = ["--input", str(raw), "--config", str(config_path),
+                  "--registry", str(registry)]
+        summary = tmp_path / "train.json"
+        assert main(["train", *common, "--summary", str(summary)]) == 0
+        capsys.readouterr()
+        trained = json.loads(summary.read_text())
+        assert sorted(trained["actors"]) == ["u001", "u002"]
+        limit = ModelRegistry(registry).name_max
+        assert trained["skipped"] == {
+            long_id: f"actor id of 300 bytes is longer than the {limit}-byte file name limit"
+        }
+        assert main(["score", *common, "--summary", str(summary)]) == 0
+        capsys.readouterr()
+        scored = json.loads(summary.read_text())
+        assert sorted(scored["actors"]) == ["u001", "u002"]
+        assert scored["unscorable"] == [long_id]
+        assert main(["report", "--registry", str(registry),
+                     "--out-dir", str(tmp_path / "reports")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["actors"], report["unreadable"]) == (2, [])
+
+    def test_report_lists_an_id_that_leaves_no_room_for_its_file_names(
+        self, tmp_path, capsys, caplog
+    ):
+        registry = tmp_path / "registry"
+        config = fast_config(train=TrainConfig(epochs=2))
+        run_train_workflow(crafted_events("u1", 120), config, ModelRegistry(registry))
+        # a directory name of 245 bytes, where "loss_epochs_<id>.csv" would take 261
+        long_id = "y" * 245
+        shutil.copytree(registry / "u1", registry / long_id)
+        reports = tmp_path / "reports"
+        with caplog.at_level(logging.WARNING, logger="loginwatch.cli"):
+            assert main(["report", "--registry", str(registry),
+                         "--out-dir", str(reports)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["unreadable"] == [long_id]
+        assert sorted(p.name for p in reports.iterdir()) == [
+            "f1_curve_u1.csv", "loss_epochs_u1.csv"
+        ]
+        assert f"cannot report {long_id}: its id is longer than" in caplog.text
 
     def test_report_refuses_unsafe_actor_directory(self, tmp_path, capsys):
         # the registry never creates such a directory, but one can be put there

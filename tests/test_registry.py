@@ -884,7 +884,34 @@ class TestActorIds:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "actor", ["u1", "alice@example.com", "00u1f2 g.h-i_j", "..a", "a.."]
+        "actor", ["x" * 256, "\u00e9" * 128, "\ud800"],
+        ids=["256-bytes", "128-two-byte-characters", "lone-surrogate"],
+    )
+    def test_id_that_no_file_name_holds_rejected_without_writing(self, tmp_path, actor):
+        registry = ModelRegistry(tmp_path / "registry")
+        assert registry.name_max == 255  # the root does not exist yet
+        with pytest.raises(UnsafeActorIdError, match="file name"):
+            registry.save(make_entry(actor=actor))
+        with pytest.raises(UnsafeActorIdError, match="file name"):
+            registry.load(actor)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_name_limit_is_asked_of_the_root(self, tmp_path, monkeypatch):
+        asked = []
+
+        def pathconf(path, name):
+            asked.append((path, name))
+            return 10
+
+        monkeypatch.setattr(os, "pathconf", pathconf)
+        registry = ModelRegistry(tmp_path)
+        assert registry.save(make_entry(actor="x" * 10)).parent == tmp_path / ("x" * 10)
+        with pytest.raises(UnsafeActorIdError, match="11 bytes is longer than the 10-byte"):
+            registry.save(make_entry(actor="x" * 11))
+        assert asked == [(tmp_path, "PC_NAME_MAX")]
+
+    @pytest.mark.parametrize(
+        "actor", ["u1", "alice@example.com", "00u1f2 g.h-i_j", "..a", "a..", "x" * 255]
     )
     def test_plain_ids_keep_their_directory_name(self, tmp_path, actor):
         registry = ModelRegistry(tmp_path)
