@@ -3,14 +3,17 @@
 Raw input is JSON Lines in the Okta System Log shape (``actor.id``,
 ``eventType``, ``published``, ``outcome.result``, ``client.*``, ``target``).
 Parsing flattens each record into a :class:`LogEvent`; downstream stages only
-ever see the flattened form. :func:`load_events` reads, decodes and parses
-each line in one loop. A raw record is checked and flattened in one pass.
+ever see the flattened form. :func:`load_range` is the one JSONL reader:
+it reads a file or a pipe in chunks of bytes, ends lines at ``\r\n``,
+``\r`` or ``\n``, and decodes and parses each line before it reads the
+next, so errors come in line order. :func:`load_events` is its call over a
+whole stream. A raw record is checked and flattened in one pass.
 Every event, parsed, replaced or made by hand, is built by the validating
 ``LogEvent(...)``.
 
 A :class:`LogEvent` has slots and no instance ``__dict__``. Its five
 categorical strings (``actor_id``, ``event_type``, ``app_id``, ``client_os``,
-``client_device``) repeat across a log, so :func:`load_events` keeps one
+``client_device``) repeat across a log, so :func:`load_range` keeps one
 string object per distinct value for the length of the call and every event
 it returns holds that object; nothing is cached across calls. A loaded login
 then costs about 217 bytes: the event, its timestamp and its two
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
@@ -398,49 +402,21 @@ def _okta_event(record, line_number: int | None, strings: _Strings) -> LogEvent:
 
 
 def load_events(path: Path | str) -> tuple[list[LogEvent], IngestStats]:
-    """Read a JSONL file of events, counting rejected records.
-
-    Lines may be in the raw Okta shape or the flattened snake_case shape;
-    the two are distinguished per line by their identity keys, and each line
-    is decoded once. Blank lines are skipped and not counted. Records
-    missing required fields, and JSON values that are not objects, are
-    counted in ``stats.rejected`` and skipped. Lines that are not valid
-    JSON or not UTF-8, or too deep or long for ``json.loads``, raise
-    :class:`MalformedLineError` with the line offset. Equal strings of the
-    returned events are one object, shared within this call only.
-    """
-    events: list[LogEvent] = []
-    strings = _Strings()
-    number = lines = rejected = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            for number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                record = _decode(line, number)
-                lines += 1
-                try:
-                    events.append(_event(record, number, strings))
-                except (RecordRejectedError, KeyError, ValueError) as exc:
-                    _log_rejected(number, exc)
-                    rejected += 1
-        except UnicodeDecodeError:
-            raise _undecodable(path, number) from None
-    return events, IngestStats(lines=lines, parsed=len(events), rejected=rejected)
+    """:func:`load_range` of the whole file or stream, without its line count."""
+    events, stats, _ = load_range(path)
+    return events, stats
 
 
-def _event(record, number: int, strings: _Strings) -> LogEvent:
-    """The event of one decoded line, in the flat shape or the raw one.
-
-    Raises:
-        RecordRejectedError, KeyError, ValueError: the record is rejected.
-    """
+def _event(record, strings: _Strings) -> LogEvent:
+    """The event of one decoded line, in the flat shape or the raw one. An
+    error it raises (``RecordRejectedError``, ``KeyError``, ``ValueError``)
+    rejects the record and names no line: the caller logs the line."""
     if isinstance(record, dict) and "actor_id" in record:
         return _flat_event(record, strings)
-    return _okta_event(record, number, strings)
+    return _okta_event(record, None, strings)
 
 
-def _log_rejected(number: int, exc: Exception) -> None:
+def _log_rejected(offset: int, length: int, number: int, exc: Exception) -> None:
     logger.warning("rejected record at line %d: %s", number, exc)
 
 
@@ -450,22 +426,31 @@ RANGE_CHUNK_BYTES = 1 << 16
 
 def load_range(
     path: Path | str,
-    start: int,
-    end: int,
+    start: int = 0,
+    end: int | None = None,
     first_line: int = 1,
     rejected: Callable[[int, int, int, Exception], None] | None = None,
 ) -> tuple[list[LogEvent], IngestStats, int]:
-    """Parse the lines in bytes ``[start, end)`` of a JSONL file, as
-    :func:`load_events` parses a whole one.
+    """Parse the JSONL lines in bytes ``[start, end)`` of a file, counting
+    rejected records.
 
-    ``start`` must be 0 or follow a ``"\\n"``. The range is read
-    ``RANGE_CHUNK_BYTES`` at a time, so it is never held whole. Its lines
-    end as a text-mode reader ends them, at ``"\\r\\n"``, ``"\\r"`` or
-    ``"\\n"``, and are numbered from ``first_line``. Each rejected record
-    is passed to ``rejected`` as (byte offset of its line, byte length of
-    its line, line number, exception); the default logs it as
-    :func:`load_events` does. So the lines ``[offset, offset + length)``
-    and ``first_line=number`` parse that one line again.
+    ``end=None`` reads to the end of the stream. A ``start`` of 0 does not
+    seek, so a pipe such as ``/dev/stdin`` reads as a file does; any other
+    ``start`` must follow a ``"\\n"``. The bytes are read
+    ``RANGE_CHUNK_BYTES`` at a time, never held whole. Lines end at
+    ``"\\r\\n"``, ``"\\r"`` or ``"\\n"``, are numbered from ``first_line``,
+    and are each parsed before the next is read, so errors and warnings
+    come in line order.
+
+    A line may be in the raw Okta shape or the flat snake_case one, told
+    apart by its identity keys, and is decoded once. Blank lines are
+    skipped and not counted. Records missing required fields, and JSON
+    values that are not objects, are counted in ``stats.rejected`` and
+    passed to ``rejected`` as (byte offset of the line, its byte length,
+    line number, exception); the default logs the line number and the
+    reason. So ``[offset, offset + length)`` and ``first_line=number``
+    parse that one line again. Equal strings of the returned events are one
+    object, shared within this call only.
 
     Returns:
         The events, the stats, and the number of lines read, blank ones
@@ -473,17 +458,17 @@ def load_range(
         the previous range's ``first_line`` plus that count.
 
     Raises:
-        MalformedLineError: a line is not valid JSON or not UTF-8. Unlike
-            :func:`load_events`, whose reader decodes ahead of the lines it
-            gives, this reports the lines before a bad byte first.
+        MalformedLineError: a line is not valid JSON or not UTF-8, or is too
+            deep or long for ``json.loads``; it names the line.
     """
-    report = rejected or (lambda offset, length, number, exc: _log_rejected(number, exc))
+    report = rejected or _log_rejected
     events: list[LogEvent] = []
     strings = _Strings()
     number, offset, parsed_lines, rejected_count = first_line - 1, start, 0, 0
     with open(path, "rb") as handle:
-        handle.seek(start)
-        rest, left = b"", end - start
+        if start:
+            handle.seek(start)
+        rest, left = b"", math.inf if end is None else end - start
         while rest or left > 0:
             data = handle.read(min(RANGE_CHUNK_BYTES, left)) if left > 0 else b""
             left -= len(data)
@@ -500,7 +485,7 @@ def load_range(
                     record = _decode(line, number)
                     parsed_lines += 1
                     try:
-                        events.append(_event(record, number, strings))
+                        events.append(_event(record, strings))
                     except (RecordRejectedError, KeyError, ValueError) as exc:
                         report(offset, len(raw), number, exc)
                         rejected_count += 1
@@ -509,23 +494,6 @@ def load_range(
                 break
     stats = IngestStats(lines=parsed_lines, parsed=len(events), rejected=rejected_count)
     return events, stats, number - first_line + 1
-
-
-def _undecodable(path: Path | str, loaded: int) -> MalformedLineError:
-    """The error for a file that is not UTF-8, met after its first ``loaded``
-    lines. The reader decodes ahead of the lines it gives, so an invalid JSON
-    line between those and the bad byte's line is the first error."""
-    try:
-        Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the reader's line ends: "\r\n", "\r" and "\n"
-        text = exc.object[: exc.start].decode("utf-8")
-        head = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        for number, line in enumerate(head[:-1], start=1):
-            if number > loaded and line.strip():
-                _decode(line, number)
-        return MalformedLineError(f"invalid UTF-8: {exc.reason}", len(head))
-    return MalformedLineError("invalid UTF-8")  # the file changed under the reader
 
 
 def write_events(events: Iterable[LogEvent], path: Path | str) -> int:

@@ -72,7 +72,8 @@ def _displace_event(
         )
         if moved != original:
             return dataclasses.replace(event, latitude=lat, longitude=lon)
-    raise RuntimeError(
+    # a distance far below the cell's size, such as 1e-9 miles
+    raise ValueError(
         f"could not leave geohash cell after {_MAX_BEARING_TRIES} bearings"
     )
 
@@ -117,7 +118,8 @@ def inject(
         (mutated event list, labels) with labels aligned by position.
 
     Raises:
-        ValueError: not enough eligible events for the requested count.
+        ValueError: not enough eligible events for the requested count, or
+            a LOCATION displacement left its geohash cell on no bearing tried.
     """
     events = list(events)
     count = round(spec.fraction * len(events))

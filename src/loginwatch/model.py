@@ -120,7 +120,9 @@ class TrainConfig:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.code_dim < 1:
             raise ValueError(f"code_dim must be >= 1, got {self.code_dim}")
-        checked_weights(self.feature_weights)
+        # a stored model may hold such weights, so only a config refuses them
+        if not any(checked_weights(self.feature_weights).values()):
+            raise ValueError("feature_weights are all 0, which leaves the model no loss to fit")
 
 
 def checked_weights(feature_weights: Mapping[str, float] | None) -> dict[str, float]:

@@ -397,11 +397,13 @@ def _prepare_actor(
     validation = []
     for spec in config.injections:
         seed = _actor_seed(config.seed, actor_id, f"inject:{spec.kind.value}")
+        # ValueError: too few eligible events, a displacement that leaves no
+        # geohash cell, or DegenerateValidationError
         try:
             mutated, labels = inject(val_part, spec, seed)
             injected = np.array([label is Label.INJECTED for label in labels], dtype=bool)
             check_injected(injected, len(mutated))
-        except ValueError as exc:  # too few eligible events, or DegenerateValidationError
+        except ValueError as exc:
             return None, f"cannot validate: {exc}"
         validation.append(
             (spec.kind.value, _encode_actor_events(mutated, encoder), injected)

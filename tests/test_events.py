@@ -5,6 +5,8 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
@@ -603,6 +605,53 @@ class TestLoadEvents:
         with pytest.raises(MalformedLineError) as excinfo:
             load_events(path)
         assert str(excinfo.value) == "line 3: invalid UTF-8: unexpected end of data"
+
+    def test_rejected_line_before_invalid_utf8_is_logged_first(self, tmp_path, caplog):
+        good = json.dumps(raw_record()).encode()
+        bad = json.dumps(raw_record(actor={})).encode()
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b"\n".join([good, bad, b"\xff", good]) + b"\n")
+        with pytest.raises(MalformedLineError) as excinfo:
+            load_events(path)
+        assert str(excinfo.value) == "line 3: invalid UTF-8: invalid start byte"
+        warnings = [r.getMessage() for r in caplog.records if r.name == "loginwatch.events"]
+        assert warnings == ["rejected record at line 2: missing actor.id"]
+
+    def test_rejected_raw_record_names_its_line_once(self, tmp_path, caplog):
+        good = json.dumps(raw_record())
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n".join([good, json.dumps(raw_record(actor={})), "[1]", good]) + "\n")
+        events, stats = load_events(path)
+        assert (stats.parsed, stats.rejected) == (2, 2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "rejected record at line 2: missing actor.id",
+            "rejected record at line 3: top-level value is not an object",
+        ]
+
+    def test_a_pipe_loads_as_a_file_does(self, tmp_path):
+        # more than a pipe buffer and a read chunk, with CRLF, CR and blank lines
+        lines = [json.dumps(raw_record(published=f"2023-03-06T09:{i // 60:02d}:{i % 60:02d}Z"))
+                 for i in range(600)]
+        data = "\r\n".join(lines[:300]).encode() + b"\r\n\n" + "\r".join(lines[300:]).encode()
+        assert len(data) > events_module.RANGE_CHUNK_BYTES * 2
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(data)
+        read_end, write_end = os.pipe()
+
+        def write():
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(data)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            piped = load_events(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert piped == load_events(path)
+        assert piped[1].rejected == 0 and len(piped[0]) == 600
 
     def test_invalid_json_before_invalid_utf8_is_the_first_error(self, tmp_path):
         # every line falls in the reader's first decoded chunk

@@ -35,7 +35,7 @@ from loginwatch.events import (
     write_events,
 )
 from loginwatch.inject import InjectionKind, InjectionSpec
-from loginwatch.model import TrainConfig
+from loginwatch.model import TrainConfig, checked_weights
 from loginwatch.pipeline import (
     COLUMN_ENCODE_MIN_EVENTS,
     PipelineConfig,
@@ -416,6 +416,11 @@ class TestPipelineConfig:
                 "feature weight geohash must be finite and >= 0, and at most float32's "
                 r"largest finite value 3.4028234663852886e\+38, got 1e\+308",
             ),
+            # every loss is 0: no login could ever be flagged
+            (
+                {"train": {"feature_weights": dict.fromkeys(FEATURE_ORDER, 0)}},
+                "feature_weights are all 0, which leaves the model no loss to fit",
+            ),
             # each kind's sweep is kept once, so the second would replace the first
             (
                 {"injections": [
@@ -432,7 +437,7 @@ class TestPipelineConfig:
             "negative-superset-threshold", "superset-threshold-above-1", "nan-superset-threshold",
             "nan-retrain-f1-floor", "nan-learning-rate", "infinite-learning-rate",
             "nan-distance", "infinite-distance", "weight-above-float32",
-            "repeated-injection-kind",
+            "all-weights-zero", "repeated-injection-kind",
         ],
     )
     def test_out_of_range_setting_refused_when_loaded(self, data, message):
@@ -447,6 +452,14 @@ class TestPipelineConfig:
         })
         assert config.train.feature_weights == {"geohash": largest}
         assert config.injections[0].distance_miles == 1e300
+
+    def test_all_but_one_zero_weight_loads_and_a_stored_all_zero_one_reads(self):
+        weights = {**dict.fromkeys(FEATURE_ORDER, 0.0), "geohash": 0.5}
+        config = PipelineConfig.from_dict({"train": {"feature_weights": weights}})
+        assert config.train.feature_weights == weights
+        # a stored document's weights are checked by checked_weights alone
+        zeros = dict.fromkeys(FEATURE_ORDER, 0.0)
+        assert checked_weights(zeros) == zeros
 
     def test_hash_tracks_content(self):
         assert fast_config().config_hash() == fast_config().config_hash()
@@ -1094,6 +1107,27 @@ class TestCli:
                      "--out-dir", str(tmp_path / "reports")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["actors"], report["unreadable"]) == (2, [])
+
+    def test_tiny_injection_distance_is_each_actors_skip_reason(self, tmp_path, capsys):
+        # 1e-9 miles leaves no precision-3 geohash cell on any bearing
+        raw = tmp_path / "raw.jsonl"
+        assert main(["synth", "--actors", "3", "--days", "30", "--seed", "7",
+                     "--out", str(raw)]) == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "min_events": 50, "train": {"epochs": 2},
+            "injections": [{"kind": "LOCATION", "distance_miles": 1e-9}],
+        }))
+        registry = tmp_path / "registry"
+        summary = tmp_path / "train.json"
+        assert main(["train", "--input", str(raw), "--config", str(config_path),
+                     "--registry", str(registry), "--summary", str(summary)]) == 0
+        capsys.readouterr()
+        trained = json.loads(summary.read_text())
+        reason = "cannot validate: could not leave geohash cell after 64 bearings"
+        assert trained["actors"] == {}
+        assert trained["skipped"] == {actor: reason for actor in ("u001", "u002", "u003")}
+        assert ModelRegistry(registry).actors() == []
 
     def test_report_lists_an_id_that_leaves_no_room_for_its_file_names(
         self, tmp_path, capsys, caplog
